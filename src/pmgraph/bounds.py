@@ -27,8 +27,7 @@ from fnmatch import fnmatchcase
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import tau as tau_of
-from .invariants import zhang_invariants
+from .invariants import _tau, _theta, _zhang
 from .resistance import resistance_matrix
 
 RATIO_INVARIANTS = ("tau", "phi", "lambda", "epsilon")
@@ -158,25 +157,18 @@ def matching_families(spec: BoundSpec) -> list[str]:
 
 def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the general engine (no closed forms involved)."""
-    graph = catalog.build(fid, lengths)
-    rm = resistance_matrix(graph)
-    if invariant == "tau":
-        value = tau_of(graph, rm=rm)
-    else:
-        value = zhang_invariants(graph, rm=rm)[
-            "Z" if invariant == "Z" else invariant
-        ]
-    return value / graph.total_length
+    return engine_ratios(fid, lengths)[invariant]
 
 
 def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """All four bounded ratios from a single engine pass over one graph."""
     graph = catalog.build(fid, lengths)
     rm = resistance_matrix(graph)
-    quartet = zhang_invariants(graph, rm=rm)
     ell = graph.total_length
+    t = _tau(graph, rm)
+    quartet = _zhang(t, _theta(graph, rm), ell)
     return {
-        "tau": tau_of(graph, rm=rm) / ell,
+        "tau": t / ell,
         "phi": quartet["phi"] / ell,
         "lambda": quartet["lambda"] / ell,
         "epsilon": quartet["epsilon"] / ell,
@@ -202,42 +194,64 @@ def sample_check(
     on which other families the selector matches.  ``only`` restricts a group
     selector to a single covered family.
     """
+    return _sample_reports([spec], samples, seed, only)[0]
+
+
+def _sample_reports(
+    specs: list[BoundSpec], samples: int, seed: int, only: Optional[str]
+) -> list[SampleReport]:
+    """:func:`sample_check` for several rows at once, one seeded pass per family.
+
+    Each covered family draws its stream once; every row covering it is
+    checked on each sample, so the reports equal one pass per row.
+    """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    families = matching_families(spec)
-    if only is not None:
-        families = [fid for fid in families if fid == only]
-    if not families:
-        raise catalog.UnknownFamilyError(
-            f"selector {spec.selector!r} matches no family"
-        )
-    min_ratio: Optional[Fraction] = None
-    min_family = ""
-    min_lengths: tuple[tuple[str, Fraction], ...] = ()
-    violation = None
-    for fid in families:
+    covered = []
+    for spec in specs:
+        families = [
+            fid for fid in matching_families(spec) if only is None or fid == only
+        ]
+        if not families:
+            raise catalog.UnknownFamilyError(
+                f"selector {spec.selector!r} matches no family"
+            )
+        covered.append(families)
+    # (row index, family) -> (min ratio, its lengths, first violation)
+    found: dict[tuple[int, str], tuple] = {}
+    for fid in dict.fromkeys(fid for families in covered for fid in families):
         params = catalog.family(fid).params
         rng = random.Random(f"{fid}:{seed}")
-        for _ in range(samples):
-            lengths = catalog.random_lengths(params, rng)
-            ratio = engine_ratio(fid, lengths, spec.invariant)
-            frozen = tuple(sorted(lengths.items()))
-            if min_ratio is None or ratio < min_ratio:
-                min_ratio, min_family, min_lengths = ratio, fid, frozen
-            bad = ratio != spec.floor if spec.exact else ratio < spec.floor
-            if bad and violation is None:
-                violation = (fid, frozen, ratio)
-    assert min_ratio is not None
-    return SampleReport(
-        spec=spec,
-        families=tuple(families),
-        samples_per_family=samples,
-        seed=seed,
-        min_ratio=min_ratio,
-        min_family=min_family,
-        min_lengths=min_lengths,
-        violation=violation,
-    )
+        draws = [catalog.random_lengths(params, rng) for _ in range(samples)]
+        points = [(tuple(sorted(x.items())), engine_ratios(fid, x)) for x in draws]
+        for i, spec in enumerate(specs):
+            if fid in covered[i]:
+                ratios = [(r[spec.invariant], frozen) for frozen, r in points]
+                bad = (
+                    (fid, frozen, ratio) for ratio, frozen in ratios
+                    if (ratio != spec.floor if spec.exact else ratio < spec.floor)
+                )
+                found[i, fid] = (*min(ratios, key=lambda p: p[0]), next(bad, None))
+    reports = []
+    for i, (spec, families) in enumerate(zip(specs, covered)):
+        per_family = [(fid, *found[i, fid]) for fid in families]
+        # min keeps the first least entry, and families stay in selector
+        # order, so this is the minimum a single pass over the row finds
+        min_family, min_ratio, min_lengths, _ = min(per_family, key=lambda r: r[1])
+        violation = next((r[3] for r in per_family if r[3] is not None), None)
+        reports.append(
+            SampleReport(
+                spec=spec,
+                families=tuple(families),
+                samples_per_family=samples,
+                seed=seed,
+                min_ratio=min_ratio,
+                min_family=min_family,
+                min_lengths=min_lengths,
+                violation=violation,
+            )
+        )
+    return reports
 
 
 def witness_check(spec: BoundSpec) -> WitnessReport:
@@ -255,24 +269,16 @@ def witness_check(spec: BoundSpec) -> WitnessReport:
                 f"{engine} vs floor {spec.floor}",
             )
         )
-        closed = closed_ratio(witness.family, witness.lengths, spec.invariant)
-        checks.append(
-            (
-                f"closed-form {spec.invariant}/ell at {witness.family} witness",
-                closed == spec.floor,
-                f"{closed} vs floor {spec.floor}",
-            )
+    closed = closed_ratio(witness.family, witness.lengths, spec.invariant)
+    where = " boundary" if witness.is_boundary else ""
+    checks.append(
+        (
+            f"closed-form {spec.invariant}/ell at {witness.family}{where} witness",
+            closed == spec.floor,
+            f"{closed} vs floor {spec.floor}",
         )
-    else:
-        closed = closed_ratio(witness.family, witness.lengths, spec.invariant)
-        checks.append(
-            (
-                f"closed-form {spec.invariant}/ell at {witness.family}"
-                " boundary witness",
-                closed == spec.floor,
-                f"{closed} vs floor {spec.floor}",
-            )
-        )
+    )
+    if witness.is_boundary:
         # approach the boundary along 1/n; the engine never sees a zero length
         zero_names = [k for k, v in witness.lengths.items() if v == 0]
         ratios = []
@@ -307,16 +313,16 @@ def verify_bounds(
     """Run sample and witness checks for every bound row.
 
     ``family`` restricts the table to rows whose selector covers that family.
+    Each covered family is sampled in one seeded pass shared by its rows.
     """
-    results = []
-    for spec in bound_table():
-        if family is not None and not spec.matches(family):
-            continue
-        report = sample_check(spec, samples=samples, seed=seed, only=family)
-        witness_report = witness_check(spec) if spec.witness else None
-        results.append((report, witness_report))
-    if family is not None and not results:
+    specs = [
+        spec for spec in bound_table() if family is None or spec.matches(family)
+    ]
+    if not specs:
         raise catalog.UnknownFamilyError(
             f"no bound row covers family {family!r}"
         )
-    return results
+    return [
+        (report, witness_check(report.spec) if report.spec.witness else None)
+        for report in _sample_reports(specs, samples, seed, family)
+    ]

@@ -24,7 +24,7 @@ from .graph import (
     require_valid,
 )
 from .invariants import invariant_set
-from .io import ParseError, dumps_json, graph_to_text, parse_graph
+from .io import ParseError, graph_to_text, parse_graph
 from .resistance import resistance_matrix
 
 
@@ -201,8 +201,8 @@ def catalog_check(samples: int, seed: int, family_id: Optional[str]) -> None:
         click.echo(f"{fid:8s} MISMATCH after {passed} passing samples")
         shown = " ".join(f"{k}={v}" for k, v in sorted(failure.lengths.items()))
         click.echo(f"         at {shown}:")
-        for name, engine, closed in failure.mismatches:
-            click.echo(f"           {name}: engine {engine} != closed {closed}")
+        for mismatch in failure.mismatches:
+            click.echo(f"           {mismatch}")
     if failures:
         raise SystemExit(1)
 

@@ -5,6 +5,10 @@ valid pm-graph.  The four derived invariants ``phi``, ``lambda``,
 ``epsilon`` and ``Z`` are produced by closed formulas in ``tau``, ``theta``
 and the total length that hold on total genus 3, so :func:`zhang_invariants`
 refuses any other total genus rather than return something wrong.
+
+Every public function here validates its graph and solves it exactly once,
+through :func:`pmgraph.resistance.resistance_matrix`, and reads each value
+off that one matrix; :func:`invariant_set` gets all of them from one solve.
 """
 
 from __future__ import annotations
@@ -13,42 +17,39 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import (
-    PmGraph,
-    UnsupportedGenusError,
-    canonical_divisor,
-    genus,
-    require_valid,
-)
-from .io import format_fraction
-from .resistance import ResistanceMatrix, classify_edges, resistance_matrix
+from .graph import PmGraph, UnsupportedGenusError, canonical_divisor, genus
+from .resistance import ResistanceMatrix, _classify_edges, resistance_matrix
 
 
-def tau(g: PmGraph, base: Optional[str] = None, rm: Optional[ResistanceMatrix] = None) -> Fraction:
+def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
     """Tau constant: ``(1/4) * integral over the graph of (dr(x, y)/dx)^2``.
 
-    Restricted to any edge, ``x -> r(x, y)`` is a quadratic whose leading
-    coefficient ``-(L - r(p,q))/L^2`` depends only on the edge, so each edge
-    integrates in closed form.  The value is independent of the base vertex
-    ``y`` (checked property, not assumed); ``base`` defaults to the first
-    vertex.  ``rm`` may pass in a precomputed resistance matrix.
+    On an edge ``e = uv`` of length ``L``, ``x -> r(x, y)`` is a quadratic;
+    splitting the integral of its squared slope into a mean and a variance
+    part gives the per-edge form (Cinkir, 2011)::
+
+        tau = sum_e (L - R_e)^2 / (12 L) + sum_e (r(v, y) - r(u, y))^2 / (4 L)
+
+    with ``R_e = r(u, v)``, and ``R_e = 0`` on a loop.  The value is
+    independent of the base vertex ``y`` (checked property, not assumed);
+    ``base`` defaults to the first vertex.
     """
-    require_valid(g)
-    if rm is None:
-        rm = resistance_matrix(g)
+    return _tau(g, resistance_matrix(g), base)
+
+
+def _tau(g: PmGraph, rm: ResistanceMatrix, base: Optional[str] = None) -> Fraction:
     if base is None:
         base = g.vertex_ids[0]
     total = Fraction(0)
     for e in g.edges:
         L = e.length
-        x = Fraction(0) if e.is_loop else rm.get(e.u, e.v)
-        a = -(L - x) / L**2
-        b = (rm.get(e.v, base) - rm.get(e.u, base)) / L - a * L
-        total += Fraction(4, 3) * a * a * L**3 + 2 * a * b * L**2 + b * b * L
+        c = L if e.is_loop else L - rm.get(e.u, e.v)
+        d = rm.get(e.v, base) - rm.get(e.u, base)
+        total += (c * c / 3 + d * d) / L
     return total / 4
 
 
-def theta(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> Fraction:
+def theta(g: PmGraph) -> Fraction:
     """``sum over ordered vertex pairs (p, s) of K(p) K(s) r(p, s)``.
 
     ``K`` is the canonical divisor coefficient; each unordered pair therefore
@@ -56,35 +57,32 @@ def theta(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> Fraction:
     does not change under subdivision or smoothing of weight-0 valence-2
     vertices.
     """
-    require_valid(g)
-    if rm is None:
-        rm = resistance_matrix(g)
+    return _theta(g, resistance_matrix(g))
+
+
+def _theta(g: PmGraph, rm: ResistanceMatrix) -> Fraction:
     k = canonical_divisor(g)
-    ids = g.vertex_ids
+    support = [p for p in g.vertex_ids if k[p] != 0]
     total = Fraction(0)
-    for p in ids:
-        if k[p] == 0:
-            continue
-        for s in ids:
-            if k[s] == 0:
-                continue
+    for p in support:
+        for s in support:
             total += k[p] * k[s] * rm.get(p, s)
     return total
 
 
-def delta(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[int, Fraction]:
+def delta(g: PmGraph) -> dict[int, Fraction]:
     """Total edge length by type: ``delta[i]`` sums type-``i`` bridges, and
     ``delta[0]`` sums all non-bridge edges.
 
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    require_valid(g)
-    if rm is None:
-        rm = resistance_matrix(g)
-    gbar = genus(g).gbar
-    result = {i: Fraction(0) for i in range(gbar // 2 + 1)}
-    classes = classify_edges(g, rm)
+    return _delta(g, resistance_matrix(g))
+
+
+def _delta(g: PmGraph, rm: ResistanceMatrix) -> dict[int, Fraction]:
+    result = {i: Fraction(0) for i in range(genus(g).gbar // 2 + 1)}
+    classes = _classify_edges(g, rm)
     for e in g.edges:
         result[classes[e.id].type_index] += e.length
     return result
@@ -112,20 +110,20 @@ class InvariantSet:
 
     def to_json_dict(self) -> dict:
         payload: dict = {
-            "ell": format_fraction(self.ell),
+            "ell": str(self.ell),
             "g": self.g,
             "gbar": self.gbar,
-            "tau": format_fraction(self.tau),
-            "theta": format_fraction(self.theta),
+            "tau": str(self.tau),
+            "theta": str(self.theta),
             "delta": {
-                str(i): format_fraction(self.delta[i]) for i in sorted(self.delta)
+                str(i): str(self.delta[i]) for i in sorted(self.delta)
             },
         }
         if self.phi is not None:
-            payload["phi"] = format_fraction(self.phi)
-            payload["lambda"] = format_fraction(self.lam)
-            payload["epsilon"] = format_fraction(self.epsilon)
-            payload["Z"] = format_fraction(self.z)
+            payload["phi"] = str(self.phi)
+            payload["lambda"] = str(self.lam)
+            payload["epsilon"] = str(self.epsilon)
+            payload["Z"] = str(self.z)
         return payload
 
     def by_name(self, name: str) -> Fraction:
@@ -149,7 +147,7 @@ class InvariantSet:
         return value
 
 
-def zhang_invariants(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[str, Fraction]:
+def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
     """``phi``, ``lambda``, ``epsilon`` and ``Z`` of a total genus 3 graph.
 
     On total genus 3 these admit closed forms in ``tau``, ``theta`` and the
@@ -162,17 +160,17 @@ def zhang_invariants(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[
 
     Any other total genus raises :class:`UnsupportedGenusError`.
     """
-    require_valid(g)
-    data = genus(g)
-    if data.gbar != 3:
+    rm = resistance_matrix(g)
+    gbar = genus(g).gbar
+    if gbar != 3:
         raise UnsupportedGenusError(
-            f"phi/lambda/epsilon/Z require total genus 3, got {data.gbar}"
+            f"phi/lambda/epsilon/Z require total genus 3, got {gbar}"
         )
-    if rm is None:
-        rm = resistance_matrix(g)
-    t = tau(g, rm=rm)
-    th = theta(g, rm=rm)
-    ell = g.total_length
+    return _zhang(_tau(g, rm), _theta(g, rm), g.total_length)
+
+
+def _zhang(t: Fraction, th: Fraction, ell: Fraction) -> dict[str, Fraction]:
+    # the total genus 3 closed forms of zhang_invariants
     return {
         "phi": Fraction(13, 3) * t + th / 12 - ell / 4,
         "lambda": Fraction(3, 7) * t + th / 56 + ell / 14,
@@ -183,30 +181,21 @@ def zhang_invariants(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[
 
 def invariant_set(g: PmGraph) -> InvariantSet:
     """All invariants of a valid graph in one pass (one Laplacian solve)."""
-    require_valid(g)
     rm = resistance_matrix(g)
     data = genus(g)
-    t = tau(g, rm=rm)
-    th = theta(g, rm=rm)
-    d = delta(g, rm=rm)
+    t = _tau(g, rm)
+    th = _theta(g, rm)
     ell = g.total_length
-    quartet: dict[str, Optional[Fraction]] = {
-        "phi": None,
-        "lambda": None,
-        "epsilon": None,
-        "Z": None,
-    }
-    if data.gbar == 3:
-        quartet = zhang_invariants(g, rm=rm)  # type: ignore[assignment]
+    quartet = _zhang(t, th, ell) if data.gbar == 3 else {}
     return InvariantSet(
         ell=ell,
         g=data.g,
         gbar=data.gbar,
         tau=t,
         theta=th,
-        delta=d,
-        phi=quartet["phi"],
-        lam=quartet["lambda"],
-        epsilon=quartet["epsilon"],
-        z=quartet["Z"],
+        delta=_delta(g, rm),
+        phi=quartet.get("phi"),
+        lam=quartet.get("lambda"),
+        epsilon=quartet.get("epsilon"),
+        z=quartet.get("Z"),
     )

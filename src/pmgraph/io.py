@@ -14,7 +14,6 @@ back exactly as written.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from typing import Mapping
 
@@ -137,18 +136,13 @@ def parse_graph(text: str) -> PmGraph:
     return PmGraph(tuple(vertices), tuple(edges))
 
 
-def format_fraction(x: Fraction) -> str:
-    """Canonical text form: lowest terms, ``p/q`` or a bare integer."""
-    return str(x)
-
-
 def graph_to_text(g: PmGraph) -> str:
     """Serialize to the text format; ``parse_graph`` round-trips exactly."""
     lines = []
     for v in g.vertices:
         lines.append(f"vertex {v.id}" + (f" q={v.q}" if v.q else ""))
     for e in g.edges:
-        lines.append(f"edge {e.id} {e.u} {e.v} {format_fraction(e.length)}")
+        lines.append(f"edge {e.id} {e.u} {e.v} {e.length}")
     return "\n".join(lines) + "\n"
 
 
@@ -156,7 +150,7 @@ def graph_to_json_dict(g: PmGraph) -> dict:
     return {
         "vertices": [{"id": v.id, "q": v.q} for v in g.vertices],
         "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": format_fraction(e.length)}
+            {"id": e.id, "u": e.u, "v": e.v, "length": str(e.length)}
             for e in g.edges
         ],
     }
@@ -169,7 +163,3 @@ def graph_from_json_dict(data: Mapping) -> PmGraph:
     )
     return PmGraph(vertices, edges)
 
-
-def dumps_json(payload: object) -> str:
-    """Stable JSON encoding used everywhere machine output is produced."""
-    return json.dumps(payload, indent=2, sort_keys=False) + "\n"

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
-from .graph import PmGraph, connected_components, genus, require_valid
+from .graph import PmGraph, PmGraphError, connected_components, genus, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -70,23 +71,29 @@ class ResistanceMatrix:
     order: tuple[str, ...]
     values: tuple[tuple[Fraction, ...], ...]
 
+    @cached_property
+    def _index(self) -> dict[str, int]:
+        return {vid: i for i, vid in enumerate(self.order)}
+
     def get(self, p: str, s: str) -> Fraction:
-        i = self.order.index(p)
-        j = self.order.index(s)
-        return self.values[i][j]
+        return self.values[self._index[p]][self._index[s]]
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
     """Effective resistance between every vertex pair of a valid graph.
 
-    ``ground`` picks the vertex removed to form the reduced Laplacian and
-    must not affect the result; it defaults to the first vertex.
+    This is the one place the engine validates a graph and solves it; every
+    invariant is read off the matrix it returns.  ``ground`` picks the vertex
+    removed to form the reduced Laplacian and must not affect the result; it
+    defaults to the first vertex.
     """
     require_valid(g)
     order, lap = laplacian(g)
     n = len(order)
     if ground is None:
         ground = order[0]
+    elif ground not in order:
+        raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
     k = order.index(ground)
     reduced = [
         [lap[i][j] for j in range(n) if j != k] for i in range(n) if i != k
@@ -129,7 +136,7 @@ class EdgeClass:
     side_genera: Optional[tuple[int, int]] = None
 
 
-def classify_edges(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[str, EdgeClass]:
+def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     """Classify every edge as a bridge of some type or as type 0.
 
     An edge between distinct vertices is a bridge exactly when its effective
@@ -138,9 +145,11 @@ def classify_edges(g: PmGraph, rm: Optional[ResistanceMatrix] = None) -> dict[st
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    require_valid(g)
-    if rm is None:
-        rm = resistance_matrix(g)
+    return _classify_edges(g, resistance_matrix(g))
+
+
+def _classify_edges(g: PmGraph, rm: ResistanceMatrix) -> dict[str, EdgeClass]:
+    # classify_edges on a graph already validated and solved into rm
     result: dict[str, EdgeClass] = {}
     for e in g.edges:
         if not e.is_loop and rm.get(e.u, e.v) == e.length:

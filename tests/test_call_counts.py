@@ -1,0 +1,106 @@
+"""Each fact is computed once: one validation and one solve per graph, and
+one seeded sampling pass per family for the bound suite.
+
+The counters wrap module globals (``validate``, ``_invert``), which callers
+look up at call time, so every call inside the package is seen.
+"""
+
+import importlib
+import random
+from collections import Counter
+from fractions import Fraction
+
+import pytest
+
+from pmgraph import (
+    SampleReport,
+    bound_table,
+    classify_edges,
+    delta,
+    engine_ratios,
+    family,
+    invariant_set,
+    matching_families,
+    random_lengths,
+    tau,
+    theta,
+    verify_bounds,
+    witness_check,
+    zhang_invariants,
+)
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    tally = Counter()
+    for module_name, name in (
+        ("pmgraph.graph", "validate"),
+        ("pmgraph.resistance", "_invert"),
+    ):
+        module = importlib.import_module(module_name)
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original):
+            tally[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return tally
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [invariant_set, zhang_invariants, tau, theta, delta, classify_edges],
+    ids=lambda f: f.__name__,
+)
+def test_engine_entry_validates_and_solves_once(entry, counts, k4_unit):
+    entry(k4_unit)
+    assert counts == {"validate": 1, "_invert": 1}
+
+
+def test_engine_ratios_validates_and_solves_once(counts):
+    engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"})
+    assert counts == {"validate": 1, "_invert": 1}
+
+
+def test_verify_bounds_draws_each_sample_once(counts):
+    results = verify_bounds(family="g3.XIV", samples=4, seed=0)
+    assert len(results) == 4
+    total = Counter(counts)
+    counts.clear()
+    for report, _ in results:
+        if report.spec.witness is not None:
+            witness_check(report.spec)
+    # 4 samples shared by the 4 rows, plus what the witness checks solve
+    assert total == {
+        "validate": 4 + counts["validate"],
+        "_invert": 4 + counts["_invert"],
+    }
+
+
+def _one_pass_per_row(spec, samples, seed):
+    # the per-row reference: every row draws its families' streams itself
+    families = matching_families(spec)
+    points = []
+    for fid in families:
+        rng = random.Random(f"{fid}:{seed}")
+        for _ in range(samples):
+            lengths = random_lengths(family(fid).params, rng)
+            ratio = engine_ratios(fid, lengths)[spec.invariant]
+            points.append((fid, tuple(sorted(lengths.items())), ratio))
+    min_family, min_lengths, min_ratio = min(points, key=lambda p: p[2])
+    bad = [
+        p for p in points
+        if (p[2] != spec.floor if spec.exact else p[2] < spec.floor)
+    ]
+    return SampleReport(
+        spec, tuple(families), samples, seed,
+        min_ratio, min_family, min_lengths, bad[0] if bad else None,
+    )
+
+
+def test_shared_pass_equals_one_pass_per_row():
+    results = verify_bounds(samples=6, seed=17)
+    assert [report.spec for report, _ in results] == bound_table()
+    for report, _ in results:
+        assert report == _one_pass_per_row(report.spec, 6, 17)

@@ -1,4 +1,8 @@
+import dataclasses
+import importlib
 import json
+import re
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -124,6 +128,28 @@ class TestCatalog:
             ["catalog", "check", "--family", "g2.XIV", "--samples", "2"],
         )
         assert result.exit_code == 0
+
+    def test_check_reports_mismatch(self, runner, monkeypatch):
+        catalog = importlib.import_module("pmgraph.catalog")
+        spec = catalog.FAMILIES["g1.II"]
+
+        def wrong(lengths):
+            tau, *rest = spec.closed(lengths)
+            return (tau + Fraction(1, 7), *rest)
+
+        monkeypatch.setitem(
+            catalog.FAMILIES, "g1.II", dataclasses.replace(spec, closed=wrong)
+        )
+        result = runner.invoke(
+            main, ["catalog", "check", "--family", "g1.II", "--samples", "2"]
+        )
+        assert result.exit_code == 1
+        # exit 1 comes from the command itself, not from an error in printing
+        assert type(result.exception) is SystemExit
+        assert "g1.II    MISMATCH after 0 passing samples" in result.output
+        assert re.search(
+            r"^ +tau: engine \S+ != closed form \S+$", result.output, re.MULTILINE
+        )
 
 
 class TestTable:

@@ -5,6 +5,7 @@ import pytest
 
 from pmgraph import (
     PmGraph,
+    PmGraphError,
     build,
     classify_edges,
     laplacian,
@@ -75,6 +76,10 @@ class TestResistance:
             resistance_matrix(k4_unit, ground=v) for v in k4_unit.vertex_ids
         ]
         assert all(rm == rms[0] for rm in rms[1:])
+
+    def test_unknown_ground_is_rejected(self, k4_unit):
+        with pytest.raises(PmGraphError, match="'nope'"):
+            resistance_matrix(k4_unit, ground="nope")
 
     def test_series_path(self):
         g = build_path((1, 2, 3))

@@ -21,7 +21,6 @@ from .graph import (
     InvalidGraphError,
     PmGraph,
     as_rational,
-    require_valid,
 )
 from .invariants import invariant_set
 from .io import ParseError, graph_to_text, parse_graph
@@ -35,14 +34,13 @@ class InputError(click.ClickException):
 
 
 def _load_graph(path: str) -> PmGraph:
+    """Read and parse PATH; the engine validates the graph when it solves it."""
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     try:
-        graph = parse_graph(text)
-        require_valid(graph)
-    except (ParseError, InvalidGraphError) as exc:
+        return parse_graph(text)
+    except ParseError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    return graph
 
 
 def _approx(value: Fraction) -> str:
@@ -83,7 +81,10 @@ def main() -> None:
 def invariants(path: str, as_json: bool) -> None:
     """Compute all invariants of the graph in PATH."""
     graph = _load_graph(path)
-    inv = invariant_set(graph)
+    try:
+        inv = invariant_set(graph)
+    except InvalidGraphError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     if as_json:
         _echo_json(inv.to_json_dict())
         return
@@ -109,7 +110,10 @@ def invariants(path: str, as_json: bool) -> None:
 def resistance(path: str, as_json: bool) -> None:
     """Print the all-pairs effective resistance matrix of the graph in PATH."""
     graph = _load_graph(path)
-    rm = resistance_matrix(graph)
+    try:
+        rm = resistance_matrix(graph)
+    except InvalidGraphError as exc:
+        raise InputError(f"{path}: {exc}") from exc
     order = rm.order
     if as_json:
         _echo_json(

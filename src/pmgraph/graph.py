@@ -13,6 +13,7 @@ a pure function returning a new graph, so results are exact and reproducible.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -33,10 +34,30 @@ class UnsupportedGenusError(PmGraphError):
     """An operation restricted to total genus 3 was called off-domain."""
 
 
+# Largest decimal exponent a length literal may carry: ``Fraction`` expands
+# ``"1e999999999"`` into a billion-digit power of ten.
+MAX_DECIMAL_EXPONENT = 1000
+_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+
+
 def as_rational(value: RationalLike) -> Fraction:
-    """Coerce int / str / Fraction to an exact Fraction (never via float)."""
+    """Coerce int / str / Fraction to an exact Fraction (never via float).
+
+    Every length literal from outside the program (graph files, JSON,
+    ``--lengths``) comes through here.  A string whose decimal exponent
+    exceeds :data:`MAX_DECIMAL_EXPONENT` in magnitude raises ``ValueError``
+    before any digit of its value is built.
+    """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        match = _EXPONENT.search(value)
+        if match:
+            digits = match.group(1).replace("_", "").lstrip("0")
+            if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+                raise ValueError(
+                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+                )
     return Fraction(value)
 
 

@@ -7,7 +7,8 @@ Text format, one record per line::
     edge <id> <vertex-id> <vertex-id> <length>
 
 Lengths are exact rationals written as ``num/den``, an integer, or a decimal
-literal (``2.5`` parses to 5/2, not a float).  Vertices must be declared
+literal (``2.5`` parses to 5/2, not a float; a decimal exponent such as
+``1e3`` may not exceed 1000 in magnitude).  Vertices must be declared
 before any edge that uses them.  Parsing never normalizes: the graph comes
 back exactly as written.
 """
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .graph import Edge, PmGraph, PmGraphError, Vertex
+from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational
 
 
 class ParseError(PmGraphError):
@@ -49,7 +50,7 @@ def _column_of(line: str, token_index: int) -> int:
 
 def _parse_length(token: str, lineno: int, column: int) -> Fraction:
     try:
-        value = Fraction(token)
+        value = as_rational(token)
     except (ValueError, ZeroDivisionError):
         raise ParseError(f"cannot parse length {token!r} as a rational", lineno, column)
     if value <= 0:
@@ -159,7 +160,7 @@ def graph_to_json_dict(g: PmGraph) -> dict:
 def graph_from_json_dict(data: Mapping) -> PmGraph:
     vertices = tuple(Vertex(v["id"], int(v.get("q", 0))) for v in data["vertices"])
     edges = tuple(
-        Edge(e["id"], e["u"], e["v"], Fraction(e["length"])) for e in data["edges"]
+        Edge(e["id"], e["u"], e["v"], as_rational(e["length"])) for e in data["edges"]
     )
     return PmGraph(vertices, edges)
 

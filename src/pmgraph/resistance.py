@@ -1,20 +1,32 @@
 """Exact effective resistance and bridge/type classification.
 
 The graph is viewed as a resistor network: an edge of length ``L`` is a
-resistor of ``L`` ohms.  Effective resistances come from inverting the
-reduced (grounded) Laplacian over ``Fraction``, so every value is exact.
-Self-loops carry no current between distinct vertices and simply do not
-enter the Laplacian.
+resistor of ``L`` ohms, and every value is an exact ``Fraction``.
+Self-loops carry no current between distinct vertices and are skipped;
+parallel edges add their conductances.
+
+One vertex is grounded and the Laplacian of the other vertices is factored
+as ``A = L D L^T``, always eliminating the vertex with the fewest remaining
+neighbours (ties go to the earlier vertex, so the work is deterministic).
+On the graphs pm-graph invariants live on, mostly series paths, pendant
+trees and bridges, this order makes almost no fill.  The selected
+inversion of Takahashi, Fagan and Chin (1973) then walks the elimination
+order backwards and gives the grounded Green's function ``Z = A^{-1}``
+exactly on the filled pattern, which holds the diagonal and every edge.
+That is all tau and the bridge test read; ``r(p, s) = Z_pp + Z_ss - 2 Z_ps``.
+A pair outside the pattern costs one forward and back solve with the
+factor, after which its whole column is known.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .graph import PmGraph, PmGraphError, connected_components, genus, require_valid
+from .graph import PmGraph, PmGraphError, genus, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -38,49 +50,143 @@ def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
     return order, matrix
 
 
-def _invert(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
-    """Exact Gauss-Jordan inverse with partial pivoting over Fraction."""
-    n = len(matrix)
-    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
-    for col in range(n):
-        pivot_row = next(
-            (r for r in range(col, n) if work[r][col] != 0), None
-        )
-        if pivot_row is None:
-            raise ArithmeticError("matrix is singular")
-        if pivot_row != col:
-            work[col], work[pivot_row] = work[pivot_row], work[col]
-        pivot = work[col][col]
-        work[col] = [x / pivot for x in work[col]]
-        for r in range(n):
-            if r != col and work[r][col] != 0:
-                factor = work[r][col]
-                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
-    return [row[n:] for row in work]
-
-
 @dataclass(frozen=True)
+class _Factor:
+    """``A = L D L^T`` of a grounded Laplacian, by vertex index.
+
+    ``elim`` is the elimination order.  ``cols[v]`` maps each neighbour
+    ``a`` eliminated after ``v`` to ``-L[a][v]``, which is positive because
+    every off-diagonal entry of a Laplacian is a negated conductance.
+    """
+
+    elim: tuple[int, ...]
+    cols: dict[int, dict[int, Fraction]]
+    pivots: dict[int, Fraction]
+
+
+def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _Factor:
+    """Minimum-degree ``L D L^T`` of the matrix with diagonal ``diag`` and
+    off-diagonal entries ``-adj[i][j]``; consumes both arguments.
+
+    Eliminating ``v`` joins its remaining neighbours into a clique whose
+    conductances grow by ``w_av * w_bv / d_v``; no entry cancels, so the
+    numeric pattern is the symbolic one.
+    """
+    heap = [(len(row), v) for v, row in adj.items()]
+    heapq.heapify(heap)
+    elim: list[int] = []
+    cols: dict[int, dict[int, Fraction]] = {}
+    pivots: dict[int, Fraction] = {}
+    while heap:
+        degree, v = heapq.heappop(heap)
+        if v in pivots or degree != len(adj[v]):
+            continue  # eliminated, or its degree changed since this entry
+        d = diag.pop(v)
+        neighbours = list(adj.pop(v).items())
+        col = {}
+        for i, (a, w) in enumerate(neighbours):
+            row = adj[a]
+            del row[v]
+            la = w / d
+            col[a] = la
+            diag[a] -= w * la
+            for b, wb in neighbours[i + 1:]:
+                row[b] = adj[b][a] = row.get(b, 0) + la * wb
+        for a in col:
+            heapq.heappush(heap, (len(adj[a]), a))
+        elim.append(v)
+        cols[v] = col
+        pivots[v] = d
+    return _Factor(tuple(elim), cols, pivots)
+
+
+def _selected_inverse(factor: _Factor) -> dict[int, dict[int, Fraction]]:
+    """Entries of ``A^{-1}`` on the filled pattern (Takahashi recurrence).
+
+    In reverse elimination order, ``Z_vj = sum_a l_av Z_aj`` for each ``j``
+    in ``col(v)`` and ``Z_vv = 1/d_v + sum_a l_av Z_av``, with
+    ``l_av = -L_av``.  ``col(v)`` is a clique of later vertices, so every
+    ``Z_aj`` read is already known.  The result is symmetric.
+    """
+    z: dict[int, dict[int, Fraction]] = {}
+    for v in reversed(factor.elim):
+        col = factor.cols[v]
+        zv = z[v] = {}
+        for j in col:
+            zj = z[j]
+            zv[j] = zj[v] = sum(l * zj[a] for a, l in col.items())
+        zv[v] = 1 / factor.pivots[v] + sum(l * zv[a] for a, l in col.items())
+    return z
+
+
 class ResistanceMatrix:
     """All pairwise effective resistances of a graph, exactly.
 
-    ``order`` fixes the row/column labelling; ``get`` looks up by vertex id.
-    The matrix is symmetric with zero diagonal and does not depend on which
-    vertex was grounded during the solve.
+    ``order`` fixes the row/column labelling; ``get`` looks up by vertex id
+    and ``values`` is the full matrix as a tuple of rows.  Two matrices are
+    equal when their orders and values are; neither depends on which vertex
+    was grounded during the solve.
     """
 
-    order: tuple[str, ...]
-    values: tuple[tuple[Fraction, ...], ...]
-
-    @cached_property
-    def _index(self) -> dict[str, int]:
-        return {vid: i for i, vid in enumerate(self.order)}
+    def __init__(
+        self, order: tuple[str, ...], index: dict[str, int], ground: int, factor: _Factor
+    ) -> None:
+        self.order = order
+        self._index = index
+        self._ground = ground
+        self._factor = factor
+        # the grounded Green's function, by vertex index; grows by whole
+        # columns as pairs outside the filled pattern are asked for
+        self._green = _selected_inverse(factor)
 
     def get(self, p: str, s: str) -> Fraction:
-        return self.values[self._index[p]][self._index[s]]
+        i, j = self._index[p], self._index[s]
+        if i == j:
+            return Fraction(0)
+        green = self._green
+        if i == self._ground:
+            return green[j][j]
+        if j == self._ground:
+            return green[i][i]
+        zij = green[i].get(j)
+        if zij is None:
+            self._solve_column(j)
+            zij = green[i][j]
+        return green[i][i] + green[j][j] - 2 * zij
+
+    def _solve_column(self, c: int) -> None:
+        """Fill column ``c`` of the Green's function: ``L D L^T x = e_c``."""
+        f = self._factor
+        y = {c: Fraction(1)}
+        for v in f.elim:  # forward: only c and its elimination ancestors fill
+            yv = y.get(v)
+            if yv:
+                for a, l in f.cols[v].items():
+                    y[a] = y.get(a, 0) + l * yv
+        green = self._green
+        for v in reversed(f.elim):  # back: x_v = y_v / d_v + sum_a l_av x_a
+            green[v][c] = green[c][v] = sum(
+                (l * green[a][c] for a, l in f.cols[v].items()), y.get(v, 0) / f.pivots[v]
+            )
+
+    @cached_property
+    def values(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(self.get(p, s) for s in self.order) for p in self.order)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ResistanceMatrix):
+            return NotImplemented
+        return (self.order, self.values) == (other.order, other.values)
+
+    def __hash__(self) -> int:
+        return hash((self.order, self.values))
+
+    def __repr__(self) -> str:
+        return f"ResistanceMatrix(order={self.order!r}, values={self.values!r})"
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
-    """Effective resistance between every vertex pair of a valid graph.
+    """Effective resistances of a valid graph, from one exact sparse solve.
 
     This is the one place the engine validates a graph and solves it; every
     invariant is read off the matrix it returns.  ``ground`` picks the vertex
@@ -88,31 +194,27 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
     defaults to the first vertex.
     """
     require_valid(g)
-    order, lap = laplacian(g)
-    n = len(order)
+    order = g.vertex_ids
     if ground is None:
         ground = order[0]
     elif ground not in order:
         raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
-    k = order.index(ground)
-    reduced = [
-        [lap[i][j] for j in range(n) if j != k] for i in range(n) if i != k
-    ]
-    green = _invert(reduced) if reduced else []
-
-    def green_at(i: int, j: int) -> Fraction:
-        if i == k or j == k:
-            return Fraction(0)
-        return green[i - (i > k)][j - (j > k)]
-
-    values = tuple(
-        tuple(
-            green_at(i, i) + green_at(j, j) - 2 * green_at(i, j)
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-    return ResistanceMatrix(order, values)
+    index = {vid: i for i, vid in enumerate(order)}
+    k = index[ground]
+    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(len(order))}
+    diag = dict.fromkeys(adj, Fraction(0))
+    for e in g.edges:
+        if e.is_loop:
+            continue
+        c = 1 / Fraction(e.length)
+        i, j = index[e.u], index[e.v]
+        adj[i][j] = adj[j][i] = adj[i].get(j, 0) + c
+        diag[i] += c
+        diag[j] += c
+    for j in adj.pop(k):
+        del adj[j][k]
+    del diag[k]
+    return ResistanceMatrix(order, index, k, _factor(adj, diag))
 
 
 def resistance(g: PmGraph, p: str, s: str) -> Fraction:
@@ -150,30 +252,47 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
 
 def _classify_edges(g: PmGraph, rm: ResistanceMatrix) -> dict[str, EdgeClass]:
     # classify_edges on a graph already validated and solved into rm
-    result: dict[str, EdgeClass] = {}
+    result = {e.id: EdgeClass(e.id, False, 0) for e in g.edges}
+    bridges = [e for e in g.edges if not e.is_loop and rm.get(e.u, e.v) == e.length]
+    if not bridges:
+        return result
+    # Every bridge is an edge of every spanning tree, and its far side is
+    # the subtree below it.  Sum vertices, edge ends (a loop has two) and q
+    # over each subtree: a subtree hanging off a bridge holds (ends - 1) / 2
+    # edges, the bridge bringing the one odd end, and the two sides' total
+    # genera add up to the graph's.
+    neighbours: dict[str, list[tuple[str, str]]] = {vid: [] for vid in g.vertex_ids}
     for e in g.edges:
-        if not e.is_loop and rm.get(e.u, e.v) == e.length:
-            sides = connected_components(g, skip_edges=frozenset({e.id}))
-            side_u = next(c for c in sides if e.u in c)
-            side_v = next(c for c in sides if e.v in c)
-            genera = []
-            for side, anchor in ((side_u, e.u), (side_v, e.v)):
-                sub = PmGraph(
-                    tuple(v for v in g.vertices if v.id in side),
-                    tuple(
-                        f
-                        for f in g.edges
-                        if f.id != e.id and f.u in side and f.v in side
-                    ),
-                )
-                genera.append(genus(sub).gbar)
-            low, high = sorted(genera)
-            if low == 0:
-                raise ArithmeticError(
-                    f"bridge {e.id!r} has a side of total genus 0, which cannot "
-                    "occur in a valid pm-graph"
-                )
-            result[e.id] = EdgeClass(e.id, True, low, (genera[0], genera[1]))
-        else:
-            result[e.id] = EdgeClass(e.id, False, 0)
+        if not e.is_loop:
+            neighbours[e.u].append((e.v, e.id))
+            neighbours[e.v].append((e.u, e.id))
+    root = g.vertex_ids[0]
+    parent = {root: root}
+    below: dict[str, str] = {}  # tree edge id -> its endpoint further from root
+    preorder = []
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        preorder.append(x)
+        for y, eid in neighbours[x]:
+            if y not in parent:
+                parent[y] = x
+                below[eid] = y
+                stack.append(y)
+    sums = {v.id: [1, g.valence(v.id), v.q] for v in g.vertices}
+    for x in reversed(preorder[1:]):
+        up = sums[parent[x]]
+        for slot, value in enumerate(sums[x]):
+            up[slot] += value
+    gbar = genus(g).gbar
+    for e in bridges:
+        n_side, ends_side, q_side = sums[below[e.id]]
+        g_below = q_side + (ends_side - 1) // 2 - n_side + 1
+        genera = (gbar - g_below, g_below) if below[e.id] == e.v else (g_below, gbar - g_below)
+        if min(genera) == 0:
+            raise ArithmeticError(
+                f"bridge {e.id!r} has a side of total genus 0, which cannot "
+                "occur in a valid pm-graph"
+            )
+        result[e.id] = EdgeClass(e.id, True, min(genera), genera)
     return result

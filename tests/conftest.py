@@ -1,8 +1,9 @@
+import random
 from fractions import Fraction
 
 import pytest
 
-from pmgraph import PmGraph
+from pmgraph import PmGraph, build, family, random_lengths, subdivide
 
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []
@@ -72,6 +73,45 @@ def build_loop_with_bridge(bridge=2, loop=3) -> PmGraph:
         [("X", 1), ("Y", 1)],
         [("b", "X", "X", loop), ("a", "X", "Y", bridge)],
     )
+
+
+def random_pm_graph(n: int, rng: random.Random) -> PmGraph:
+    """A valid pm-graph on ``n`` vertices with every feature the solve meets.
+
+    A random tree spans the vertices; chords (loops and parallel edges
+    among them) join only the first half, so the rest hang off as pendant
+    trees.  Vertex 0 always carries a loop and, from two vertices on, the
+    first tree edge has a parallel twin.  Leaves get q = 1, other vertices a
+    random q in 0..2.
+    """
+    names = [f"v{i}" for i in range(n)]
+    core = names[: max(1, n // 2)]
+    ends = [(names[i], names[rng.randrange(i)]) for i in range(1, n)]
+    ends += [(names[0], names[0])] + ends[:1]
+    ends += [(rng.choice(core), rng.choice(core)) for _ in range(len(core))]
+    edges = [
+        (f"e{k}", u, v, Fraction(rng.randint(1, 30), rng.randint(1, 30)))
+        for k, (u, v) in enumerate(ends)
+    ]
+    valence = {name: 0 for name in names}
+    for u, v in ends:
+        valence[u] += 1
+        valence[v] += 1
+    vertices = [
+        (name, 1 if valence[name] == 1 else rng.randint(0, 2)) for name in names
+    ]
+    return PmGraph.build(vertices, edges)
+
+
+def random_subdivided(fid: str, n: int, rng: random.Random) -> PmGraph:
+    """Catalog family ``fid`` at random lengths, with random edges split at
+    random rational points until it has ``n`` vertices."""
+    g = build(fid, random_lengths(family(fid).params, rng))
+    while len(g.vertices) < n:
+        denominator = rng.randint(2, 16)
+        t = Fraction(rng.randint(1, denominator - 1), denominator)
+        g = subdivide(g, rng.choice(g.edges).id, t)
+    return g
 
 
 @pytest.fixture

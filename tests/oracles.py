@@ -4,14 +4,16 @@ Everything here is deliberately written against different mathematics than
 the package implementation uses:
 
 * resistance via weighted spanning-tree / 2-forest enumeration instead of a
-  Laplacian solve;
-* bridges via a combinatorial connectivity scan instead of the exact
-  resistance identity;
+  Laplacian solve, and via a dense Gauss-Jordan inverse of the reduced
+  Laplacian instead of a sparse factorization;
+* bridges and the total genus of their sides via a combinatorial
+  connectivity scan instead of the exact resistance identity and subtree
+  sums;
 * tau via floating-point quadrature of the defining integral instead of the
   per-edge closed form.
 
 They are only meant for small graphs; enumeration is exponential in the edge
-count.
+count and the dense inverse is cubic in the vertex count.
 """
 
 from __future__ import annotations
@@ -81,28 +83,88 @@ def resistance_by_enumeration(g: PmGraph, p: str, s: str) -> Fraction:
     return two_forest_weight(g, p, s) / tree_weight(g)
 
 
-def bridges_by_removal(g: PmGraph) -> set[str]:
-    """Edge ids whose removal disconnects the graph (loops never qualify)."""
-    result = set()
+def _dense_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
+    """Gauss-Jordan inverse of ``[A | I]`` with partial pivoting over Fraction."""
+    n = len(matrix)
+    work = [row[:] + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(matrix)]
+    for col in range(n):
+        pivot_row = next(r for r in range(col, n) if work[r][col] != 0)
+        work[col], work[pivot_row] = work[pivot_row], work[col]
+        pivot = work[col][col]
+        work[col] = [x / pivot for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col] != 0:
+                factor = work[r][col]
+                work[r] = [x - factor * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
+    """All pairwise resistances, in vertex order, from the dense inverse of
+    the Laplacian grounded at the first vertex."""
+    order = g.vertex_ids
+    index = {vid: i for i, vid in enumerate(order)}
+    n = len(order)
+    lap = [[Fraction(0)] * n for _ in range(n)]
     for e in g.edges:
         if e.is_loop:
             continue
-        adjacency = {v: [] for v in g.vertex_ids}
-        for other in g.edges:
-            if other.id == e.id or other.is_loop:
-                continue
-            adjacency[other.u].append(other.v)
-            adjacency[other.v].append(other.u)
-        seen = {g.vertex_ids[0]}
-        stack = [g.vertex_ids[0]]
-        while stack:
-            current = stack.pop()
-            for neighbor in adjacency[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    stack.append(neighbor)
-        if len(seen) != len(g.vertex_ids):
-            result.add(e.id)
+        c = 1 / e.length
+        i, j = index[e.u], index[e.v]
+        lap[i][i] += c
+        lap[j][j] += c
+        lap[i][j] -= c
+        lap[j][i] -= c
+    green = _dense_inverse([row[1:] for row in lap[1:]])
+
+    def z(i: int, j: int) -> Fraction:
+        return Fraction(0) if i == 0 or j == 0 else green[i - 1][j - 1]
+
+    return tuple(
+        tuple(z(i, i) + z(j, j) - 2 * z(i, j) for j in range(n)) for i in range(n)
+    )
+
+
+def _reachable(g: PmGraph, start: str, removed: str) -> set[str]:
+    """Vertices reachable from ``start`` without crossing edge ``removed``."""
+    adjacency = {v: [] for v in g.vertex_ids}
+    for other in g.edges:
+        if other.id == removed or other.is_loop:
+            continue
+        adjacency[other.u].append(other.v)
+        adjacency[other.v].append(other.u)
+    seen = {start}
+    stack = [start]
+    while stack:
+        current = stack.pop()
+        for neighbor in adjacency[current]:
+            if neighbor not in seen:
+                seen.add(neighbor)
+                stack.append(neighbor)
+    return seen
+
+
+def bridges_by_removal(g: PmGraph) -> set[str]:
+    """Edge ids whose removal disconnects the graph (loops never qualify)."""
+    return {
+        e.id
+        for e in g.edges
+        if not e.is_loop and len(_reachable(g, e.u, e.id)) != len(g.vertex_ids)
+    }
+
+
+def bridge_sides_by_removal(g: PmGraph) -> dict[str, tuple[int, int]]:
+    """Total genus of the u-side and the v-side of each bridge, found by
+    deleting the bridge and counting what each component keeps."""
+    result = {}
+    for eid in bridges_by_removal(g):
+        e = g.edge(eid)
+        genera = []
+        for end in e.ends:
+            side = _reachable(g, end, eid)
+            edges = [f for f in g.edges if f.id != eid and f.u in side]
+            genera.append(len(edges) - len(side) + 1 + sum(g.q(v) for v in side))
+        result[eid] = (genera[0], genera[1])
     return result
 
 

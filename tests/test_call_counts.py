@@ -1,7 +1,7 @@
 """Each fact is computed once: one validation and one solve per graph, and
 one seeded sampling pass per family for the bound suite.
 
-The counters wrap module globals (``validate``, ``_invert``), which callers
+The counters wrap module globals (``validate``, ``_factor``), which callers
 look up at call time, so every call inside the package is seen.
 """
 
@@ -35,7 +35,7 @@ def counts(monkeypatch):
     tally = Counter()
     for module_name, name in (
         ("pmgraph.graph", "validate"),
-        ("pmgraph.resistance", "_invert"),
+        ("pmgraph.resistance", "_factor"),
     ):
         module = importlib.import_module(module_name)
         original = getattr(module, name)
@@ -55,12 +55,12 @@ def counts(monkeypatch):
 )
 def test_engine_entry_validates_and_solves_once(entry, counts, k4_unit):
     entry(k4_unit)
-    assert counts == {"validate": 1, "_invert": 1}
+    assert counts == {"validate": 1, "_factor": 1}
 
 
 def test_engine_ratios_validates_and_solves_once(counts):
     engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"})
-    assert counts == {"validate": 1, "_invert": 1}
+    assert counts == {"validate": 1, "_factor": 1}
 
 
 def test_verify_bounds_draws_each_sample_once(counts):
@@ -74,7 +74,7 @@ def test_verify_bounds_draws_each_sample_once(counts):
     # 4 samples shared by the 4 rows, plus what the witness checks solve
     assert total == {
         "validate": 4 + counts["validate"],
-        "_invert": 4 + counts["_invert"],
+        "_factor": 4 + counts["_factor"],
     }
 
 

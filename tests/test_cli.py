@@ -62,6 +62,52 @@ class TestInvariants:
         assert result.exit_code == 2
         assert "line 2" in result.output
 
+    def test_engine_validates_once(self, runner, k4_file, monkeypatch):
+        graph = importlib.import_module("pmgraph.graph")
+        original = graph.validate
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graph, "validate", counted)
+        result = runner.invoke(main, ["invariants", k4_file, "--json"])
+        assert result.exit_code == 0
+        assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", ["invariants", "resistance"])
+def test_graph_failing_validation_exits_2(runner, tmp_path, command):
+    path = tmp_path / "split.graph"
+    path.write_text("vertex a q=1\nvertex b q=1\n")
+    result = runner.invoke(main, [command, str(path)])
+    assert result.exit_code == 2
+    assert f"{path}: graph is not connected: components {{a}}, {{b}}" in result.output
+
+
+@pytest.mark.parametrize("token", ["1e1001", "1E-1001"])
+def test_huge_decimal_exponent_exits_2(runner, tmp_path, token):
+    path = tmp_path / "huge.graph"
+    path.write_text(f"vertex a q=2\nedge l a a {token}\n")
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert "line 2, column 12" in result.output
+    for args in (
+        ["catalog", "eval", "g0.II", "--lengths", f"a={token}"],
+        ["table", "--genus", "0", "--lengths", f"a=1,b={token},c=1"],
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, args
+        assert "cannot parse parameter" in result.output, args
+
+
+@pytest.mark.parametrize("token", ["1e3", "5/2"])
+def test_small_exponents_and_fractions_are_accepted(runner, token):
+    result = runner.invoke(main, ["catalog", "eval", "g0.II", "--lengths", f"a={token}"])
+    assert result.exit_code == 0
+    assert f"# lengths: a={token}" in result.output
+
 
 class TestResistance:
     def test_json(self, runner, k4_file):

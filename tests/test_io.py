@@ -4,6 +4,7 @@ import pytest
 
 from pmgraph import (
     ParseError,
+    as_rational,
     graph_from_json_dict,
     graph_to_json_dict,
     graph_to_text,
@@ -18,6 +19,14 @@ vertex q q=2
 
 edge e1 p q 1
 """
+
+
+def _loop_json(length):
+    # one weight-2 vertex carrying one loop of the given length literal
+    return {
+        "vertices": [{"id": "a", "q": 2}],
+        "edges": [{"id": "l", "u": "a", "v": "a", "length": length}],
+    }
 
 
 class TestParse:
@@ -68,6 +77,22 @@ class TestParse:
             parse_graph("vertex a q=2\nedge l a a zero\n")
         assert err.value.line == 2
         assert err.value.column > 1
+
+    @pytest.mark.parametrize("token", ["1e1001", "1E-1001"])
+    def test_decimal_exponent_over_1000_is_rejected(self, token):
+        with pytest.raises(ParseError) as err:
+            parse_graph(f"vertex a q=2\nedge l a a  {token}\n")
+        assert (err.value.line, err.value.column) == (2, 13)
+        with pytest.raises(ValueError, match="exponent"):
+            as_rational(token)
+        with pytest.raises(ValueError, match="exponent"):
+            graph_from_json_dict(_loop_json(token))
+
+    @pytest.mark.parametrize("token, value", [("1e3", 1000), ("5/2", Fraction(5, 2))])
+    def test_small_exponents_and_fractions_are_accepted(self, token, value):
+        assert parse_graph(f"vertex a q=2\nedge l a a {token}\n").edge("l").length == value
+        assert as_rational(token) == value
+        assert graph_from_json_dict(_loop_json(token)).edge("l").length == value
 
     def test_no_normalization(self):
         # a valence-2 weight-0 vertex must survive parsing untouched

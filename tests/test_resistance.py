@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations
 
@@ -23,8 +24,25 @@ from conftest import (
     build_loop_with_bridge,
     build_path,
     build_theta,
+    random_pm_graph,
+    random_subdivided,
 )
-from oracles import bridges_by_removal, resistance_by_enumeration
+from oracles import (
+    bridge_sides_by_removal,
+    bridges_by_removal,
+    resistance_by_dense_inverse,
+    resistance_by_enumeration,
+)
+
+NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
+
+
+def _subdivided_samples(seed, count):
+    rng = random.Random(seed)
+    return [
+        random_subdivided(NON_DEGENERATE[k % len(NON_DEGENERATE)], rng.randint(8, 24), rng)
+        for k in range(count)
+    ]
 
 
 class TestLaplacian:
@@ -104,6 +122,46 @@ class TestResistance:
                 assert rm.get(p, s) == resistance_by_enumeration(g, p, s)
 
 
+class TestSparseSolve:
+    @pytest.mark.parametrize("n", range(1, 25))
+    def test_every_ground_matches_dense_inverse(self, n):
+        g = random_pm_graph(n, random.Random(f"solve:{n}"))
+        assert len(g.vertices) == n
+        expected = resistance_by_dense_inverse(g)
+        for v in g.vertex_ids:
+            rm = resistance_matrix(g, ground=v)
+            # single lookups first, last vertex first, then the full matrix
+            assert all(
+                rm.get(p, s) == expected[i][j]
+                for i, p in reversed(list(enumerate(g.vertex_ids)))
+                for j, s in enumerate(g.vertex_ids)
+            ), v
+            assert rm.values == expected, v
+
+    def test_random_graphs_have_every_feature(self):
+        graphs = [random_pm_graph(n, random.Random(f"solve:{n}")) for n in range(2, 25)]
+        for g in graphs:
+            assert any(e.is_loop for e in g.edges)
+            assert any(g.valence(v) == 1 for v in g.vertex_ids) or len(g.vertices) == 2
+            assert len({frozenset(e.ends) for e in g.edges}) < len(g.edges)
+        assert any(v.q > 0 and g.valence(v.id) > 1 for g in graphs for v in g.vertices)
+
+    def test_foster_theorem(self):
+        rng = random.Random(31)
+        graphs = [
+            build(fid, random_lengths(family(fid).params, rng))
+            for fid in NON_DEGENERATE
+            for _ in range(5)
+        ] + _subdivided_samples(32, 40)
+        for g in graphs:
+            rm = resistance_matrix(g)
+            foster = sum(
+                (rm.get(e.u, e.v) / e.length for e in g.edges if not e.is_loop),
+                Fraction(0),
+            )
+            assert foster == len(g.vertices) - 1
+
+
 class TestClassification:
     def test_k4_has_no_bridges(self, k4_unit):
         classes = classify_edges(k4_unit)
@@ -139,3 +197,27 @@ class TestClassification:
             classes = classify_edges(g)
             found = {eid for eid, c in classes.items() if c.is_bridge}
             assert found == bridges_by_removal(g), fid
+
+    @pytest.mark.parametrize("fid", list_families())
+    def test_types_match_removal_oracle_on_every_family(self, fid):
+        rng = random.Random(f"classes:{fid}")
+        for _ in range(3):
+            g = build(fid, random_lengths(family(fid).params, rng))
+            self._assert_matches_removal(g)
+
+    def test_types_match_removal_oracle_on_subdivided_graphs(self):
+        for g in _subdivided_samples(33, 60):
+            self._assert_matches_removal(g)
+
+    @staticmethod
+    def _assert_matches_removal(g):
+        sides = bridge_sides_by_removal(g)
+        classes = classify_edges(g)
+        assert set(classes) == {e.id for e in g.edges}
+        for eid, c in classes.items():
+            if eid in sides:
+                assert c.is_bridge and c.side_genera == sides[eid], eid
+                assert c.type_index == min(sides[eid]), eid
+            else:
+                assert not c.is_bridge and c.type_index == 0, eid
+                assert c.side_genera is None, eid

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Union
 
-from .polynomials import Polynomial, variables
+from .polynomials import VARIABLES, Polynomial, variables
 
 a, b, c, d, e, f, k, m, n = variables()
 
@@ -40,7 +40,7 @@ _MONOMIAL = re.compile(r"^([+-]?\d*)((?:[a-fkmn]\d?)+)$")
 
 def _poly(text: str) -> Polynomial:
     """Sum of compact monomials: ``"a2bd -2abde 14ace"`` reads a2bd = a^2*b*d."""
-    total = Polynomial()
+    terms: dict[tuple[int, ...], int] = {}
     for token in text.split():
         match = _MONOMIAL.match(token)
         if not match:
@@ -52,11 +52,12 @@ def _poly(text: str) -> Polynomial:
             coeff = -1
         else:
             coeff = int(sign_num)
-        term = Polynomial.constant(coeff)
+        exps = [0] * len(VARIABLES)
         for letter, power in re.findall(r"([a-fkmn])(\d?)", body):
-            term = term * Polynomial.variable(letter) ** (int(power) if power else 1)
-        total = total + term
-    return total
+            exps[VARIABLES.index(letter)] += int(power) if power else 1
+        key = tuple(exps)
+        terms[key] = terms.get(key, 0) + coeff
+    return Polynomial(terms)
 
 
 def _sq(p: Polynomial) -> Polynomial:

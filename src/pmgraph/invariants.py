@@ -94,8 +94,11 @@ class InvariantSet:
 
     ``phi``, ``lam``, ``epsilon`` and ``z`` are ``None`` unless the total
     genus is 3.  Two records compare equal exactly when every field does,
-    which is what catalog cross-checks rely on.
+    which is what catalog cross-checks rely on.  ``delta`` is a dict, so a
+    record is deliberately unhashable: ``hash()`` raises ``TypeError``.
     """
+
+    __hash__ = None  # frozen and eq would generate a hash that fails on delta
 
     ell: Fraction
     g: int

@@ -1,23 +1,91 @@
 """Exact sparse multivariate polynomials over a fixed variable set.
 
-Variables are ``a, b, c, d, e, f, k, m, n`` in that order; a polynomial is a
-map from exponent vectors to Fraction coefficients with zero coefficients
-dropped, so equality of canonical forms is equality of polynomials.  Only
-the handful of ring operations the identity certificates need are
-implemented; degrees stay tiny (at most 4), so no sparsity tricks beyond a
-dict are warranted.
+Variables are ``a, b, c, d, e, f, k, m, n`` in that order.  A polynomial is
+a dict from packed monomials to nonzero coefficients, so equality of
+canonical forms is equality of polynomials.
+
+A monomial is one ``int``: byte ``i`` from the top holds the exponent of
+variable ``i``, so ``key.to_bytes(9, "big")`` is the exponent vector and
+multiplying two monomials is one integer addition.  Each byte keeps its top
+bit as a guard: an exponent is at most :data:`MAX_EXPONENT` (127), the sum
+of two exponents always fits the byte, and a product that pushes any
+exponent past the maximum sets a guard bit and raises ``ValueError``
+instead of carrying into the next variable.  Keys compare like exponent
+tuples, variable ``a`` most significant.
+
+A coefficient is an ``int`` when it is integral and a ``Fraction`` only
+when it is not, so equal polynomials have equal term dicts.  Only ``int``
+and ``Fraction`` scalars are accepted; a float raises ``TypeError``.
+:meth:`Polynomial.terms` and :meth:`Polynomial.coefficients` still give
+tuple keys and ``Fraction`` values.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from functools import reduce
+from operator import or_
+from typing import Mapping, Union
 
 VARIABLES: tuple[str, ...] = ("a", "b", "c", "d", "e", "f", "k", "m", "n")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
+_NVARS = len(VARIABLES)
+
+MAX_EXPONENT = 0x7F
+_GUARD = int.from_bytes(b"\x80" * _NVARS, "big")
 
 Scalar = Union[int, Fraction]
-_ZERO_EXPS = (0,) * len(VARIABLES)
+
+
+def _scalar(value: object) -> Scalar:
+    """``value`` as a normalised coefficient: ``int`` if integral."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    raise TypeError(f"expected an int or a Fraction, not {type(value).__name__}")
+
+
+def _pack(exps) -> int:
+    exps = tuple(exps)
+    if len(exps) != _NVARS:
+        raise ValueError(f"expected {_NVARS} exponents, got {len(exps)}")
+    for power in exps:
+        if not isinstance(power, int):
+            raise TypeError(f"exponent {power!r} is not an int")
+        if not 0 <= power <= MAX_EXPONENT:
+            raise ValueError(f"exponent {power} outside 0..{MAX_EXPONENT}")
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _exponents(key: int) -> bytes:
+    return key.to_bytes(_NVARS, "big")
+
+
+def _normalised(terms: dict) -> dict:
+    """``terms`` without zero coefficients and with integral Fractions as ints."""
+    clean = {}
+    for key, coeff in terms.items():
+        if coeff:
+            if coeff.__class__ is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            clean[key] = coeff
+    return clean
+
+
+def _product(left: dict, right: dict) -> dict:
+    """Normalised term dict of the product; raises if an exponent overflows."""
+    out: dict = {}
+    get = out.get
+    pairs = list(right.items())
+    for k1, c1 in left.items():
+        for k2, c2 in pairs:
+            key = k1 + k2
+            out[key] = get(key, 0) + c1 * c2
+    out = _normalised(out)
+    if reduce(or_, out, 0) & _GUARD:
+        raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
+    return out
 
 
 class Polynomial:
@@ -26,11 +94,11 @@ class Polynomial:
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[tuple[int, ...], Scalar] = ()):
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[int, Scalar] = {}
         for exps, coeff in dict(terms).items():
-            coeff = Fraction(coeff)
+            coeff = _scalar(coeff)
             if coeff:
-                clean[tuple(exps)] = coeff
+                clean[_pack(exps)] = coeff
         object.__setattr__(self, "_terms", clean)
 
     def __setattr__(self, name, value):
@@ -38,20 +106,19 @@ class Polynomial:
 
     @classmethod
     def constant(cls, value: Scalar) -> "Polynomial":
-        return cls({_ZERO_EXPS: Fraction(value)})
+        value = _scalar(value)
+        return _make({0: value} if value else {})
 
     @classmethod
     def variable(cls, name: str) -> "Polynomial":
         if name not in _INDEX:
             raise KeyError(f"unknown variable {name!r} (expected one of {VARIABLES})")
-        exps = [0] * len(VARIABLES)
-        exps[_INDEX[name]] = 1
-        return cls({tuple(exps): Fraction(1)})
+        return _make({1 << 8 * (_NVARS - 1 - _INDEX[name]): 1})
 
     # -- inspection ---------------------------------------------------------
 
     def terms(self) -> dict[tuple[int, ...], Fraction]:
-        return dict(self._terms)
+        return {tuple(_exponents(key)): Fraction(coeff) for key, coeff in self._terms.items()}
 
     @property
     def is_zero(self) -> bool:
@@ -61,57 +128,86 @@ class Polynomial:
         return len(self._terms)
 
     def coefficients(self) -> list[Fraction]:
-        return list(self._terms.values())
+        return [Fraction(coeff) for coeff in self._terms.values()]
 
     def degree(self) -> int:
-        return max((sum(e) for e in self._terms), default=0)
+        return max((sum(_exponents(key)) for key in self._terms), default=0)
 
     def support(self) -> set[str]:
-        used: set[str] = set()
-        for exps in self._terms:
-            for name, power in zip(VARIABLES, exps):
-                if power:
-                    used.add(name)
-        return used
+        used = 0
+        for key in self._terms:
+            used |= key
+        return {name for name, power in zip(VARIABLES, _exponents(used)) if power}
 
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        other = _coerce(other)
         out = dict(self._terms)
-        for exps, coeff in other._terms.items():
-            out[exps] = out.get(exps, Fraction(0)) + coeff
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            get = out.get
+            for key, coeff in other._terms.items():
+                out[key] = get(key, 0) + coeff
+        elif isinstance(other, (int, Fraction)):
+            out[0] = out.get(0, 0) + other
+        else:
+            return NotImplemented
+        return _make(_normalised(out))
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self._terms.items()})
+        return _make({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        return self + (-_coerce(other))
+        out = dict(self._terms)
+        if isinstance(other, Polynomial):
+            get = out.get
+            for key, coeff in other._terms.items():
+                out[key] = get(key, 0) - coeff
+        elif isinstance(other, (int, Fraction)):
+            out[0] = out.get(0, 0) - other
+        else:
+            return NotImplemented
+        return _make(_normalised(out))
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
-        return _coerce(other) - self
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        out = {0: other}
+        get = out.get
+        for key, coeff in self._terms.items():
+            out[key] = get(key, 0) - coeff
+        return _make(_normalised(out))
 
     def __mul__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        other = _coerce(other)
-        out: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in other._terms.items():
-                key = tuple(x + y for x, y in zip(e1, e2))
-                out[key] = out.get(key, Fraction(0)) + c1 * c2
-        return Polynomial(out)
+        if isinstance(other, Polynomial):
+            return _make(_product(self._terms, other._terms))
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        if not other:
+            return _make({})
+        return _make(_normalised({key: coeff * other for key, coeff in self._terms.items()}))
 
     __rmul__ = __mul__
 
     def __pow__(self, power: int) -> "Polynomial":
+        if not isinstance(power, int):
+            return NotImplemented
         if power < 0:
             raise ValueError("negative powers are not polynomials")
-        result = Polynomial.constant(1)
-        for _ in range(power):
-            result = result * self
-        return result
+        top = max((max(_exponents(key)) for key in self._terms), default=0)
+        if power > MAX_EXPONENT or top * power > MAX_EXPONENT:
+            raise ValueError(f"power {power} takes an exponent above {MAX_EXPONENT}")
+        if power == 0:
+            return _make({0: 1})
+        # left-to-right binary powering; for power <= 3 the terms come out in
+        # the same order as repeated multiplication
+        terms = self._terms
+        for bit in bin(power)[3:]:
+            terms = _product(terms, terms)
+            if bit == "1":
+                terms = _product(terms, self._terms)
+        return _make(terms)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
@@ -121,59 +217,87 @@ class Polynomial:
         return self._terms == other._terms
 
     def __hash__(self) -> int:
+        if self._terms.keys() <= {0}:  # a constant hashes like the number it equals
+            return hash(self._terms.get(0, 0))
         return hash(frozenset(self._terms.items()))
 
     # -- substitution and evaluation ----------------------------------------
 
     def substitute(self, assignment: Mapping[str, Union["Polynomial", Scalar]]) -> "Polynomial":
         """Simultaneously replace variables by polynomials (or scalars)."""
-        replacements: dict[int, Polynomial] = {}
+        replaced: dict[int, list[dict]] = {}  # variable index -> its powers 0, 1, ...
         for name, value in assignment.items():
             if name not in _INDEX:
                 raise KeyError(f"unknown variable {name!r}")
-            replacements[_INDEX[name]] = _coerce(value)
-        total = Polynomial()
-        for exps, coeff in self._terms.items():
-            factor = Polynomial.constant(coeff)
-            residual = [0] * len(VARIABLES)
-            for i, power in enumerate(exps):
-                if not power:
-                    continue
-                if i in replacements:
-                    factor = factor * replacements[i] ** power
+            if isinstance(value, Polynomial):
+                value = value._terms
+            else:
+                value = _scalar(value)
+                value = {0: value} if value else {}
+            replaced[_INDEX[name]] = [{0: 1}, value]
+        order = sorted(replaced.items())
+        kept = sum(0xFF << 8 * (_NVARS - 1 - i) for i in range(_NVARS) if i not in replaced)
+        total: dict = {}
+        get = total.get
+        for key, coeff in self._terms.items():
+            factor = {0: coeff}
+            exps = _exponents(key)
+            for i, powers in order:
+                power = exps[i]
+                if power:
+                    while len(powers) <= power:
+                        powers.append(_product(powers[-1], powers[1]))
+                    factor = _product(factor, powers[power])
+            residual = key & kept
+            for k, c in factor.items():
+                k += residual
+                if k & _GUARD:
+                    raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")
+                c = get(k, 0) + c
+                if c:
+                    total[k] = c
                 else:
-                    residual[i] = power
-            factor = factor * Polynomial({tuple(residual): Fraction(1)})
-            total = total + factor
-        return total
+                    del total[k]
+        return _make(_normalised(total))
 
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every supporting variable required."""
-        missing = self.support() - set(point)
+        values = {name: _scalar(value) for name, value in point.items()}
+        missing = self.support() - set(values)
         if missing:
             raise KeyError(f"no value for variable(s) {', '.join(sorted(missing))}")
-        values = {name: Fraction(v) for name, v in point.items()}
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            term = coeff
-            for name, power in zip(VARIABLES, exps):
-                if power:
-                    term *= values[name] ** power
-            total += term
-        return total
+        rows = [(_exponents(key), coeff) for key, coeff in self._terms.items()]
+        # Scale every variable by its denominator to its top power, so the sum
+        # runs over ints: table[p] = num**p * den**(top - p).
+        scale = 1
+        used = []  # (variable index, table) for the variables that occur
+        for i, column in enumerate(zip(*(exps for exps, _ in rows))):
+            top = max(column)
+            if top:
+                value = Fraction(values[VARIABLES[i]])
+                num, den = value.numerator, value.denominator
+                scale *= den**top
+                table = [den**top]
+                for _ in range(top):
+                    table.append(table[-1] // den * num)
+                used.append((i, table))
+        total = 0
+        for exps, coeff in rows:
+            for i, table in used:
+                coeff *= table[exps[i]]
+            total += coeff
+        return Fraction(total, scale)
 
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
-        def key(item):
-            exps, _ = item
-            return (-sum(exps), tuple(-x for x in exps))
         parts = []
-        for exps, coeff in sorted(self._terms.items(), key=key):
+        for key in sorted(self._terms, key=lambda key: (-sum(_exponents(key)), -key)):
+            coeff = self._terms[key]
             factors = []
-            for name, power in zip(VARIABLES, exps):
+            for name, power in zip(VARIABLES, _exponents(key)):
                 if power == 1:
                     factors.append(name)
                 elif power > 1:
@@ -194,10 +318,14 @@ class Polynomial:
         return f"Polynomial({self})"
 
 
-def _coerce(value: Union[Polynomial, Scalar]) -> Polynomial:
-    if isinstance(value, Polynomial):
-        return value
-    return Polynomial.constant(value)
+_TERMS_SLOT = Polynomial.__dict__["_terms"]
+
+
+def _make(terms: dict) -> Polynomial:
+    """A Polynomial around ``terms``, which must already be normalised."""
+    poly = object.__new__(Polynomial)
+    _TERMS_SLOT.__set__(poly, terms)
+    return poly
 
 
 def variables() -> tuple[Polynomial, ...]:

@@ -10,7 +10,9 @@ the package implementation uses:
   connectivity scan instead of the exact resistance identity and subtree
   sums;
 * tau via floating-point quadrature of the defining integral instead of the
-  per-edge closed form.
+  per-edge closed form;
+* polynomials as dicts from exponent tuples to ``Fraction`` instead of
+  packed integer monomials with ``int`` coefficients.
 
 They are only meant for small graphs; enumeration is exponential in the edge
 count and the dense inverse is cubic in the vertex count.
@@ -22,6 +24,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from pmgraph import PmGraph, resistance_matrix, subdivide
+from pmgraph.polynomials import VARIABLES
 
 
 def _forest_components(vertex_ids, end_pairs):
@@ -213,3 +216,85 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
         integral += 2 * sum(squares[2:-2:2])
         total += integral * h / 3
     return total / 4.0
+
+
+class RefPolynomial:
+    """Reference polynomial: exponent tuples over ``VARIABLES`` to Fractions.
+
+    Term order is the insertion order of each operation, as in the kernel;
+    powers multiply one factor at a time.
+    """
+
+    def __init__(self, terms=()):
+        self.terms = {tuple(e): Fraction(c) for e, c in dict(terms).items() if c}
+
+    def __add__(self, other):
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, Fraction(0)) + c
+        return RefPolynomial(out)
+
+    def __neg__(self):
+        return RefPolynomial({e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                e = tuple(x + y for x, y in zip(e1, e2))
+                out[e] = out.get(e, Fraction(0)) + c1 * c2
+        return RefPolynomial(out)
+
+    def __pow__(self, power):
+        result = RefPolynomial({(0,) * len(VARIABLES): 1})
+        for _ in range(power):
+            result = result * self
+        return result
+
+    def __eq__(self, other):
+        return self.terms == other.terms
+
+    def substitute(self, assignment):
+        """Simultaneous; ``assignment`` maps names to RefPolynomials."""
+        total = RefPolynomial()
+        for exps, coeff in self.terms.items():
+            factor = RefPolynomial({(0,) * len(VARIABLES): coeff})
+            residual = list(exps)
+            for i, (name, power) in enumerate(zip(VARIABLES, exps)):
+                if power and name in assignment:
+                    factor = factor * assignment[name] ** power
+                    residual[i] = 0
+            total = total + factor * RefPolynomial({tuple(residual): 1})
+        return total
+
+    def evaluate(self, point):
+        total = Fraction(0)
+        for exps, coeff in self.terms.items():
+            for name, power in zip(VARIABLES, exps):
+                coeff *= Fraction(point[name]) ** power
+            total += coeff
+        return total
+
+    def degree(self):
+        return max((sum(e) for e in self.terms), default=0)
+
+    def support(self):
+        return {name for e in self.terms for name, power in zip(VARIABLES, e) if power}
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps, coeff in sorted(self.terms.items(), key=lambda t: (-sum(t[0]), [-x for x in t[0]])):
+            body = "*".join(
+                name if power == 1 else f"{name}^{power}"
+                for name, power in zip(VARIABLES, exps) if power
+            )
+            if not body:
+                parts.append(str(coeff))
+            else:
+                parts.append(body if coeff == 1 else f"-{body}" if coeff == -1 else f"{coeff}*{body}")
+        return " + ".join(parts).replace("+ -", "- ")

@@ -1,5 +1,6 @@
 """Each fact is computed once: one validation and one solve per graph, and
-one seeded sampling pass per family for the bound suite.
+one seeded sampling pass per family for the bound suite.  Certificates are
+the opposite case: every run expands every identity again.
 
 The counters wrap module globals (``validate``, ``_factor``), which callers
 look up at call time, so every call inside the package is seen.
@@ -24,6 +25,7 @@ from pmgraph import (
     random_lengths,
     tau,
     theta,
+    verify_all,
     verify_bounds,
     witness_check,
     zhang_invariants,
@@ -104,3 +106,21 @@ def test_shared_pass_equals_one_pass_per_row():
     assert [report.spec for report, _ in results] == bound_table()
     for report, _ in results:
         assert report == _one_pass_per_row(report.spec, 6, 17)
+
+
+def test_every_certificate_run_expands_again(monkeypatch):
+    import pmgraph.polynomials as kernel
+
+    products = []
+    original = kernel._product
+
+    def counted(left, right):
+        products.append(1)
+        return original(left, right)
+
+    monkeypatch.setattr(kernel, "_product", counted)
+    verify_all()
+    first = len(products)
+    verify_all()
+    assert first > 0
+    assert len(products) == 2 * first

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -241,6 +242,13 @@ class TestVerify:
         assert result.exit_code == 0
         assert "PASS  xiv.ellC" in result.output
         assert "FAIL  ineq8_as_printed [probe: expected to fail]" in result.output
+
+    def test_identities_all_output_is_pinned(self, runner):
+        # every line, the probes' difference and witness lines included
+        expected = (Path(__file__).parent / "data" / "verify_identities.txt").read_bytes()
+        result = runner.invoke(main, ["verify", "identities"])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == expected
 
     def test_identities_single(self, runner):
         result = runner.invoke(

@@ -122,6 +122,13 @@ class TestInvariantSet:
         assert inv.phi == Fraction(17, 48)
         assert inv.z == Fraction(37, 144)
 
+    def test_unhashable_by_design(self, k4_unit):
+        # delta is a dict; equality is field by field, hash() refuses
+        inv = invariant_set(k4_unit)
+        assert inv == invariant_set(k4_unit)
+        with pytest.raises(TypeError, match="unhashable type: 'InvariantSet'"):
+            hash(inv)
+
     def test_gate(self):
         inv = invariant_set(build_loop(length=1, q=1))
         assert inv.phi is None

@@ -1,8 +1,12 @@
+import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from oracles import RefPolynomial
 from pmgraph import Polynomial, variables
+from pmgraph.polynomials import MAX_EXPONENT, VARIABLES
 
 
 a, b, c, d, e, f, k, m, n = variables()
@@ -45,6 +49,12 @@ class TestEquality:
     def test_hashable(self):
         assert len({a + b, b + a, a - b}) == 2
 
+    def test_constants_hash_like_the_numbers_they_equal(self):
+        for value in (0, 3, -1, Fraction(3, 4), Fraction(6, 3)):
+            assert Polynomial.constant(value) == value
+            assert hash(Polynomial.constant(value)) == hash(value)
+        assert len({Polynomial.constant(3), 3, a - a, 0}) == 2
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             (a + b).new_field = 1
@@ -86,3 +96,185 @@ class TestFormat:
 
     def test_support(self):
         assert (a * e - n).support() == {"a", "e", "n"}
+
+
+class TestScalarTypes:
+    """No float (or any scalar other than int and Fraction) enters a polynomial."""
+
+    @pytest.mark.parametrize("bad", [0.1, 1.0, "1/2", Decimal("0.5"), 1j])
+    def test_constructor_coefficients(self, bad):
+        with pytest.raises(TypeError):
+            Polynomial({(1, 0, 0, 0, 0, 0, 0, 0, 0): bad})
+        with pytest.raises(TypeError):
+            Polynomial.constant(bad)
+
+    @pytest.mark.parametrize("bad", [0.1, Decimal("0.5")])
+    def test_arithmetic_operands(self, bad):
+        for operation in (
+            lambda: bad * a, lambda: a * bad, lambda: a + bad, lambda: bad + a,
+            lambda: a - bad, lambda: bad - a,
+        ):
+            with pytest.raises(TypeError):
+                operation()
+
+    def test_substitute_values(self):
+        with pytest.raises(TypeError):
+            a.substitute({"a": 0.1})
+
+    def test_evaluate_points(self):
+        with pytest.raises(TypeError):
+            a.evaluate({"a": 0.1})
+        with pytest.raises(TypeError):
+            a.evaluate({"a": 1, "b": 0.5})
+
+    def test_exact_scalars_still_accepted(self):
+        p = Fraction(1, 2) * a + 3
+        assert p.evaluate({"a": Fraction(2, 3)}) == Fraction(10, 3)
+        assert (a * b).substitute({"a": Fraction(3, 2)}) == Fraction(3, 2) * b
+        assert a.evaluate({"a": True}) == 1
+
+
+class TestExponentRange:
+    def test_huge_power_raises_before_any_product(self, monkeypatch):
+        import pmgraph.polynomials as kernel
+
+        def no_product(*args):
+            raise AssertionError("a product was computed")
+
+        square = a**2 + b
+        two = Polynomial.constant(2)
+        monkeypatch.setattr(kernel, "_product", no_product)
+        with pytest.raises(ValueError):
+            a ** 10**9
+        with pytest.raises(ValueError):
+            square**64
+        with pytest.raises(ValueError):
+            two ** (MAX_EXPONENT + 1)
+
+    def test_largest_power(self):
+        assert (a**MAX_EXPONENT).terms() == {(MAX_EXPONENT,) + (0,) * 8: 1}
+        assert (a**63 + b) ** 2 == a**126 + 2 * a**63 * b + b**2
+
+    def test_product_overflow_raises_instead_of_carrying(self):
+        # a^128 would otherwise read as b^1 with no a
+        with pytest.raises(ValueError):
+            a**MAX_EXPONENT * a
+        with pytest.raises(ValueError):
+            (b**64 + c) * (b**64 - c)
+        with pytest.raises(ValueError):
+            (a**100 * b**100).substitute({"a": b})
+
+    @pytest.mark.parametrize("exps", [(MAX_EXPONENT + 1,) + (0,) * 8, (-1,) + (0,) * 8, (1, 0)])
+    def test_constructor_exponents(self, exps):
+        with pytest.raises(ValueError):
+            Polynomial({exps: 1})
+
+    def test_pow_zero_and_negative(self):
+        for p in (a, a + b, Polynomial(), Polynomial.constant(Fraction(2, 3))):
+            assert p**0 == 1
+        with pytest.raises(ValueError):
+            a**-1
+        with pytest.raises(ValueError):
+            (a + 1) ** -2
+
+
+def _random_poly(rng: random.Random, max_terms: int = 5, max_exp: int = 3) -> dict:
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        exps = tuple(rng.choice((0, 0, 0, 1, 2, max_exp)) for _ in VARIABLES)
+        if rng.random() < 0.5:
+            coeff = rng.randint(-5, 5)
+        else:
+            coeff = Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+        terms[exps] = coeff
+    return terms
+
+
+def _assert_same(p: Polynomial, ref: RefPolynomial, order: bool = True) -> None:
+    assert p.terms() == ref.terms
+    if order:
+        assert list(p.terms()) == list(ref.terms)
+        assert p.coefficients() == list(ref.terms.values())
+    assert all(type(c) is Fraction for c in p.coefficients())
+    # stored coefficients are ints exactly when integral
+    assert all((type(c) is int) == (c.denominator == 1) for c in p._terms.values())
+    assert str(p) == str(ref)
+    assert p.degree() == ref.degree()
+    assert p.support() == ref.support()
+    assert p.monomial_count() == len(ref.terms)
+    assert p.is_zero == (not ref.terms)
+
+
+class TestAgainstReference:
+    """The packed kernel against the tuple-keyed Fraction reference."""
+
+    def test_random_operations(self):
+        rng = random.Random(20141)
+        for _ in range(150):
+            t1, t2, t3 = (_random_poly(rng) for _ in range(3))
+            p, q, r = Polynomial(t1), Polynomial(t2), Polynomial(t3)
+            rp, rq, rr = RefPolynomial(t1), RefPolynomial(t2), RefPolynomial(t3)
+            _assert_same(p, rp)
+            _assert_same(p + q, rp + rq)
+            _assert_same(p - q, rp - rq)
+            _assert_same(-p, -rp)
+            _assert_same(p * q, rp * rq)
+            _assert_same(p * q + r, rp * rq + rr)
+            scalar = rng.choice((0, 1, -3, Fraction(2, 3), Fraction(-5, 2)))
+            rs = RefPolynomial({(0,) * 9: scalar})
+            _assert_same(scalar * p, rs * rp)
+            _assert_same(p * scalar, rp * rs)
+            _assert_same(p + scalar, rp + rs)
+            _assert_same(scalar - p, rs - rp)
+            assert (p == q) == (rp == rq)
+            assert (p * q == q * p) and hash(p * q) == hash(q * p)
+            assert (p + q) - q == p and hash((p + q) - q) == hash(p)
+
+    def test_random_powers(self):
+        rng = random.Random(20142)
+        for _ in range(60):
+            terms = _random_poly(rng, max_terms=3)
+            power = rng.randint(0, 5)
+            got, want = Polynomial(terms) ** power, RefPolynomial(terms) ** power
+            # repeated squaring orders terms like repeated multiplication up to power 3
+            _assert_same(got, want, order=power <= 3)
+
+    def test_random_substitutions(self):
+        rng = random.Random(20143)
+        for _ in range(80):
+            terms = _random_poly(rng)
+            assignment, ref_assignment = {}, {}
+            for name in rng.sample(VARIABLES, rng.randint(1, 4)):
+                if rng.random() < 0.3:  # into a constant
+                    value = rng.choice((0, 2, Fraction(-1, 3)))
+                    assignment[name] = value
+                    ref_assignment[name] = RefPolynomial({(0,) * 9: value})
+                else:
+                    replacement = _random_poly(rng, max_terms=3, max_exp=2)
+                    assignment[name] = Polynomial(replacement)
+                    ref_assignment[name] = RefPolynomial(replacement)
+            _assert_same(
+                Polynomial(terms).substitute(assignment),
+                RefPolynomial(terms).substitute(ref_assignment),
+            )
+
+    def test_random_evaluations(self):
+        rng = random.Random(20144)
+        for _ in range(100):
+            terms = _random_poly(rng)
+            point = {
+                name: rng.choice((0, 1, -2, 7, Fraction(1, 6), Fraction(-3, 4), Fraction(5, 9)))
+                for name in VARIABLES
+            }
+            value = Polynomial(terms).evaluate(point)
+            assert type(value) is Fraction
+            assert value == RefPolynomial(terms).evaluate(point)
+
+    def test_integral_fraction_coefficients_normalise(self):
+        p = Fraction(1, 2) * a * 2
+        assert p == a
+        assert hash(p) == hash(a)
+        assert p.terms() == a.terms()
+        assert p._terms == a._terms and type(next(iter(p._terms.values()))) is int
+        assert Polynomial({(1,) + (0,) * 8: Fraction(4, 2)}) == 2 * a
+        assert hash(Polynomial.constant(Fraction(6, 3))) == hash(Polynomial.constant(2))

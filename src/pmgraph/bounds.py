@@ -27,8 +27,7 @@ from fnmatch import fnmatchcase
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import _tau, _theta, _zhang
-from .resistance import resistance_matrix
+from .invariants import _reduced, _tau, _theta, _zhang
 
 RATIO_INVARIANTS = ("tau", "phi", "lambda", "epsilon")
 
@@ -162,8 +161,7 @@ def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> F
 
 def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """All four bounded ratios from a single engine pass over one graph."""
-    graph = catalog.build(fid, lengths)
-    rm = resistance_matrix(graph)
+    graph, rm = _reduced(catalog.build(fid, lengths))
     ell = graph.total_length
     t = _tau(graph, rm)
     quartet = _zhang(t, _theta(graph, rm), ell)

@@ -17,7 +17,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -169,9 +169,6 @@ class PmGraph:
     def total_length(self) -> Fraction:
         return sum((e.length for e in self.edges), Fraction(0))
 
-    def incident_edges(self, vid: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if vid in e.ends)
-
 
 @dataclass(frozen=True)
 class GenusData:
@@ -320,45 +317,78 @@ def subdivide(g: PmGraph, edge_id: str, t: RationalLike) -> PmGraph:
 
 
 def normalize(g: PmGraph) -> PmGraph:
-    """Suppress superfluous vertices: valence 2, weight 0, not the only vertex.
+    """Smooth away every removable vertex: weight 0, valence 2, no loop.
 
-    Each such vertex is removed and its two incident edge segments are merged
-    into a single edge of summed length (which may become a self-loop).  The
-    result has no removable vertices and represents the same metric graph.
+    One walk in ``O(n + e)`` goes from each kept vertex through a chain of
+    removable vertices to the next kept vertex and replaces the chain by one
+    edge of the exact summed length, named by joining the chain's edge ids
+    with ``+``; a chain that comes back to its start becomes a loop.  The
+    kept vertices and the untouched edges keep their order.  A cycle made
+    only of removable vertices keeps its last vertex, which carries the
+    whole cycle as a loop.  The result represents the same metric graph and
+    has nothing left to smooth; when ``g`` has nothing to smooth it is
+    returned itself.
     """
-    current = g
-    while True:
-        target = None
-        for v in current.vertices:
-            if v.q != 0 or len(current.vertices) == 1:
-                continue
-            incident = current.incident_edges(v.id)
-            if current.valence(v.id) == 2 and len(incident) == 2:
-                target = (v, incident)
+    return _smooth(g, _removable(g))
+
+
+def _removable(g: PmGraph, keep: Optional[str] = None) -> set[str]:
+    # the vertices normalize smooths away, ``keep`` excepted; safe to call on
+    # a graph that has not been validated
+    looped = {e.u for e in g.edges if e.is_loop}
+    valences = g._valences
+    return {
+        v.id for v in g.vertices
+        if v.q == 0 and valences.get(v.id) == 2 and v.id not in looped and v.id != keep
+    }
+
+
+def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
+    # normalize's walk, smoothing away exactly the vertices in ``removable``
+    if not removable:
+        return g
+    edges = g.edges
+    chain_ends: dict[str, list[int]] = {vid: [] for vid in removable}
+    for i, e in enumerate(edges):
+        for end in e.ends:
+            if end in chain_ends:
+                chain_ends[end].append(i)
+    taken = {e.id for e in edges}
+    visited: set[str] = set()
+
+    def walk(start: str, first: int) -> Edge:
+        # from ``start`` along edge ``first`` through removable vertices to
+        # the next vertex that is not removable, or back to ``start``
+        ids, total, here, i = [], Fraction(0), start, first
+        while True:
+            e = edges[i]
+            ids.append(e.id)
+            total += e.length
+            here = e.v if e.u == here else e.u
+            if here not in removable or here in visited:
                 break
-        if target is None:
-            return current
-        v, (e1, e2) = target
-        far1 = e1.v if e1.u == v.id else e1.u
-        far2 = e2.v if e2.u == v.id else e2.u
-        merged = Edge(
-            _fresh_id({e.id for e in current.edges if e.id not in (e1.id, e2.id)},
-                      f"{e1.id}+{e2.id}"),
-            far1,
-            far2,
-            e1.length + e2.length,
-        )
-        vertices = tuple(w for w in current.vertices if w.id != v.id)
-        edges = []
-        placed = False
-        for e in current.edges:
-            if e.id in (e1.id, e2.id):
-                if not placed:
-                    edges.append(merged)
-                    placed = True
-            else:
-                edges.append(e)
-        current = PmGraph(vertices, tuple(edges))
+            visited.add(here)
+            a, b = chain_ends[here]
+            i = b if a == i else a
+        name = _fresh_id(taken, "+".join(ids))
+        taken.add(name)
+        return Edge(name, start, here, total)
+
+    kept_edges: list[Edge] = []
+    for i, e in enumerate(edges):
+        inner = [end for end in e.ends if end in removable]
+        if not inner:
+            kept_edges.append(e)
+        elif len(inner) == 1 and inner[0] not in visited:
+            kept_edges.append(walk(e.u if inner[0] == e.v else e.v, i))
+    survivors = set()
+    for v in reversed(g.vertices):  # what is left are cycles of removable vertices
+        if v.id in removable and v.id not in visited:
+            visited.add(v.id)
+            survivors.add(v.id)
+            kept_edges.append(walk(v.id, chain_ends[v.id][0]))
+    vertices = tuple(v for v in g.vertices if v.id not in removable or v.id in survivors)
+    return PmGraph(vertices, tuple(kept_edges))
 
 
 def scaled(g: PmGraph, factor: RationalLike) -> PmGraph:

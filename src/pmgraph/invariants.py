@@ -6,9 +6,15 @@ valid pm-graph.  The four derived invariants ``phi``, ``lambda``,
 and the total length that hold on total genus 3, so :func:`zhang_invariants`
 refuses any other total genus rather than return something wrong.
 
-Every public function here validates its graph and solves it exactly once,
-through :func:`pmgraph.resistance.resistance_matrix`, and reads each value
-off that one matrix; :func:`invariant_set` gets all of them from one solve.
+Every invariant here is unchanged when a weight-0 vertex of valence 2 is
+smoothed away, so every public function evaluates on the reduced model.  It
+validates the graph it is given once, smooths it with the linear walk of
+:func:`pmgraph.graph.normalize` (``K`` is 0 on every removed vertex, and the
+genus and each bridge's side genera are kept), and solves what is left once;
+every value is read off that one matrix.  A subdivided genus-3 graph thus
+costs a solve on at most 4 vertices, and a graph with nothing to smooth,
+such as every catalog graph, is solved as given.  :func:`invariant_set`
+gets every invariant from the one solve.
 """
 
 from __future__ import annotations
@@ -17,8 +23,28 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import PmGraph, UnsupportedGenusError, canonical_divisor, genus
-from .resistance import ResistanceMatrix, _classify_edges, resistance_matrix
+from .graph import (
+    PmGraph,
+    UnsupportedGenusError,
+    _removable,
+    _smooth,
+    canonical_divisor,
+    genus,
+    require_valid,
+)
+from .resistance import ResistanceMatrix, _classify_edges, _solve, resistance_matrix
+
+
+def _reduced(g: PmGraph, keep: Optional[str] = None) -> tuple[PmGraph, ResistanceMatrix]:
+    # the prologue of every engine entry: validate g once, smooth it (keeping
+    # ``keep``) and solve the result once; with nothing to smooth that is
+    # resistance_matrix(g)
+    removable = _removable(g, keep)
+    if not removable:
+        return g, resistance_matrix(g)
+    require_valid(g)
+    h = _smooth(g, removable)
+    return h, _solve(h)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
@@ -34,7 +60,7 @@ def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
     independent of the base vertex ``y`` (checked property, not assumed);
     ``base`` defaults to the first vertex.
     """
-    return _tau(g, resistance_matrix(g), base)
+    return _tau(*_reduced(g, base), base)
 
 
 def _tau(g: PmGraph, rm: ResistanceMatrix, base: Optional[str] = None) -> Fraction:
@@ -57,17 +83,11 @@ def theta(g: PmGraph) -> Fraction:
     does not change under subdivision or smoothing of weight-0 valence-2
     vertices.
     """
-    return _theta(g, resistance_matrix(g))
+    return _theta(*_reduced(g))
 
 
 def _theta(g: PmGraph, rm: ResistanceMatrix) -> Fraction:
-    k = canonical_divisor(g)
-    support = [p for p in g.vertex_ids if k[p] != 0]
-    total = Fraction(0)
-    for p in support:
-        for s in support:
-            total += k[p] * k[s] * rm.get(p, s)
-    return total
+    return rm.pair_sum(canonical_divisor(g))
 
 
 def delta(g: PmGraph) -> dict[int, Fraction]:
@@ -77,7 +97,7 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    return _delta(g, resistance_matrix(g))
+    return _delta(*_reduced(g))
 
 
 def _delta(g: PmGraph, rm: ResistanceMatrix) -> dict[int, Fraction]:
@@ -163,7 +183,7 @@ def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
 
     Any other total genus raises :class:`UnsupportedGenusError`.
     """
-    rm = resistance_matrix(g)
+    g, rm = _reduced(g)
     gbar = genus(g).gbar
     if gbar != 3:
         raise UnsupportedGenusError(
@@ -184,7 +204,7 @@ def _zhang(t: Fraction, th: Fraction, ell: Fraction) -> dict[str, Fraction]:
 
 def invariant_set(g: PmGraph) -> InvariantSet:
     """All invariants of a valid graph in one pass (one Laplacian solve)."""
-    rm = resistance_matrix(g)
+    g, rm = _reduced(g)
     data = genus(g)
     t = _tau(g, rm)
     th = _theta(g, rm)

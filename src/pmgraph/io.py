@@ -48,13 +48,19 @@ def _column_of(line: str, token_index: int) -> int:
     return len(line) + 1
 
 
-def _parse_length(token: str, lineno: int, column: int) -> Fraction:
+def _parse_length(token: str, lineno: int, line: str) -> Fraction:
+    # the length is the fifth token of ``line``; its column is only worked
+    # out for an error message
     try:
         value = as_rational(token)
     except (ValueError, ZeroDivisionError):
-        raise ParseError(f"cannot parse length {token!r} as a rational", lineno, column)
+        raise ParseError(
+            f"cannot parse length {token!r} as a rational", lineno, _column_of(line, 4)
+        )
     if value <= 0:
-        raise ParseError(f"edge length must be positive, got {token}", lineno, column)
+        raise ParseError(
+            f"edge length must be positive, got {token}", lineno, _column_of(line, 4)
+        )
     return value
 
 
@@ -87,10 +93,11 @@ def parse_graph(text: str) -> PmGraph:
                 )
             q = 0
             if len(tokens) == 3:
-                col = _column_of(line, 2)
                 if not tokens[2].startswith("q="):
                     raise ParseError(
-                        f"expected 'q=<int>', got {tokens[2]!r}", lineno, col
+                        f"expected 'q=<int>', got {tokens[2]!r}",
+                        lineno,
+                        _column_of(line, 2),
                     )
                 try:
                     q = int(tokens[2][2:])
@@ -98,11 +105,13 @@ def parse_graph(text: str) -> PmGraph:
                     raise ParseError(
                         f"cannot parse weight {tokens[2][2:]!r} as an integer",
                         lineno,
-                        col,
+                        _column_of(line, 2),
                     )
                 if q < 0:
                     raise ParseError(
-                        f"vertex weight must be nonnegative, got {q}", lineno, col
+                        f"vertex weight must be nonnegative, got {q}",
+                        lineno,
+                        _column_of(line, 2),
                     )
             vertices.append(Vertex(vid, q))
             vertex_ids.add(vid)
@@ -125,7 +134,7 @@ def parse_graph(text: str) -> PmGraph:
                         lineno,
                         _column_of(line, index),
                     )
-            length = _parse_length(length_token, lineno, _column_of(line, 4))
+            length = _parse_length(length_token, lineno, line)
             edges.append(Edge(eid, u, v, length))
             edge_ids.add(eid)
         else:

@@ -15,7 +15,8 @@ order backwards and gives the grounded Green's function ``Z = A^{-1}``
 exactly on the filled pattern, which holds the diagonal and every edge.
 That is all tau and the bridge test read; ``r(p, s) = Z_pp + Z_ss - 2 Z_ps``.
 A pair outside the pattern costs one forward and back solve with the
-factor, after which its whole column is known.
+factor, after which its whole column is known, and a weighted sum over all
+pairs (theta) costs one such solve in all.
 """
 
 from __future__ import annotations
@@ -150,24 +151,43 @@ class ResistanceMatrix:
             return green[i][i]
         zij = green[i].get(j)
         if zij is None:
-            self._solve_column(j)
+            for v, x in self.solve({j: Fraction(1)}).items():
+                green[v][j] = green[j][v] = x
             zij = green[i][j]
         return green[i][i] + green[j][j] - 2 * zij
 
-    def _solve_column(self, c: int) -> None:
-        """Fill column ``c`` of the Green's function: ``L D L^T x = e_c``."""
+    def solve(self, rhs: dict[int, Fraction]) -> dict[int, Fraction]:
+        """``x`` with ``A x = rhs`` by one forward and back solve with the factor.
+
+        Both are keyed by vertex index; the ground is not an unknown, so a
+        ground entry of ``rhs`` is ignored and ``x`` has none.
+        """
         f = self._factor
-        y = {c: Fraction(1)}
-        for v in f.elim:  # forward: only c and its elimination ancestors fill
+        y = dict(rhs)
+        for v in f.elim:  # forward: only rhs entries and their ancestors fill
             yv = y.get(v)
             if yv:
                 for a, l in f.cols[v].items():
                     y[a] = y.get(a, 0) + l * yv
-        green = self._green
+        x: dict[int, Fraction] = {}
         for v in reversed(f.elim):  # back: x_v = y_v / d_v + sum_a l_av x_a
-            green[v][c] = green[c][v] = sum(
-                (l * green[a][c] for a, l in f.cols[v].items()), y.get(v, 0) / f.pivots[v]
-            )
+            x[v] = sum((l * x[a] for a, l in f.cols[v].items()), y.get(v, 0) / f.pivots[v])
+        return x
+
+    def pair_sum(self, weights: dict[str, int]) -> Fraction:
+        """``sum over ordered pairs (p, s) of w_p w_s r(p, s)``, from one solve.
+
+        With ``r(p, s) = Z_pp + Z_ss - 2 Z_ps`` and the ground row of ``Z``
+        zero, the sum is ``2 W sum_p w_p Z_pp - 2 w^T Z w`` with ``W = sum w``,
+        and ``Z w`` is one solve.
+        """
+        w = {self._index[p]: c for p, c in weights.items() if c}
+        w.pop(self._ground, None)
+        green = self._green
+        x = self.solve(w)
+        diagonal = sum((c * green[i][i] for i, c in w.items()), Fraction(0))
+        cross = sum((c * x[i] for i, c in w.items()), Fraction(0))
+        return 2 * sum(weights.values()) * diagonal - 2 * cross
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -188,12 +208,17 @@ class ResistanceMatrix:
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
     """Effective resistances of a valid graph, from one exact sparse solve.
 
-    This is the one place the engine validates a graph and solves it; every
-    invariant is read off the matrix it returns.  ``ground`` picks the vertex
-    removed to form the reduced Laplacian and must not affect the result; it
-    defaults to the first vertex.
+    Validates ``g`` and then solves it as given, so every vertex of ``g`` has
+    its row.  ``ground`` picks the vertex removed to form the reduced
+    Laplacian and must not affect the result; it defaults to the first
+    vertex.
     """
     require_valid(g)
+    return _solve(g, ground)
+
+
+def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
+    # resistance_matrix on a graph already validated
     order = g.vertex_ids
     if ground is None:
         ground = order[0]
@@ -206,7 +231,7 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
     for e in g.edges:
         if e.is_loop:
             continue
-        c = 1 / Fraction(e.length)
+        c = Fraction(1) / e.length
         i, j = index[e.u], index[e.v]
         adj[i][j] = adj[j][i] = adj[i].get(j, 0) + c
         diag[i] += c

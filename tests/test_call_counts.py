@@ -16,12 +16,14 @@ import pytest
 from pmgraph import (
     SampleReport,
     bound_table,
+    build,
     classify_edges,
     delta,
     engine_ratios,
     family,
     invariant_set,
     matching_families,
+    normalize,
     random_lengths,
     tau,
     theta,
@@ -124,3 +126,66 @@ def test_every_certificate_run_expands_again(monkeypatch):
     verify_all()
     assert first > 0
     assert len(products) == 2 * first
+
+
+# -- the reduced model --------------------------------------------------------
+
+
+@pytest.fixture
+def factors(monkeypatch):
+    """Validations and the pivot count of every factor the engine builds."""
+    graph = importlib.import_module("pmgraph.graph")
+    solver = importlib.import_module("pmgraph.resistance")
+    seen = {"validate": 0, "pivots": []}
+    validate, factor = graph.validate, solver._factor
+
+    def counted_validate(g):
+        seen["validate"] += 1
+        return validate(g)
+
+    def counted_factor(adj, diag):
+        result = factor(adj, diag)
+        seen["pivots"].append(len(result.pivots))
+        return result
+
+    monkeypatch.setattr(graph, "validate", counted_validate)
+    monkeypatch.setattr(solver, "_factor", counted_factor)
+    return seen
+
+
+def _subdivided_g3():
+    from conftest import random_subdivided
+
+    g = random_subdivided("g3.XI", 30, random.Random("call-counts"))
+    assert len(normalize(g).vertices) == 4
+    return g
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [invariant_set, zhang_invariants, tau, theta, delta],
+    ids=lambda f: f.__name__,
+)
+def test_engine_entry_solves_the_reduced_model_once(entry, factors):
+    g = _subdivided_g3()
+    entry(g)
+    assert factors == {"validate": 1, "pivots": [len(normalize(g).vertices) - 1]}
+
+
+def test_tau_at_a_removable_base_keeps_it_in_the_solve(factors):
+    g = _subdivided_g3()
+    base = next(vid for vid in g.vertex_ids if vid not in normalize(g).vertex_ids)
+    tau(g, base=base)
+    assert factors == {"validate": 1, "pivots": [len(normalize(g).vertices)]}
+
+
+def test_classify_edges_solves_the_graph_as_given(factors):
+    g = _subdivided_g3()
+    classify_edges(g)
+    assert factors == {"validate": 1, "pivots": [len(g.vertices) - 1]}
+
+
+def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
+    lengths = {name: Fraction(1) for name in "abcdef"}
+    engine_ratios("g3.XIV", lengths)
+    assert factors == {"validate": 1, "pivots": [len(build("g3.XIV", lengths).vertices) - 1]}

@@ -1,10 +1,13 @@
+import time
 from fractions import Fraction
 
 import pytest
 
 from pmgraph import (
+    Edge,
     InvalidGraphError,
     PmGraph,
+    Vertex,
     canonical_divisor,
     connected_components,
     genus,
@@ -228,3 +231,87 @@ class TestComponents:
             frozenset({"1"}),
             frozenset({"2", "3", "4"}),
         }
+
+
+class TestNormalizeWalk:
+    def test_pure_cycle_keeps_its_last_vertex_as_a_loop(self):
+        g = build_circle((1, 2, 3, 4))
+        slim = normalize(g)
+        assert slim.vertices == (g.vertices[-1],)
+        (loop,) = slim.edges
+        assert loop.u == loop.v == g.vertices[-1].id
+        assert loop.length == 10
+
+    def test_parallel_pair_through_removable_vertex_becomes_a_loop(self):
+        g = PmGraph.build(
+            [("P", 1), "M"], [("x", "P", "M", 2), ("y", "M", "P", 3)]
+        )
+        slim = normalize(g)
+        assert slim.vertex_ids == ("P",)
+        (loop,) = slim.edges
+        assert (loop.u, loop.v, loop.length) == ("P", "P", 5)
+        assert canonical_divisor(slim) == {"P": canonical_divisor(g)["P"]}
+
+    def test_weighted_valence_two_vertex_stays(self):
+        triangle = build_circle((1, 2, 3), q_first=1)
+        slim = normalize(triangle)
+        assert slim.vertex_ids == (triangle.vertices[0].id,)
+        all_weighted = PmGraph.build(
+            [("A", 1), ("B", 1), ("C", 1)],
+            [("ab", "A", "B", 1), ("bc", "B", "C", 2), ("ca", "C", "A", 3)],
+        )
+        assert normalize(all_weighted) is all_weighted
+
+    def test_loop_vertex_stays(self):
+        g = build_loop(q=0)
+        assert normalize(g) is g
+
+    def test_nothing_removable_returns_the_graph_itself(self, k4_unit):
+        assert normalize(k4_unit) is k4_unit
+
+    def test_chain_becomes_one_edge_of_the_exact_sum(self):
+        g = PmGraph.build(
+            [("A", 1), "M1", "M2", ("B", 1), "M3"],
+            [
+                ("p", "A", "M1", Fraction(1, 3)),
+                ("q", "M2", "M1", Fraction(1, 5)),
+                ("r", "M2", "B", Fraction(1, 7)),
+                ("s", "B", "M3", 1),
+                ("t", "M3", "A", 2),
+            ],
+        )
+        slim = normalize(g)
+        assert slim.vertex_ids == ("A", "B")
+        assert slim.edges == (
+            Edge("p+q+r", "A", "B", Fraction(1, 3) + Fraction(1, 5) + Fraction(1, 7)),
+            Edge("s+t", "B", "A", 3),
+        )
+        assert normalize(slim) is slim
+
+    def test_merged_ids_stay_unique(self):
+        g = PmGraph.build(
+            [("A", 1), "M", ("B", 1)],
+            [("a", "A", "M", 1), ("b", "M", "B", 1), ("a+b", "A", "B", 1)],
+        )
+        slim = normalize(g)
+        ids = [e.id for e in slim.edges]
+        assert len(set(ids)) == len(ids) == 2
+
+    def test_long_cycle_normalizes_in_linear_time(self):
+        n = 2000
+        names = [f"v{i}" for i in range(n)]
+        g = PmGraph(
+            (Vertex(names[0], 1),) + tuple(Vertex(name, 0) for name in names[1:]),
+            tuple(
+                Edge(f"e{i}", names[i], names[(i + 1) % n], Fraction(1, 1 + i % 7))
+                for i in range(n)
+            ),
+        )
+        start = time.perf_counter()
+        slim = normalize(g)
+        elapsed = time.perf_counter() - start
+        assert slim.vertex_ids == ("v0",)
+        assert slim.total_length == g.total_length
+        # the walk takes milliseconds here; one rebuild per removed vertex
+        # would take minutes
+        assert elapsed < 2.0

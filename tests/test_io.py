@@ -94,6 +94,62 @@ class TestParse:
         assert as_rational(token) == value
         assert graph_from_json_dict(_loop_json(token)).edge("l").length == value
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("vertex\n", "line 1, column 1: expected 'vertex <id> [q=<int>]'"),
+            ("vertex a q=1\n  vertex   a\n", "line 2, column 12: duplicate vertex id 'a'"),
+            ("vertex a  w=3\n", "line 1, column 11: expected 'q=<int>', got 'w=3'"),
+            ("vertex a\tq=x\n", "line 1, column 10: cannot parse weight 'x' as an integer"),
+            ("vertex a q=-2\n", "line 1, column 10: vertex weight must be nonnegative, got -2"),
+            (
+                "vertex a q=2\nedge l a\n",
+                "line 2, column 1: expected 'edge <id> <vertex> <vertex> <length>'",
+            ),
+            ("vertex a q=2\nedge l a a 1\n edge  l a a 2\n", "line 3, column 8: duplicate edge id 'l'"),
+            (
+                "vertex a q=2\nedge l a  b 1\n",
+                "line 2, column 11: edge 'l' references undeclared vertex 'b'",
+            ),
+            (
+                "vertex a q=2\nedge l a a   zero # note\n",
+                "line 2, column 14: cannot parse length 'zero' as a rational",
+            ),
+            ("vertex a q=2\nedge l a a 0\n", "line 2, column 12: edge length must be positive, got 0"),
+            (
+                "vertex a q=2\nedge l a a -3/4\n",
+                "line 2, column 12: edge length must be positive, got -3/4",
+            ),
+            ("vertex a q=2\nedge l a a 1/0\n", "line 2, column 12: cannot parse length '1/0' as a rational"),
+            (
+                "vertex a q=2\n\n  frob a\n",
+                "line 3, column 3: unknown record 'frob' (expected 'vertex' or 'edge')",
+            ),
+        ],
+    )
+    def test_every_error_message_is_pinned(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
+    def test_columns_are_found_only_for_errors(self, monkeypatch):
+        import importlib
+
+        io_module = importlib.import_module("pmgraph.io")
+        calls = []
+        original = io_module._column_of
+
+        def counted(line, token_index):
+            calls.append(token_index)
+            return original(line, token_index)
+
+        monkeypatch.setattr(io_module, "_column_of", counted)
+        parse_graph(SAMPLE + "edge e2 p q 5/2\nedge e3 q q 0.5\n")
+        assert calls == []
+        with pytest.raises(ParseError):
+            parse_graph("vertex a q=2\nedge l a a zero\n")
+        assert calls == [4]
+
     def test_no_normalization(self):
         # a valence-2 weight-0 vertex must survive parsing untouched
         text = "vertex a q=1\nvertex m\nvertex b q=1\nedge e1 a m 1\nedge e2 m b 1\n"

@@ -1,17 +1,27 @@
 """The 41 total-genus-3 pm-graph families with closed-form invariants.
 
-Each family couples a fixed topology (a parameterized constructor whose edge
-ids are the parameter letters) with independently transcribed closed forms
-for every invariant.  The closed forms are rational expressions in the edge
-lengths; the engine in :mod:`pmgraph.invariants` never sees them, which is
-what makes :func:`cross_check` a meaningful test: the two routes share no
-code beyond Fraction arithmetic.
+The catalog is one table, :data:`_TABLE`, with one row per family: its id,
+a description, its vertices with their weights, its edges as ``id:u-v`` and
+its transcribed closed forms for every invariant.  The edge ids are the
+parameter letters, so a family's parameters are its sorted edge ids, and one
+builder turns any row and a set of lengths into a graph.  The closed forms
+are rational expressions in the edge lengths; the engine in
+:mod:`pmgraph.invariants` never sees them, which is what makes
+:func:`cross_check` a meaningful test: the two routes share no code beyond
+Fraction arithmetic.
 
 Families are grouped by the Betti number ``g`` of the graph (the vertex
 weights always top the total genus up to 3): 4 families with ``g = 0``,
 9 with ``g = 1``, 14 with ``g = 2`` and 14 with ``g = 3``.  Ids look like
 ``"g2.XIII"``.  ``g0.I`` is the single point with weight 3; it is flagged
-degenerate because its total length is 0 and ratio bounds do not apply.
+degenerate because it has no edges, so its total length is 0 and ratio
+bounds do not apply.
+
+The 41 rows cover 40 of the 42 stable weighted graphs of total genus 3:
+``g2.X`` is ``g2.VI`` under the relabelling (a, b, c, d) -> (d, a, b, c),
+with the same closed forms after the same relabelling.  Two stable types
+have no row: a loop, a bridge and two arcs to a weight-1 vertex (``g = 2``),
+and a weight-0 centre with three bridges, each ending in a loop (``g = 3``).
 
 One deliberate deviation from the source tables is documented at
 :func:`_cf_g3_IX`.
@@ -22,9 +32,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Mapping, Optional, Sequence
 
-from .graph import PmGraph, PmGraphError, RationalLike, as_rational
+from .graph import Edge, PmGraph, PmGraphError, RationalLike, Vertex, as_rational
 from .invariants import InvariantSet, invariant_set
 
 Lengths = dict[str, Fraction]
@@ -46,466 +57,26 @@ class ParameterError(CatalogError):
 
 @dataclass(frozen=True)
 class FamilySpec:
-    """One catalog family: id, arity, constructor and closed-form oracle."""
+    """One catalog family: id, topology and closed-form oracle.
+
+    ``edges`` holds ``(id, u, v)`` triples; each edge's length is the
+    parameter named by its id.
+    """
 
     id: str
     genus: int
-    params: tuple[str, ...]
     description: str
-    builder: Callable[[Lengths], PmGraph]
+    vertices: tuple[Vertex, ...]
+    edges: tuple[tuple[str, str, str], ...]
     closed: Callable[[Lengths], ClosedRow]
-    degenerate: bool = False
 
+    @cached_property
+    def params(self) -> tuple[str, ...]:
+        return tuple(sorted(eid for eid, _, _ in self.edges))
 
-# ---------------------------------------------------------------------------
-# constructors; vertex weights default to 0, edge ids are the parameter names
-
-
-def _g0_I(p: Lengths) -> PmGraph:
-    return PmGraph.build([("X", 3)], [])
-
-
-def _g0_II(p: Lengths) -> PmGraph:
-    return PmGraph.build([("P", 1), ("Q", 2)], [("a", "P", "Q", p["a"])])
-
-
-def _g0_III(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        [("P", 1), ("M", 1), ("Q", 1)],
-        [("a", "P", "M", p["a"]), ("b", "M", "Q", p["b"])],
-    )
-
-
-def _g0_IV(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["C", ("L1", 1), ("L2", 1), ("L3", 1)],
-        [
-            ("a", "C", "L1", p["a"]),
-            ("b", "C", "L2", p["b"]),
-            ("c", "C", "L3", p["c"]),
-        ],
-    )
-
-
-def _g1_I(p: Lengths) -> PmGraph:
-    return PmGraph.build([("X", 2)], [("a", "X", "X", p["a"])])
-
-
-def _g1_II(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        [("X", 1), ("Y", 1)],
-        [("a", "X", "Y", p["a"]), ("b", "X", "Y", p["b"])],
-    )
-
-
-def _g1_III(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        [("X", 1), ("L", 1)],
-        [("b", "X", "X", p["b"]), ("a", "X", "L", p["a"])],
-    )
-
-
-def _g1_IV(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("L", 2)],
-        [("b", "X", "X", p["b"]), ("a", "X", "L", p["a"])],
-    )
-
-
-def _g1_V(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["J", ("P", 1), ("L", 1)],
-        [
-            ("b", "J", "P", p["b"]),
-            ("c", "J", "P", p["c"]),
-            ("a", "J", "L", p["a"]),
-        ],
-    )
-
-
-def _g1_VI(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["J1", "J2", ("L1", 1), ("L2", 1)],
-        [
-            ("c", "J1", "J2", p["c"]),
-            ("d", "J1", "J2", p["d"]),
-            ("a", "J1", "L1", p["a"]),
-            ("b", "J2", "L2", p["b"]),
-        ],
-    )
-
-
-def _g1_VII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("L1", 1), ("L2", 1)],
-        [
-            ("c", "X", "X", p["c"]),
-            ("a", "X", "L1", p["a"]),
-            ("b", "X", "L2", p["b"]),
-        ],
-    )
-
-
-def _g1_VIII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("Y", 1), ("L", 1)],
-        [
-            ("c", "X", "X", p["c"]),
-            ("a", "X", "Y", p["a"]),
-            ("b", "Y", "L", p["b"]),
-        ],
-    )
-
-
-def _g1_IX(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("L1", 1), ("L2", 1)],
-        [
-            ("d", "X", "X", p["d"]),
-            ("a", "X", "Y", p["a"]),
-            ("b", "Y", "L1", p["b"]),
-            ("c", "Y", "L2", p["c"]),
-        ],
-    )
-
-
-def _g2_I(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        [("X", 1)], [("a", "X", "X", p["a"]), ("b", "X", "X", p["b"])]
-    )
-
-
-def _g2_II(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("Y", 1)],
-        [
-            ("a", "X", "X", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-        ],
-    )
-
-
-def _g2_III(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        [("X", 1), "Y"],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-        ],
-    )
-
-
-def _g2_IV(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("M", 1)],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "M", p["c"]),
-            ("d", "M", "Y", p["d"]),
-        ],
-    )
-
-
-def _g2_V(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("Y", 1)],
-        [
-            ("a", "X", "X", p["a"]),
-            ("c", "X", "Y", p["c"]),
-            ("b", "Y", "Y", p["b"]),
-        ],
-    )
-
-
-def _g2_VI(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("L", 1)],
-        [
-            ("a", "X", "X", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "Y", "L", p["d"]),
-        ],
-    )
-
-
-def _g2_VII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("L", 1)],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "Y", "L", p["d"]),
-        ],
-    )
-
-
-def _g2_VIII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "M", ("L", 1)],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "M", p["c"]),
-            ("d", "M", "Y", p["d"]),
-            ("e", "M", "L", p["e"]),
-        ],
-    )
-
-
-def _g2_IX(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("L", 1)],
-        [
-            ("a", "X", "X", p["a"]),
-            ("c", "X", "X", p["c"]),
-            ("b", "X", "L", p["b"]),
-        ],
-    )
-
-
-def _g2_X(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("L", 1)],
-        [
-            ("d", "X", "X", p["d"]),
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "Y", "L", p["c"]),
-        ],
-    )
-
-
-def _g2_XI(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", ("P", 1), "Y"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("c", "X", "P", p["c"]),
-            ("d", "P", "Y", p["d"]),
-            ("b", "Y", "Y", p["b"]),
-        ],
-    )
-
-
-def _g2_XII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", ("L", 1)],
-        [
-            ("a", "X", "X", p["a"]),
-            ("c", "X", "Y", p["c"]),
-            ("b", "Y", "Y", p["b"]),
-            ("d", "Y", "L", p["d"]),
-        ],
-    )
-
-
-def _g2_XIII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "M", ("L", 1)],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "M", p["c"]),
-            ("e", "M", "M", p["e"]),
-            ("d", "Y", "L", p["d"]),
-        ],
-    )
-
-
-def _g2_XIV(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["W", "X", "Y", ("L", 1)],
-        [
-            ("c", "W", "X", p["c"]),
-            ("d", "W", "Y", p["d"]),
-            ("e", "W", "L", p["e"]),
-            ("a", "X", "X", p["a"]),
-            ("b", "Y", "Y", p["b"]),
-        ],
-    )
-
-
-def _g3_I(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("b", "X", "X", p["b"]),
-            ("c", "X", "X", p["c"]),
-        ],
-    )
-
-
-def _g3_II(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y"],
-        [("a", "X", "Y", p["a"]), ("b", "X", "Y", p["b"]),
-         ("c", "X", "Y", p["c"]), ("d", "X", "Y", p["d"])],
-    )
-
-
-def _g3_III(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y"],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "X", "X", p["d"]),
-        ],
-    )
-
-
-def _g3_IV(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("b", "Y", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "X", "Y", p["d"]),
-        ],
-    )
-
-
-def _g3_V(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("b", "X", "X", p["b"]),
-            ("d", "X", "Y", p["d"]),
-            ("c", "Y", "Y", p["c"]),
-        ],
-    )
-
-
-def _g3_VI(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "M", "Y"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("d", "X", "M", p["d"]),
-            ("b", "M", "M", p["b"]),
-            ("e", "M", "Y", p["e"]),
-            ("c", "Y", "Y", p["c"]),
-        ],
-    )
-
-
-def _g3_VII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "Z"],
-        [
-            ("a", "X", "X", p["a"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "Y", "Z", p["d"]),
-            ("e", "Y", "Z", p["e"]),
-            ("b", "Z", "Z", p["b"]),
-        ],
-    )
-
-
-def _g3_VIII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "Z"],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Z", p["b"]),
-            ("c", "X", "Z", p["c"]),
-            ("d", "Y", "Z", p["d"]),
-            ("e", "Y", "Z", p["e"]),
-        ],
-    )
-
-
-def _g3_IX(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "Z"],
-        [
-            ("a", "Z", "Z", p["a"]),
-            ("b", "X", "Z", p["b"]),
-            ("c", "Y", "Z", p["c"]),
-            ("d", "X", "Y", p["d"]),
-            ("e", "X", "Y", p["e"]),
-        ],
-    )
-
-
-def _g3_X(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "Z"],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "Y", p["c"]),
-            ("d", "Y", "Z", p["d"]),
-            ("e", "Z", "Z", p["e"]),
-        ],
-    )
-
-
-def _g3_XI(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["W", "Y", "Z", "X"],
-        [
-            ("a", "W", "W", p["a"]),
-            ("c", "W", "Y", p["c"]),
-            ("e", "Y", "Z", p["e"]),
-            ("f", "Y", "Z", p["f"]),
-            ("d", "Z", "X", p["d"]),
-            ("b", "X", "X", p["b"]),
-        ],
-    )
-
-
-def _g3_XII(p: Lengths) -> PmGraph:
-    return PmGraph.build(
-        ["X", "Y", "M", "Z"],
-        [
-            ("a", "X", "Y", p["a"]),
-            ("b", "X", "Y", p["b"]),
-            ("c", "X", "M", p["c"]),
-            ("d", "M", "Y", p["d"]),
-            ("e", "M", "Z", p["e"]),
-            ("f", "Z", "Z", p["f"]),
-        ],
-    )
-
-
-def _g3_XIII(p: Lengths) -> PmGraph:
-    # 4-cycle X-Y-W-Z-X with the X-Y and W-Z sides doubled
-    return PmGraph.build(
-        ["X", "Y", "W", "Z"],
-        [
-            ("c", "X", "Y", p["c"]),
-            ("d", "X", "Y", p["d"]),
-            ("b", "Y", "W", p["b"]),
-            ("e", "W", "Z", p["e"]),
-            ("f", "W", "Z", p["f"]),
-            ("a", "Z", "X", p["a"]),
-        ],
-    )
-
-
-def _g3_XIV(p: Lengths) -> PmGraph:
-    # complete graph on four vertices; opposite edge pairs (a,f), (b,e), (c,d)
-    return PmGraph.build(
-        ["1", "2", "3", "4"],
-        [
-            ("a", "1", "2", p["a"]),
-            ("b", "1", "3", p["b"]),
-            ("c", "1", "4", p["c"]),
-            ("d", "2", "3", p["d"]),
-            ("e", "2", "4", p["e"]),
-            ("f", "3", "4", p["f"]),
-        ],
-    )
+    @property
+    def degenerate(self) -> bool:
+        return not self.edges
 
 
 # ---------------------------------------------------------------------------
@@ -1053,95 +624,114 @@ def _cf_g3_XIV(p: Lengths) -> ClosedRow:
     )
 
 
-_ROMAN = ["I", "II", "III", "IV", "V", "VI", "VII", "VIII", "IX", "X",
-          "XI", "XII", "XIII", "XIV"]
+# ---------------------------------------------------------------------------
+# the topology table: id, description, vertices (``id`` or ``id:q``, weight 0
+# by default), edges as ``id:u-v`` in drawing order, closed forms
 
-_DEFS: list[tuple[str, tuple[str, ...], str, Callable, Callable]] = [
-    ("g0.I", (), "single vertex of weight 3 (degenerate: zero length)",
-     _g0_I, _cf_g0_I),
-    ("g0.II", ("a",), "segment joining weights 1 and 2", _g0_II, _cf_g0_II),
-    ("g0.III", ("a", "b"), "path on three weight-1 vertices", _g0_III, _cf_g0_III),
-    ("g0.IV", ("a", "b", "c"), "3-star with weight-1 leaves", _g0_IV, _cf_g0_IV),
-    ("g1.I", ("a",), "one loop at a weight-2 vertex", _g1_I, _cf_g1_I),
-    ("g1.II", ("a", "b"), "two arcs between weight-1 vertices", _g1_II, _cf_g1_II),
-    ("g1.III", ("a", "b"), "loop at weight 1 plus a pendant weight-1 leaf",
-     _g1_III, _cf_g1_III),
-    ("g1.IV", ("a", "b"), "loop at weight 0 plus a pendant weight-2 leaf",
-     _g1_IV, _cf_g1_IV),
-    ("g1.V", ("a", "b", "c"), "two arcs to a weight-1 vertex plus a pendant leaf",
-     _g1_V, _cf_g1_V),
-    ("g1.VI", ("a", "b", "c", "d"), "two arcs with a pendant leaf on each side",
-     _g1_VI, _cf_g1_VI),
-    ("g1.VII", ("a", "b", "c"), "loop with two pendant leaves at one vertex",
-     _g1_VII, _cf_g1_VII),
-    ("g1.VIII", ("a", "b", "c"), "loop, then a path through weight 1 to a leaf",
-     _g1_VIII, _cf_g1_VIII),
-    ("g1.IX", ("a", "b", "c", "d"), "loop, bridge, then two pendant leaves",
-     _g1_IX, _cf_g1_IX),
-    ("g2.I", ("a", "b"), "two loops at a weight-1 vertex", _g2_I, _cf_g2_I),
-    ("g2.II", ("a", "b", "c"), "loop plus two arcs to a weight-1 vertex",
-     _g2_II, _cf_g2_II),
-    ("g2.III", ("a", "b", "c"), "theta graph with one weight-1 vertex",
-     _g2_III, _cf_g2_III),
-    ("g2.IV", ("a", "b", "c", "d"), "two arcs plus a path through weight 1",
-     _g2_IV, _cf_g2_IV),
-    ("g2.V", ("a", "b", "c"), "loops joined by a bridge, far vertex weight 1",
-     _g2_V, _cf_g2_V),
-    ("g2.VI", ("a", "b", "c", "d"), "loop, two arcs, pendant weight-1 leaf",
-     _g2_VI, _cf_g2_VI),
-    ("g2.VII", ("a", "b", "c", "d"), "theta plus pendant weight-1 leaf",
-     _g2_VII, _cf_g2_VII),
-    ("g2.VIII", ("a", "b", "c", "d", "e"),
-     "two arcs plus subdivided arc, leaf at the midpoint", _g2_VIII, _cf_g2_VIII),
-    ("g2.IX", ("a", "b", "c"), "two loops plus pendant weight-1 leaf",
-     _g2_IX, _cf_g2_IX),
-    ("g2.X", ("a", "b", "c", "d"), "two arcs, loop on one side, leaf on the other",
-     _g2_X, _cf_g2_X),
-    ("g2.XI", ("a", "b", "c", "d"), "loops joined by a path through weight 1",
-     _g2_XI, _cf_g2_XI),
-    ("g2.XII", ("a", "b", "c", "d"), "loops joined by a bridge, pendant leaf",
-     _g2_XII, _cf_g2_XII),
-    ("g2.XIII", ("a", "b", "c", "d", "e"),
-     "two arcs, bridge to a loop, bridge to a weight-1 leaf", _g2_XIII, _cf_g2_XIII),
-    ("g2.XIV", ("a", "b", "c", "d", "e"),
-     "3-star joining two loops and a weight-1 leaf", _g2_XIV, _cf_g2_XIV),
-    ("g3.I", ("a", "b", "c"), "bouquet of three loops", _g3_I, _cf_g3_I),
-    ("g3.II", ("a", "b", "c", "d"), "4-banana", _g3_II, _cf_g3_II),
-    ("g3.III", ("a", "b", "c", "d"), "theta graph plus a loop", _g3_III, _cf_g3_III),
-    ("g3.IV", ("a", "b", "c", "d"), "two loops joined by two arcs",
-     _g3_IV, _cf_g3_IV),
-    ("g3.V", ("a", "b", "c", "d"), "two loops, bridge, another loop",
-     _g3_V, _cf_g3_V),
-    ("g3.VI", ("a", "b", "c", "d", "e"), "chain of three loops", _g3_VI, _cf_g3_VI),
-    ("g3.VII", ("a", "b", "c", "d", "e"),
-     "loop, bridge, two arcs, loop", _g3_VII, _cf_g3_VII),
-    ("g3.VIII", ("a", "b", "c", "d", "e"),
-     "arc plus two doubled arcs on three vertices", _g3_VIII, _cf_g3_VIII),
-    ("g3.IX", ("a", "b", "c", "d", "e"),
-     "loop at the apex of a triangle with one doubled side", _g3_IX, _cf_g3_IX),
-    ("g3.X", ("a", "b", "c", "d", "e"), "theta, bridge, loop", _g3_X, _cf_g3_X),
-    ("g3.XI", ("a", "b", "c", "d", "e", "f"),
-     "loop, bridge, two arcs, bridge, loop", _g3_XI, _cf_g3_XI),
-    ("g3.XII", ("a", "b", "c", "d", "e", "f"),
-     "two arcs plus subdivided arc, bridge to a loop", _g3_XII, _cf_g3_XII),
-    ("g3.XIII", ("a", "b", "c", "d", "e", "f"),
-     "4-cycle with two opposite sides doubled", _g3_XIII, _cf_g3_XIII),
-    ("g3.XIV", ("a", "b", "c", "d", "e", "f"),
-     "complete graph on four vertices", _g3_XIV, _cf_g3_XIV),
+_TABLE: list[tuple[str, str, str, str, Callable[[Lengths], ClosedRow]]] = [
+    ("g0.I", "single vertex of weight 3 (degenerate: zero length)",
+     "X:3", "", _cf_g0_I),
+    ("g0.II", "segment joining weights 1 and 2", "P:1 Q:2", "a:P-Q", _cf_g0_II),
+    ("g0.III", "path on three weight-1 vertices", "P:1 M:1 Q:1", "a:P-M b:M-Q",
+     _cf_g0_III),
+    ("g0.IV", "3-star with weight-1 leaves", "C L1:1 L2:1 L3:1",
+     "a:C-L1 b:C-L2 c:C-L3", _cf_g0_IV),
+    ("g1.I", "one loop at a weight-2 vertex", "X:2", "a:X-X", _cf_g1_I),
+    ("g1.II", "two arcs between weight-1 vertices", "X:1 Y:1", "a:X-Y b:X-Y",
+     _cf_g1_II),
+    ("g1.III", "loop at weight 1 plus a pendant weight-1 leaf", "X:1 L:1",
+     "b:X-X a:X-L", _cf_g1_III),
+    ("g1.IV", "loop at weight 0 plus a pendant weight-2 leaf", "X L:2",
+     "b:X-X a:X-L", _cf_g1_IV),
+    ("g1.V", "two arcs to a weight-1 vertex plus a pendant leaf", "J P:1 L:1",
+     "b:J-P c:J-P a:J-L", _cf_g1_V),
+    ("g1.VI", "two arcs with a pendant leaf on each side", "J1 J2 L1:1 L2:1",
+     "c:J1-J2 d:J1-J2 a:J1-L1 b:J2-L2", _cf_g1_VI),
+    ("g1.VII", "loop with two pendant leaves at one vertex", "X L1:1 L2:1",
+     "c:X-X a:X-L1 b:X-L2", _cf_g1_VII),
+    ("g1.VIII", "loop, then a path through weight 1 to a leaf", "X Y:1 L:1",
+     "c:X-X a:X-Y b:Y-L", _cf_g1_VIII),
+    ("g1.IX", "loop, bridge, then two pendant leaves", "X Y L1:1 L2:1",
+     "d:X-X a:X-Y b:Y-L1 c:Y-L2", _cf_g1_IX),
+    ("g2.I", "two loops at a weight-1 vertex", "X:1", "a:X-X b:X-X", _cf_g2_I),
+    ("g2.II", "loop plus two arcs to a weight-1 vertex", "X Y:1",
+     "a:X-X b:X-Y c:X-Y", _cf_g2_II),
+    ("g2.III", "theta graph with one weight-1 vertex", "X:1 Y",
+     "a:X-Y b:X-Y c:X-Y", _cf_g2_III),
+    ("g2.IV", "two arcs plus a path through weight 1", "X Y M:1",
+     "a:X-Y b:X-Y c:X-M d:M-Y", _cf_g2_IV),
+    ("g2.V", "loops joined by a bridge, far vertex weight 1", "X Y:1",
+     "a:X-X c:X-Y b:Y-Y", _cf_g2_V),
+    ("g2.VI", "loop, two arcs, pendant weight-1 leaf", "X Y L:1",
+     "a:X-X b:X-Y c:X-Y d:Y-L", _cf_g2_VI),
+    ("g2.VII", "theta plus pendant weight-1 leaf", "X Y L:1",
+     "a:X-Y b:X-Y c:X-Y d:Y-L", _cf_g2_VII),
+    ("g2.VIII", "two arcs plus subdivided arc, leaf at the midpoint", "X Y M L:1",
+     "a:X-Y b:X-Y c:X-M d:M-Y e:M-L", _cf_g2_VIII),
+    ("g2.IX", "two loops plus pendant weight-1 leaf", "X L:1",
+     "a:X-X c:X-X b:X-L", _cf_g2_IX),
+    # g2.VI relabelled: VI's a, b, c, d are X's d, a, b, c
+    ("g2.X", "two arcs, loop on one side, leaf on the other", "X Y L:1",
+     "d:X-X a:X-Y b:X-Y c:Y-L", _cf_g2_X),
+    ("g2.XI", "loops joined by a path through weight 1", "X P:1 Y",
+     "a:X-X c:X-P d:P-Y b:Y-Y", _cf_g2_XI),
+    ("g2.XII", "loops joined by a bridge, pendant leaf", "X Y L:1",
+     "a:X-X c:X-Y b:Y-Y d:Y-L", _cf_g2_XII),
+    ("g2.XIII", "two arcs, bridge to a loop, bridge to a weight-1 leaf",
+     "X Y M L:1", "a:X-Y b:X-Y c:X-M e:M-M d:Y-L", _cf_g2_XIII),
+    ("g2.XIV", "3-star joining two loops and a weight-1 leaf", "W X Y L:1",
+     "c:W-X d:W-Y e:W-L a:X-X b:Y-Y", _cf_g2_XIV),
+    ("g3.I", "bouquet of three loops", "X", "a:X-X b:X-X c:X-X", _cf_g3_I),
+    ("g3.II", "4-banana", "X Y", "a:X-Y b:X-Y c:X-Y d:X-Y", _cf_g3_II),
+    ("g3.III", "theta graph plus a loop", "X Y", "a:X-Y b:X-Y c:X-Y d:X-X",
+     _cf_g3_III),
+    ("g3.IV", "two loops joined by two arcs", "X Y", "a:X-X b:Y-Y c:X-Y d:X-Y",
+     _cf_g3_IV),
+    ("g3.V", "two loops, bridge, another loop", "X Y", "a:X-X b:X-X d:X-Y c:Y-Y",
+     _cf_g3_V),
+    ("g3.VI", "chain of three loops", "X M Y", "a:X-X d:X-M b:M-M e:M-Y c:Y-Y",
+     _cf_g3_VI),
+    ("g3.VII", "loop, bridge, two arcs, loop", "X Y Z",
+     "a:X-X c:X-Y d:Y-Z e:Y-Z b:Z-Z", _cf_g3_VII),
+    ("g3.VIII", "arc plus two doubled arcs on three vertices", "X Y Z",
+     "a:X-Y b:X-Z c:X-Z d:Y-Z e:Y-Z", _cf_g3_VIII),
+    ("g3.IX", "loop at the apex of a triangle with one doubled side", "X Y Z",
+     "a:Z-Z b:X-Z c:Y-Z d:X-Y e:X-Y", _cf_g3_IX),
+    ("g3.X", "theta, bridge, loop", "X Y Z", "a:X-Y b:X-Y c:X-Y d:Y-Z e:Z-Z",
+     _cf_g3_X),
+    ("g3.XI", "loop, bridge, two arcs, bridge, loop", "W Y Z X",
+     "a:W-W c:W-Y e:Y-Z f:Y-Z d:Z-X b:X-X", _cf_g3_XI),
+    ("g3.XII", "two arcs plus subdivided arc, bridge to a loop", "X Y M Z",
+     "a:X-Y b:X-Y c:X-M d:M-Y e:M-Z f:Z-Z", _cf_g3_XII),
+    # 4-cycle X-Y-W-Z-X with the X-Y and W-Z sides doubled
+    ("g3.XIII", "4-cycle with two opposite sides doubled", "X Y W Z",
+     "c:X-Y d:X-Y b:Y-W e:W-Z f:W-Z a:Z-X", _cf_g3_XIII),
+    # opposite edge pairs (a,f), (b,e), (c,d)
+    ("g3.XIV", "complete graph on four vertices", "1 2 3 4",
+     "a:1-2 b:1-3 c:1-4 d:2-3 e:2-4 f:3-4", _cf_g3_XIV),
 ]
 
-FAMILIES: dict[str, FamilySpec] = {
-    fid: FamilySpec(
+
+def _spec(
+    fid: str,
+    description: str,
+    vertices: str,
+    edges: str,
+    closed: Callable[[Lengths], ClosedRow],
+) -> FamilySpec:
+    weighted = (token.partition(":") for token in vertices.split())
+    wired = (token.partition(":") for token in edges.split())
+    return FamilySpec(
         id=fid,
         genus=int(fid[1]),
-        params=params,
-        description=desc,
-        builder=builder,
+        description=description,
+        vertices=tuple(Vertex(vid, int(q or 0)) for vid, _, q in weighted),
+        edges=tuple((eid, *ends.split("-")) for eid, _, ends in wired),
         closed=closed,
-        degenerate=(fid == "g0.I"),
     )
-    for fid, params, desc, builder, closed in _DEFS
-}
+
+
+FAMILIES: dict[str, FamilySpec] = {row[0]: _spec(*row) for row in _TABLE}
 
 
 def list_families() -> list[str]:
@@ -1182,21 +772,12 @@ def _coerce_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Le
     return out
 
 
-def build(fid: str, lengths: Mapping[str, RationalLike]) -> PmGraph:
-    """Construct the family's fixed topology with the given edge lengths."""
-    spec = family(fid)
-    return spec.builder(_coerce_lengths(spec, lengths))
+def _build(spec: FamilySpec, p: Lengths) -> PmGraph:
+    # ``p`` is already checked by ``_coerce_lengths``
+    return PmGraph(spec.vertices, tuple(Edge(i, u, v, p[i]) for i, u, v in spec.edges))
 
 
-def closed_form(fid: str, lengths: Mapping[str, RationalLike]) -> InvariantSet:
-    """Evaluate the family's tabulated invariants; no graph is built.
-
-    ``Z`` is not tabulated anywhere, so it is filled in through its
-    total-genus-3 expression ``5 tau / 9 + theta / 72`` applied to the
-    closed-form tau and theta.
-    """
-    spec = family(fid)
-    p = _coerce_lengths(spec, lengths)
+def _closed_form(spec: FamilySpec, p: Lengths) -> InvariantSet:
     tau_v, theta_v, delta1, phi_v, lam_v, eps_v = spec.closed(p)
     ell = sum(p.values(), Fraction(0))
     return InvariantSet(
@@ -1211,6 +792,23 @@ def closed_form(fid: str, lengths: Mapping[str, RationalLike]) -> InvariantSet:
         epsilon=eps_v,
         z=Fraction(5, 9) * tau_v + theta_v / 72,
     )
+
+
+def build(fid: str, lengths: Mapping[str, RationalLike]) -> PmGraph:
+    """Construct the family's fixed topology with the given edge lengths."""
+    spec = family(fid)
+    return _build(spec, _coerce_lengths(spec, lengths))
+
+
+def closed_form(fid: str, lengths: Mapping[str, RationalLike]) -> InvariantSet:
+    """Evaluate the family's tabulated invariants; no graph is built.
+
+    ``Z`` is not tabulated anywhere, so it is filled in through its
+    total-genus-3 expression ``5 tau / 9 + theta / 72`` applied to the
+    closed-form tau and theta.
+    """
+    spec = family(fid)
+    return _closed_form(spec, _coerce_lengths(spec, lengths))
 
 
 @dataclass(frozen=True)
@@ -1230,8 +828,8 @@ def cross_check(fid: str, lengths: Mapping[str, RationalLike]) -> CrossCheckRepo
     """Engine result vs closed form, field by field, exact equality."""
     spec = family(fid)
     p = _coerce_lengths(spec, lengths)
-    engine = invariant_set(spec.builder(p))
-    closed = closed_form(fid, p)
+    engine = invariant_set(_build(spec, p))
+    closed = _closed_form(spec, p)
     mismatches = []
     for label, got, want in [
         ("ell", engine.ell, closed.ell),

@@ -12,7 +12,10 @@ the package implementation uses:
 * tau via floating-point quadrature of the defining integral instead of the
   per-edge closed form;
 * polynomials as dicts from exponent tuples to ``Fraction`` instead of
-  packed integer monomials with ``int`` coefficients.
+  packed integer monomials with ``int`` coefficients;
+* the stable weighted graphs of a given total genus by brute force over
+  multigraphs, with canonical forms over every vertex permutation, instead
+  of the catalog's hand-written topology table.
 
 They are only meant for small graphs; enumeration is exponential in the edge
 count and the dense inverse is cubic in the vertex count.
@@ -21,7 +24,7 @@ count and the dense inverse is cubic in the vertex count.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from pmgraph import PmGraph, resistance_matrix, subdivide
 from pmgraph.polynomials import VARIABLES
@@ -216,6 +219,59 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
         integral += 2 * sum(squares[2:-2:2])
         total += integral * h / 3
     return total / 4.0
+
+
+def _canonical(weights, pairs):
+    """Smallest (weights, sorted edge pairs) over every vertex relabelling."""
+    return min(
+        (
+            tuple(weights[i] for i in perm),
+            tuple(sorted(tuple(sorted((where[u], where[v]))) for u, v in pairs)),
+        )
+        for perm in permutations(range(len(weights)))
+        for where in [{old: new for new, old in enumerate(perm)}]
+    )
+
+
+def stable_type(g: PmGraph):
+    """Isomorphism class of ``g`` as a vertex-weighted multigraph (lengths dropped)."""
+    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    return _canonical(
+        [v.q for v in g.vertices], [(index[e.u], index[e.v]) for e in g.edges]
+    )
+
+
+def stable_types(total_genus: int, max_vertices: int = 4, max_edges: int = 6) -> set:
+    """Every connected stable weighted multigraph of the given total genus.
+
+    Loops are allowed; stability is ``2 q(p) - 2 + val(p) > 0`` at every
+    vertex.  The default bounds fit total genus 3, where a stable graph has
+    at most 2g - 2 = 4 vertices and 3g - 3 = 6 edges.
+    """
+    found = set()
+    for n in range(1, max_vertices + 1):
+        slots = [(i, j) for i in range(n) for j in range(i, n)]
+        for m in range(max_edges + 1):
+            cycle_rank = m - n + 1
+            if not 0 <= cycle_rank <= total_genus:
+                continue
+            for pairs in combinations_with_replacement(slots, m):
+                reached = {0}
+                for _ in range(n):
+                    reached |= {w for u, v in pairs if {u, v} & reached for w in (u, v)}
+                if len(reached) != n:
+                    continue
+                valence = [0] * n
+                for u, v in pairs:
+                    valence[u] += 1
+                    valence[v] += 1
+                spare = total_genus - cycle_rank
+                for weights in product(range(spare + 1), repeat=n):
+                    if sum(weights) == spare and all(
+                        2 * q - 2 + val > 0 for q, val in zip(weights, valence)
+                    ):
+                        found.add(_canonical(weights, pairs))
+    return found
 
 
 class RefPolynomial:

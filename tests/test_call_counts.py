@@ -18,6 +18,7 @@ from pmgraph import (
     bound_table,
     build,
     classify_edges,
+    cross_check,
     delta,
     engine_ratios,
     family,
@@ -80,6 +81,21 @@ def test_verify_bounds_draws_each_sample_once(counts):
         "validate": 4 + counts["validate"],
         "_factor": 4 + counts["_factor"],
     }
+
+
+@pytest.mark.parametrize("entry", [build, cross_check], ids=lambda f: f.__name__)
+def test_catalog_entry_checks_lengths_once(entry, monkeypatch):
+    catalog = importlib.import_module("pmgraph.catalog")
+    calls = []
+    original = catalog._coerce_lengths
+
+    def counted(spec, lengths):
+        calls.append(spec.id)
+        return original(spec, lengths)
+
+    monkeypatch.setattr(catalog, "_coerce_lengths", counted)
+    entry("g3.XIV", {name: 1 for name in "abcdef"})
+    assert calls == ["g3.XIV"]
 
 
 def _one_pass_per_row(spec, samples, seed):

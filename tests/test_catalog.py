@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from oracles import stable_type, stable_types
 
 from pmgraph import (
     ParameterError,
+    PmGraph,
     UnknownFamilyError,
     build,
     check_family,
@@ -94,8 +96,9 @@ class TestClosedForms:
         assert inv.phi == 0
 
     def test_identical_presentation_pairs(self):
-        # three catalog entries appear twice with distinct drawings but the
-        # same underlying metric graph; their rows must agree identically
+        # three pairs of distinct topologies whose table rows coincide (the
+        # _cf_* aliases): g1.VII is a star and g1.VIII a path, g2.XII has a
+        # pendant leaf and g2.XI has none, g1.III and g1.IV differ in weights
         rng = random.Random(99)
         for left, right in (
             ("g1.III", "g1.IV"),
@@ -123,6 +126,72 @@ class TestClosedForms:
         inv = closed_form("g3.IX", lengths)
         assert inv.tau == Fraction(7, 20)
         assert inv.tau == invariant_set(build("g3.IX", lengths)).tau
+
+    def test_g2_x_is_g2_vi_relabelled(self):
+        # VI's a, b, c, d are X's d, a, b, c
+        vi = build("g2.VI", {"a": 2, "b": 3, "c": 5, "d": 7})
+        x = build("g2.X", {"d": 2, "a": 3, "b": 5, "c": 7})
+        assert vi.vertices == x.vertices
+        assert [(e.u, e.v, e.length) for e in vi.edges] == [
+            (e.u, e.v, e.length) for e in x.edges
+        ]
+        rng = random.Random(61)
+        for _ in range(10):
+            p = random_lengths("abcd", rng)
+            relabelled = {"d": p["a"], "a": p["b"], "b": p["c"], "c": p["d"]}
+            assert closed_form("g2.VI", p) == closed_form("g2.X", relabelled)
+
+
+def _cycle_rank(key):
+    weights, pairs = key
+    return len(pairs) - len(weights) + 1
+
+
+class TestStableTypes:
+    """The catalog against a brute-force enumeration of stable types."""
+
+    @pytest.fixture(scope="class")
+    def genus3(self):
+        return stable_types(3)
+
+    @pytest.fixture(scope="class")
+    def by_type(self):
+        rng = random.Random(11)
+        found = {}
+        for fid in list_families():
+            g = build(fid, random_lengths(family(fid).params, rng))
+            found.setdefault(stable_type(g), []).append(fid)
+        return found
+
+    def test_known_counts(self, genus3):
+        assert len(stable_types(2)) == 7
+        assert len(genus3) == 42
+        ranks = [_cycle_rank(key) for key in genus3]
+        assert [ranks.count(g) for g in range(4)] == [4, 9, 14, 15]
+
+    def test_every_family_is_a_stable_type(self, genus3, by_type):
+        assert set(by_type) <= genus3
+
+    def test_g2_vi_and_g2_x_are_the_only_shared_type(self, by_type):
+        assert [fids for fids in by_type.values() if len(fids) > 1] == [
+            ["g2.VI", "g2.X"]
+        ]
+
+    def test_exactly_two_types_are_uncovered(self, genus3, by_type):
+        # a loop at X, a bridge X-Y, two arcs Y-Z with q(Z) = 1
+        banana_tail = PmGraph.build(
+            ["X", "Y", ("Z", 1)],
+            [("a", "X", "X", 1), ("b", "X", "Y", 1),
+             ("c", "Y", "Z", 1), ("d", "Y", "Z", 1)],
+        )
+        # a weight-0 centre with three bridges, each ending in a loop
+        three_loops = PmGraph.build(
+            ["W", "X", "Y", "Z"],
+            [("a", "W", "X", 1), ("b", "W", "Y", 1), ("c", "W", "Z", 1),
+             ("d", "X", "X", 1), ("e", "Y", "Y", 1), ("f", "Z", "Z", 1)],
+        )
+        uncovered = genus3 - set(by_type)
+        assert uncovered == {stable_type(banana_tail), stable_type(three_loops)}
 
 
 class TestCrossCheck:

@@ -25,6 +25,10 @@ edge f 3 4 1
 """
 
 
+# distinct lengths, so a parameter wired to the wrong edge changes the output
+EVAL_LENGTHS = {"a": 2, "b": 3, "c": 5, "d": 7, "e": 11, "f": 13}
+
+
 @pytest.fixture
 def runner():
     return CliRunner()
@@ -132,6 +136,25 @@ class TestCatalog:
         lines = [l for l in result.output.splitlines() if l.strip()]
         assert len(lines) == 41
         assert any(line.startswith("g3.XIV") for line in lines)
+
+    def test_list_and_eval_output_is_pinned(self, runner):
+        # vertex order and weights, edge order, endpoints, which parameter
+        # goes to which edge, descriptions and the closed-form header
+        listed = runner.invoke(main, ["catalog", "list"])
+        assert listed.exit_code == 0
+        outputs = [listed.stdout_bytes]
+        for line in listed.output.splitlines():
+            fid, _genus, params = line.split()[:3]
+            args = ["catalog", "eval", fid]
+            names = params.removeprefix("params=")
+            if names != "-":
+                shown = ",".join(f"{n}={EVAL_LENGTHS[n]}" for n in names.split(","))
+                args += ["--lengths", shown]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, fid
+            outputs.append(result.stdout_bytes)
+        expected = (Path(__file__).parent / "data" / "catalog_eval.txt").read_bytes()
+        assert b"".join(outputs) == expected
 
     def test_eval_round_trip(self, runner, tmp_path):
         result = runner.invoke(

@@ -514,7 +514,7 @@ def _cf_g3_IX(p: Lengths) -> ClosedRow:
     # contradicts both delta_1 = 0 and the family's phi entry; the value below
     # is the one forced by the topology (loop + theta with arcs d, e, b+c) and
     # it reproduces the printed phi exactly.  See the recorded discrepancy
-    # probe "table6_row9_as_printed" in pmgraph.identities.
+    # probe "g3_IX_tau_as_printed" in pmgraph.identities.
     b, c, d, e = p["b"], p["c"], p["d"], p["e"]
     ell = p["a"] + b + c + d + e
     den = d * e + (b + c) * (d + e)
@@ -762,7 +762,7 @@ def _coerce_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Le
     for name in spec.params:
         try:
             value = as_rational(lengths[name])
-        except (ValueError, ZeroDivisionError):
+        except (TypeError, ValueError, ZeroDivisionError):
             raise ParameterError(
                 f"{spec.id}: cannot parse parameter {name}={lengths[name]!r}"
             ) from None
@@ -848,19 +848,9 @@ def cross_check(fid: str, lengths: Mapping[str, RationalLike]) -> CrossCheckRepo
     return CrossCheckReport(fid, p, engine, closed, tuple(mismatches))
 
 
-def random_lengths(
-    params: Sequence[str],
-    rng: random.Random,
-    max_numerator: int = 64,
-    max_denominator: int = 64,
-) -> Lengths:
-    """Strictly positive rational lengths with bounded numerator/denominator."""
-    return {
-        name: Fraction(
-            rng.randint(1, max_numerator), rng.randint(1, max_denominator)
-        )
-        for name in params
-    }
+def random_lengths(params: Sequence[str], rng: random.Random) -> Lengths:
+    """Strictly positive rational lengths, numerator and denominator in 1..64."""
+    return {name: Fraction(rng.randint(1, 64), rng.randint(1, 64)) for name in params}
 
 
 def check_family(

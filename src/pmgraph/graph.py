@@ -44,12 +44,15 @@ def as_rational(value: RationalLike) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction (never via float).
 
     Every length literal from outside the program (graph files, JSON,
-    ``--lengths``) comes through here.  A string whose decimal exponent
+    ``--lengths``) comes through here.  Any other type, ``bool`` and
+    ``float`` included, raises ``TypeError``.  A string whose decimal exponent
     exceeds :data:`MAX_DECIMAL_EXPONENT` in magnitude raises ``ValueError``
     before any digit of its value is built.
     """
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise TypeError(f"{value!r} is not an int, str or Fraction")
     if isinstance(value, str):
         match = _EXPONENT.search(value)
         if match:
@@ -59,6 +62,14 @@ def as_rational(value: RationalLike) -> Fraction:
                     f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
                 )
     return Fraction(value)
+
+
+def as_weight(value: Union[int, str, Fraction]) -> int:
+    """Coerce a vertex weight to ``int`` exactly; a non-integer raises, never truncates."""
+    weight = as_rational(value)
+    if weight.denominator != 1:
+        raise ValueError(f"weight {value!r} is not an integer")
+    return int(weight)
 
 
 @dataclass(frozen=True)
@@ -105,9 +116,9 @@ class PmGraph:
         """Convenience constructor coercing loose vertex/edge specs.
 
         Vertices may be given as ``"id"``, ``("id", q)`` or :class:`Vertex`;
-        edges as ``("id", u, v, length)`` or :class:`Edge` (lengths are
-        coerced through :class:`Fraction`, so ``"5/3"`` and ``"2.5"`` stay
-        exact).
+        edges as ``("id", u, v, length)`` or :class:`Edge` (lengths go
+        through :func:`as_rational`, so ``"5/3"`` and ``"2.5"`` stay exact
+        and a float raises; weights go through :func:`as_weight`).
         """
         vs: list[Vertex] = []
         for spec in vertices:
@@ -117,7 +128,7 @@ class PmGraph:
                 vs.append(Vertex(spec, 0))
             else:
                 name, q = spec
-                vs.append(Vertex(name, int(q)))
+                vs.append(Vertex(name, as_weight(q)))
         es: list[Edge] = []
         for spec in edges:
             if isinstance(spec, Edge):
@@ -184,16 +195,14 @@ class ValidationReport:
     problems: tuple[str, ...] = field(default_factory=tuple)
 
 
-def connected_components(
-    g: PmGraph, skip_edges: frozenset[str] = frozenset()
-) -> list[set[str]]:
-    """Vertex sets of the connected components, ignoring ``skip_edges``.
+def connected_components(g: PmGraph) -> list[set[str]]:
+    """Vertex sets of the connected components.
 
     Deterministic: components are reported in order of their first vertex.
     """
     adjacency: dict[str, list[str]] = {v.id: [] for v in g.vertices}
     for e in g.edges:
-        if e.id in skip_edges or e.is_loop:
+        if e.is_loop:
             continue
         if e.u in adjacency and e.v in adjacency:
             adjacency[e.u].append(e.v)
@@ -402,12 +411,10 @@ def scaled(g: PmGraph, factor: RationalLike) -> PmGraph:
     )
 
 
-def one_point_union(
-    g1: PmGraph, g2: PmGraph, at1: str, at2: str, rename_suffix: str = "'"
-) -> PmGraph:
+def one_point_union(g1: PmGraph, g2: PmGraph, at1: str, at2: str) -> PmGraph:
     """Glue ``g2`` onto ``g1`` by identifying vertex ``at2`` with ``at1``.
 
-    Vertex and edge ids of ``g2`` get ``rename_suffix`` appended until they
+    Vertex and edge ids of ``g2`` get ``'`` appended until they
     are free, so arbitrary pairs of graphs can be joined.  The merged vertex
     keeps ``q = q1 + q2``, which preserves validity of the union.
     """
@@ -419,7 +426,7 @@ def one_point_union(
             continue
         name = v.id
         while name in taken_v:
-            name += rename_suffix
+            name += "'"
         v_rename[v.id] = name
         taken_v.add(name)
     taken_e = {e.id for e in g1.edges}
@@ -434,7 +441,7 @@ def one_point_union(
     for e in g2.edges:
         name = e.id
         while name in taken_e:
-            name += rename_suffix
+            name += "'"
         taken_e.add(name)
         edges.append(Edge(name, v_rename[e.u], v_rename[e.v], e.length))
     return PmGraph(tuple(vertices), tuple(edges))

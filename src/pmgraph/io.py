@@ -18,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping
 
-from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational
+from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational, as_weight
 
 
 class ParseError(PmGraphError):
@@ -167,7 +167,7 @@ def graph_to_json_dict(g: PmGraph) -> dict:
 
 
 def graph_from_json_dict(data: Mapping) -> PmGraph:
-    vertices = tuple(Vertex(v["id"], int(v.get("q", 0))) for v in data["vertices"])
+    vertices = tuple(Vertex(v["id"], as_weight(v.get("q", 0))) for v in data["vertices"])
     edges = tuple(
         Edge(e["id"], e["u"], e["v"], as_rational(e["length"])) for e in data["edges"]
     )

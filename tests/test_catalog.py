@@ -54,6 +54,9 @@ class TestRegistry:
             build("g1.I", {"a": 0})  # nonpositive
         with pytest.raises(ParameterError):
             build("g1.I", {"a": "one"})  # unparseable
+        for value in (0.1, None, float("inf"), float("nan"), True):
+            with pytest.raises(ParameterError):
+                build("g1.I", {"a": value})  # not int, str or Fraction
 
     def test_every_family_is_valid_and_total_genus_3(self):
         rng = random.Random(7)

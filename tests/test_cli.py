@@ -28,6 +28,17 @@ edge f 3 4 1
 # distinct lengths, so a parameter wired to the wrong edge changes the output
 EVAL_LENGTHS = {"a": 2, "b": 3, "c": 5, "d": 7, "e": 11, "f": 13}
 
+# ``verify identities`` output split into one block per certificate: a
+# status line and, for a failing one, its indented detail lines
+IDENTITY_BLOCKS = {
+    match.group(1): match.group(0)
+    for match in re.finditer(
+        r"^(?:PASS|FAIL)  (\S+).*\n(?:      .*\n)*",
+        (Path(__file__).parent / "data" / "verify_identities.txt").read_text(),
+        re.MULTILINE,
+    )
+}
+
 
 @pytest.fixture
 def runner():
@@ -290,6 +301,22 @@ class TestVerify:
     def test_identities_unknown_name(self, runner):
         result = runner.invoke(main, ["verify", "identities", "--name", "x"])
         assert result.exit_code == 2
+
+    def test_identity_blocks_cover_the_registry(self):
+        assert len(IDENTITY_BLOCKS) == 29
+
+    @pytest.mark.parametrize("name", IDENTITY_BLOCKS)
+    def test_identities_single_output_is_pinned(self, runner, name):
+        # probes fail by design, so every name exits 0
+        result = runner.invoke(main, ["verify", "identities", "--name", name])
+        assert result.exit_code == 0
+        assert result.stdout_bytes == IDENTITY_BLOCKS[name].encode()
+
+    def test_identities_unknown_name_output_is_pinned(self, runner):
+        result = runner.invoke(main, ["verify", "identities", "--name", "nope"])
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert "unknown identity 'nope'" in result.output
 
     def test_bounds(self, runner):
         result = runner.invoke(

@@ -222,15 +222,10 @@ class TestScaledAndUnion:
 
 
 class TestComponents:
-    def test_skip_edges(self, k4_unit):
+    def test_components_in_first_vertex_order(self, k4_unit):
         assert len(connected_components(k4_unit)) == 1
-        parts = connected_components(
-            k4_unit, skip_edges=frozenset({"a", "b", "c"})
-        )
-        assert {frozenset(p) for p in parts} == {
-            frozenset({"1"}),
-            frozenset({"2", "3", "4"}),
-        }
+        g = PmGraph.build(["1", "2", "3", "4"], [("a", "2", "4", 1), ("l", "3", "3", 1)])
+        assert connected_components(g) == [{"1"}, {"2", "4"}, {"3"}]
 
 
 class TestNormalizeWalk:

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +12,18 @@ from pmgraph import (
 )
 
 ONES = {v: 1 for v in "abcdef"}
+RECORDS = Path(__file__).parent / "data" / "identity_records.txt"
+
+
+def _record(cert) -> str:
+    # every field of a certificate, passing components included: the CLI
+    # prints only the failing ones
+    lines = [f"name: {cert.name}", f"probe: {cert.probe}", f"passed: {cert.passed}"]
+    for comp in cert.components:
+        lines += [f"  label: {comp.label}", f"    passed: {comp.passed}",
+                  f"    detail: {comp.detail!r}"]
+    lines.append(f"witness: {cert.witness!r}")
+    return "\n".join(lines) + "\n"
 
 
 class TestNamedPolynomials:
@@ -110,3 +123,8 @@ class TestCertificates:
         assert "7/20" in by_name["g3_IX_tau_as_printed"].witness
         assert "-480" in by_name["ineq8_as_printed"].witness
         assert "-10/9" in by_name["ineq9_line1_as_printed"].witness
+
+    def test_every_record_is_pinned(self):
+        # names, order, labels, details and witnesses of all 29 entries
+        text = "".join(_record(cert) for cert in verify_all())
+        assert text.encode() == RECORDS.read_bytes()

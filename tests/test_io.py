@@ -4,6 +4,7 @@ import pytest
 
 from pmgraph import (
     ParseError,
+    PmGraph,
     as_rational,
     graph_from_json_dict,
     graph_to_json_dict,
@@ -93,6 +94,29 @@ class TestParse:
         assert parse_graph(f"vertex a q=2\nedge l a a {token}\n").edge("l").length == value
         assert as_rational(token) == value
         assert graph_from_json_dict(_loop_json(token)).edge("l").length == value
+
+    @pytest.mark.parametrize("value", [0.1, 2.5, float("inf"), None, True])
+    def test_lengths_of_other_types_are_rejected(self, value):
+        # a float never enters, not even one that is exactly representable
+        with pytest.raises(TypeError):
+            as_rational(value)
+        with pytest.raises(TypeError):
+            graph_from_json_dict(_loop_json(value))
+        with pytest.raises(TypeError):
+            PmGraph.build([("a", 2)], [("l", "a", "a", value)])
+
+    @pytest.mark.parametrize("weight", [2.9, Fraction(5, 2), "5/2", None])
+    def test_non_integer_weight_is_rejected_not_truncated(self, weight):
+        with pytest.raises((TypeError, ValueError)):
+            graph_from_json_dict({"vertices": [{"id": "a", "q": weight}], "edges": []})
+        with pytest.raises((TypeError, ValueError)):
+            PmGraph.build([("a", weight)], [])
+
+    @pytest.mark.parametrize("weight", [2, Fraction(4, 2), "2"])
+    def test_integral_weight_is_kept(self, weight):
+        data = {"vertices": [{"id": "a", "q": weight}], "edges": []}
+        assert graph_from_json_dict(data).q("a") == 2
+        assert PmGraph.build([("a", weight)], []).q("a") == 2
 
     @pytest.mark.parametrize(
         "text, message",

@@ -29,11 +29,6 @@ from typing import Mapping, Optional
 from . import catalog
 from .invariants import _reduced, _tau, _theta, _zhang
 
-RATIO_INVARIANTS = ("tau", "phi", "lambda", "epsilon")
-
-# ClosedRow position of each bounded invariant
-_ROW_INDEX = {"tau": 0, "phi": 3, "lambda": 4, "epsilon": 5}
-
 
 @dataclass(frozen=True)
 class Witness:
@@ -147,11 +142,11 @@ def bound_table() -> list[BoundSpec]:
 
 def matching_families(spec: BoundSpec) -> list[str]:
     """Catalog families covered by a spec, zero-length family excluded."""
-    return [
-        fid
-        for fid in catalog.list_families()
-        if spec.matches(fid) and not catalog.family(fid).degenerate
-    ]
+    return [fid for fid in catalog.list_families() if _covers(spec, fid)]
+
+
+def _covers(spec: BoundSpec, fid: str) -> bool:
+    return spec.matches(fid) and not catalog.family(fid).degenerate
 
 
 def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
@@ -175,10 +170,8 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
 
 def closed_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the family's closed form; tolerates boundary zeros."""
-    spec = catalog.family(fid)
-    row = spec.closed(dict(lengths))
-    ell = sum(lengths.values(), Fraction(0))
-    return row[_ROW_INDEX[invariant]] / ell
+    closed = catalog._closed_form(catalog.family(fid), dict(lengths))
+    return closed.by_name(invariant) / closed.ell
 
 
 def sample_check(
@@ -310,11 +303,12 @@ def verify_bounds(
 ) -> list[tuple[SampleReport, Optional[WitnessReport]]]:
     """Run sample and witness checks for every bound row.
 
-    ``family`` restricts the table to rows whose selector covers that family.
+    ``family`` restricts the table to the rows covering that family in the
+    sense of :func:`matching_families`, so no row covers ``g0.I``.
     Each covered family is sampled in one seeded pass shared by its rows.
     """
     specs = [
-        spec for spec in bound_table() if family is None or spec.matches(family)
+        spec for spec in bound_table() if family is None or _covers(spec, family)
     ]
     if not specs:
         raise catalog.UnknownFamilyError(

@@ -10,6 +10,15 @@ are rational expressions in the edge lengths; the engine in
 :func:`cross_check` a meaningful test: the two routes share no code beyond
 Fraction arithmetic.
 
+Every closed-form row (tau, theta, delta1, phi, lambda, epsilon) is a sum of
+five parts, and :func:`_row` writes each part's coefficients once, as
+literals: the total length ``ell``, the bridge length ``s`` (which is
+delta1), a banana part ``h`` (``uv/(u+v)`` for two arcs in parallel), a
+theta part ``t`` (``abc/(ab+ac+bc)`` for three) and a four-arc part ``x``
+(the same for four).  A row says only which parts its family has; the
+families g3.II, VIII, IX, XIII and XIV build theirs, as quotients of
+spanning-tree polynomials, in a function of their own.
+
 Families are grouped by the Betti number ``g`` of the graph (the vertex
 weights always top the total genus up to 3): 4 families with ``g = 0``,
 9 with ``g = 1``, 14 with ``g = 2`` and 14 with ``g = 3``.  Ids look like
@@ -24,7 +33,7 @@ have no row: a loop, a bridge and two arcs to a weight-1 vertex (``g = 2``),
 and a weight-0 centre with three bridges, each ending in a loop (``g = 3``).
 
 One deliberate deviation from the source tables is documented at
-:func:`_cf_g3_IX`.
+:func:`_g3_IX`.
 """
 
 from __future__ import annotations
@@ -80,417 +89,73 @@ class FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# closed forms, transcribed row by row; each returns
-# (tau, theta, delta1, phi, lambda, epsilon)
+# closed forms: every row is ``_row`` of its family's parts
 
 
-def _row_tree(ell: Fraction) -> ClosedRow:
-    # every g = 0 family shares one row: tree graphs, all edges of type 1
-    return (
-        ell / 4,
-        6 * ell,
-        ell,
-        Fraction(4, 3) * ell,
-        Fraction(2, 7) * ell,
-        Fraction(5, 3) * ell,
-    )
+_0 = Fraction(0)
 
 
-def _cf_g0_I(p: Lengths) -> ClosedRow:
-    z = Fraction(0)
-    return (z, z, z, z, z, z)
+def _row(
+    p: Lengths, s: Fraction = _0, h: Fraction = _0, t: Fraction = _0, x: Fraction = _0
+) -> ClosedRow:
+    # (tau, theta, delta1, phi, lambda, epsilon) of a family with lengths
+    # ``p``: the total length's terms plus, for each nonzero part, its own
+    # literal coefficients.  ``s`` is the bridge length (delta1), ``h`` the
+    # banana part, ``t`` the theta part and ``x`` the four-arc part.
+    ell = sum(p.values(), _0)
+    tau, theta, phi, lam, eps = ell / 12, _0, ell / 9, 3 * ell / 28, 2 * ell / 9
+    if s:
+        tau += s / 6
+        theta += 6 * s
+        phi += 11 * s / 9
+        lam += 5 * s / 28
+        eps += 13 * s / 9
+    if h:
+        theta += 8 * h
+        phi += 2 * h / 3
+        lam += h / 7
+        eps += 4 * h / 3
+    if t:
+        tau -= t / 6
+        theta += 6 * t
+        phi -= 2 * t / 9
+        lam += t / 28
+        eps += 5 * t / 9
+    if x:
+        tau -= x / 3
+        theta += 8 * x
+        phi -= 7 * x / 9
+        eps += 4 * x / 9
+    return tau, theta, s, phi, lam, eps
 
 
-def _cf_g0_II(p: Lengths) -> ClosedRow:
-    return _row_tree(p["a"])
+def _par(u: Fraction, v: Fraction) -> Fraction:
+    # two arcs in parallel: the banana part
+    return u * v / (u + v)
 
 
-def _cf_g0_III(p: Lengths) -> ClosedRow:
-    return _row_tree(p["a"] + p["b"])
+def _par3(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
+    # three arcs in parallel: the theta part
+    return a * b * c / (a * b + a * c + b * c)
 
 
-def _cf_g0_IV(p: Lengths) -> ClosedRow:
-    return _row_tree(p["a"] + p["b"] + p["c"])
-
-
-def _cf_g1_I(p: Lengths) -> ClosedRow:
-    ell = p["a"]
-    return (
-        ell / 12,
-        Fraction(0),
-        Fraction(0),
-        ell / 9,
-        Fraction(3, 28) * ell,
-        Fraction(2, 9) * ell,
-    )
-
-
-def _cf_g1_II(p: Lengths) -> ClosedRow:
-    a, b = p["a"], p["b"]
-    ell = a + b
-    h = a * b / (a + b)
-    return (
-        ell / 12,
-        8 * h,
-        Fraction(0),
-        ell / 9 + 2 * h / 3,
-        Fraction(3, 28) * ell + h / 7,
-        Fraction(2, 9) * ell + 4 * h / 3,
-    )
-
-
-def _cf_g1_III(p: Lengths) -> ClosedRow:
-    a = p["a"]
-    ell = a + p["b"]
-    return (
-        ell / 12 + a / 6,
-        6 * a,
-        a,
-        ell / 9 + 11 * a / 9,
-        Fraction(3, 28) * ell + 5 * a / 28,
-        Fraction(2, 9) * ell + 13 * a / 9,
-    )
-
-
-_cf_g1_IV = _cf_g1_III  # identical table row; distinct topology
-
-
-def _cf_g1_V(p: Lengths) -> ClosedRow:
-    a, b, c = p["a"], p["b"], p["c"]
-    ell = a + b + c
-    return (
-        ell / 12 + a / 6,
-        6 * a + 8 * b * c / (b + c),
-        a,
-        ell / 9 + (6 * b * c + 11 * a * (b + c)) / (9 * (b + c)),
-        Fraction(3, 28) * ell + (4 * b * c + 5 * a * (b + c)) / (28 * (b + c)),
-        Fraction(2, 9) * ell + (12 * b * c + 13 * a * (b + c)) / (9 * (b + c)),
-    )
-
-
-def _cf_g1_VI(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    s = a + b
-    return (
-        ell / 12 + s / 6,
-        6 * s + 8 * c * d / (c + d),
-        s,
-        ell / 9 + (6 * c * d + 11 * s * (c + d)) / (9 * (c + d)),
-        Fraction(3, 28) * ell + (4 * c * d + 5 * s * (c + d)) / (28 * (c + d)),
-        Fraction(2, 9) * ell + (12 * c * d + 13 * s * (c + d)) / (9 * (c + d)),
-    )
-
-
-def _cf_g1_VII(p: Lengths) -> ClosedRow:
-    a, b, c = p["a"], p["b"], p["c"]
-    ell = a + b + c
-    s = a + b
-    return (
-        ell / 12 + s / 6,
-        6 * s,
-        s,
-        ell / 9 + 11 * s / 9,
-        Fraction(3, 28) * ell + 5 * s / 28,
-        Fraction(2, 9) * ell + 13 * s / 9,
-    )
-
-
-_cf_g1_VIII = _cf_g1_VII  # identical table row; distinct topology
-
-
-def _cf_g1_IX(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    s = a + b + c
-    return (
-        ell / 12 + s / 6,
-        6 * s,
-        s,
-        ell / 9 + 11 * s / 9,
-        Fraction(3, 28) * ell + 5 * s / 28,
-        Fraction(2, 9) * ell + 13 * s / 9,
-    )
-
-
-def _cf_g2_I(p: Lengths) -> ClosedRow:
-    ell = p["a"] + p["b"]
-    return (
-        ell / 12,
-        Fraction(0),
-        Fraction(0),
-        ell / 9,
-        Fraction(3, 28) * ell,
-        Fraction(2, 9) * ell,
-    )
-
-
-def _cf_g2_II(p: Lengths) -> ClosedRow:
-    a, b, c = p["a"], p["b"], p["c"]
-    ell = a + b + c
-    h = b * c / (b + c)
-    return (
-        ell / 12,
-        8 * h,
-        Fraction(0),
-        ell / 9 + 2 * h / 3,
-        Fraction(3, 28) * ell + h / 7,
-        Fraction(2, 9) * ell + 4 * h / 3,
-    )
-
-
-def _cf_g2_III(p: Lengths) -> ClosedRow:
-    a, b, c = p["a"], p["b"], p["c"]
-    ell = a + b + c
-    s = a * b + a * c + b * c
-    return (
-        ell / 12 - a * b * c / (6 * s),
-        6 * a * b * c / s,
-        Fraction(0),
-        ell / 9 - 2 * a * b * c / (9 * s),
-        Fraction(3, 28) * ell + a * b * c / (28 * s),
-        Fraction(2, 9) * ell + 5 * a * b * c / (9 * s),
-    )
-
-
-def _cf_g2_IV(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
+def _arcs_path(
+    a: Fraction, b: Fraction, c: Fraction, d: Fraction
+) -> dict[str, Fraction]:
+    # arcs a and b in parallel with the path c + d through a vertex with
+    # K != 0: the theta part and the banana part of that subgraph
     w = a * b + (a + b) * (c + d)
-    return (
-        ell / 12 - a * b * (c + d) / (6 * w),
-        (6 * a * b * (c + d) + 8 * (a + b) * c * d) / w,
-        Fraction(0),
-        ell / 9 + (6 * c * d * (a + b) - 2 * a * b * (c + d)) / (9 * w),
-        Fraction(3, 28) * ell + (4 * c * d * (a + b) + a * b * (c + d)) / (28 * w),
-        Fraction(2, 9) * ell + (12 * c * d * (a + b) + 5 * a * b * (c + d)) / (9 * w),
-    )
+    return {"t": a * b * (c + d) / w, "h": (a + b) * c * d / w}
 
 
-def _cf_g2_V(p: Lengths) -> ClosedRow:
-    c = p["c"]
-    ell = p["a"] + p["b"] + c
-    return (
-        ell / 12 + c / 6,
-        6 * c,
-        c,
-        ell / 9 + 11 * c / 9,
-        Fraction(3, 28) * ell + 5 * c / 28,
-        Fraction(2, 9) * ell + 13 * c / 9,
-    )
-
-
-def _cf_g2_VI(p: Lengths) -> ClosedRow:
+def _g3_II(p: Lengths) -> ClosedRow:
+    # four arcs in parallel
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    return (
-        ell / 12 + d / 6,
-        6 * d + 8 * b * c / (b + c),
-        d,
-        ell / 9 + (6 * b * c + 11 * d * (b + c)) / (9 * (b + c)),
-        Fraction(3, 28) * ell + (4 * b * c + 5 * d * (b + c)) / (28 * (b + c)),
-        Fraction(2, 9) * ell + (12 * b * c + 13 * d * (b + c)) / (9 * (b + c)),
-    )
+    return _row(p, x=a * b * c * d / (b * c * d + a * (c * d + b * (c + d))))
 
 
-def _cf_g2_VII(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    s = a * b + a * c + b * c
-    return (
-        ell / 12 + d / 6 - a * b * c / (6 * s),
-        6 * d + 6 * a * b * c / s,
-        d,
-        ell / 9 + 11 * d / 9 - 2 * a * b * c / (9 * s),
-        Fraction(3, 28) * ell + 5 * d / 28 + a * b * c / (28 * s),
-        Fraction(2, 9) * ell + 13 * d / 9 + 5 * a * b * c / (9 * s),
-    )
-
-
-def _cf_g2_VIII(p: Lengths) -> ClosedRow:
+def _g3_VIII(p: Lengths) -> ClosedRow:
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    ell = a + b + c + d + e
-    w = a * b + (a + b) * (c + d)
-    return (
-        ell / 12 + e / 6 - a * b * (c + d) / (6 * w),
-        6 * e + (6 * a * b * (c + d) + 8 * (a + b) * c * d) / w,
-        e,
-        (ell + 11 * e) / 9 + (6 * c * d * (a + b) - 2 * a * b * (c + d)) / (9 * w),
-        (3 * ell + 5 * e) / 28 + (4 * c * d * (a + b) + a * b * (c + d)) / (28 * w),
-        (2 * ell + 13 * e) / 9 + (12 * c * d * (a + b) + 5 * a * b * (c + d)) / (9 * w),
-    )
-
-
-def _cf_g2_IX(p: Lengths) -> ClosedRow:
-    b = p["b"]
-    ell = p["a"] + b + p["c"]
-    return (
-        ell / 12 + b / 6,
-        6 * b,
-        b,
-        ell / 9 + 11 * b / 9,
-        Fraction(3, 28) * ell + 5 * b / 28,
-        Fraction(2, 9) * ell + 13 * b / 9,
-    )
-
-
-def _cf_g2_X(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    return (
-        ell / 12 + c / 6,
-        6 * c + 8 * a * b / (a + b),
-        c,
-        ell / 9 + (6 * a * b + 11 * c * (a + b)) / (9 * (a + b)),
-        Fraction(3, 28) * ell + (4 * a * b + 5 * c * (a + b)) / (28 * (a + b)),
-        Fraction(2, 9) * ell + (12 * a * b + 13 * c * (a + b)) / (9 * (a + b)),
-    )
-
-
-def _cf_g2_XI(p: Lengths) -> ClosedRow:
-    c, d = p["c"], p["d"]
-    ell = p["a"] + p["b"] + c + d
-    s = c + d
-    return (
-        ell / 12 + s / 6,
-        6 * s,
-        s,
-        ell / 9 + 11 * s / 9,
-        Fraction(3, 28) * ell + 5 * s / 28,
-        Fraction(2, 9) * ell + 13 * s / 9,
-    )
-
-
-_cf_g2_XII = _cf_g2_XI  # identical table row; distinct topology
-
-
-def _cf_g2_XIII(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d + p["e"]
-    s = c + d
-    return (
-        ell / 12 + s / 6,
-        6 * s + 8 * a * b / (a + b),
-        s,
-        ell / 9 + (6 * a * b + 11 * (a + b) * s) / (9 * (a + b)),
-        Fraction(3, 28) * ell + (4 * a * b + 5 * (a + b) * s) / (28 * (a + b)),
-        Fraction(2, 9) * ell + (12 * a * b + 13 * (a + b) * s) / (9 * (a + b)),
-    )
-
-
-def _cf_g2_XIV(p: Lengths) -> ClosedRow:
-    c, d, e = p["c"], p["d"], p["e"]
-    ell = p["a"] + p["b"] + c + d + e
-    s = c + d + e
-    return (
-        ell / 12 + s / 6,
-        6 * s,
-        s,
-        ell / 9 + 11 * s / 9,
-        Fraction(3, 28) * ell + 5 * s / 28,
-        Fraction(2, 9) * ell + 13 * s / 9,
-    )
-
-
-def _cf_g3_I(p: Lengths) -> ClosedRow:
-    ell = p["a"] + p["b"] + p["c"]
-    return (
-        ell / 12,
-        Fraction(0),
-        Fraction(0),
-        ell / 9,
-        Fraction(3, 28) * ell,
-        Fraction(2, 9) * ell,
-    )
-
-
-def _cf_g3_II(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d
-    e3 = b * c * d + a * (c * d + b * (c + d))
-    prod = a * b * c * d
-    return (
-        ell / 12 - prod / (3 * e3),
-        8 * prod / e3,
-        Fraction(0),
-        ell / 9 - 7 * prod / (9 * e3),
-        Fraction(3, 28) * ell,
-        Fraction(2, 9) * ell + 4 * prod / (9 * e3),
-    )
-
-
-def _cf_g3_III(p: Lengths) -> ClosedRow:
-    a, b, c = p["a"], p["b"], p["c"]
-    ell = a + b + c + p["d"]
-    s = a * b + a * c + b * c
-    return (
-        ell / 12 - a * b * c / (6 * s),
-        6 * a * b * c / s,
-        Fraction(0),
-        ell / 9 - 2 * a * b * c / (9 * s),
-        Fraction(3, 28) * ell + a * b * c / (28 * s),
-        Fraction(2, 9) * ell + 5 * a * b * c / (9 * s),
-    )
-
-
-def _cf_g3_IV(p: Lengths) -> ClosedRow:
-    c, d = p["c"], p["d"]
-    ell = p["a"] + p["b"] + c + d
-    h = c * d / (c + d)
-    return (
-        ell / 12,
-        8 * h,
-        Fraction(0),
-        ell / 9 + 2 * h / 3,
-        Fraction(3, 28) * ell + h / 7,
-        Fraction(2, 9) * ell + 4 * h / 3,
-    )
-
-
-def _cf_g3_V(p: Lengths) -> ClosedRow:
-    d = p["d"]
-    ell = p["a"] + p["b"] + p["c"] + d
-    return (
-        ell / 12 + d / 6,
-        6 * d,
-        d,
-        ell / 9 + 11 * d / 9,
-        Fraction(3, 28) * ell + 5 * d / 28,
-        Fraction(2, 9) * ell + 13 * d / 9,
-    )
-
-
-def _cf_g3_VI(p: Lengths) -> ClosedRow:
-    d, e = p["d"], p["e"]
-    ell = p["a"] + p["b"] + p["c"] + d + e
-    s = d + e
-    return (
-        ell / 12 + s / 6,
-        6 * s,
-        s,
-        ell / 9 + 11 * s / 9,
-        Fraction(3, 28) * ell + 5 * s / 28,
-        Fraction(2, 9) * ell + 13 * s / 9,
-    )
-
-
-def _cf_g3_VII(p: Lengths) -> ClosedRow:
-    c, d, e = p["c"], p["d"], p["e"]
-    ell = p["a"] + p["b"] + c + d + e
-    h = d * e / (d + e)
-    return (
-        ell / 12 + c / 6,
-        6 * c + 8 * h,
-        c,
-        ell / 9 + 11 * c / 9 + 2 * h / 3,
-        Fraction(3, 28) * ell + 5 * c / 28 + h / 7,
-        Fraction(2, 9) * ell + 13 * c / 9 + 4 * h / 3,
-    )
-
-
-def _cf_g3_VIII(p: Lengths) -> ClosedRow:
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    ell = a + b + c + d + e
     # denominator = complement spanning-tree polynomial of the topology
     den = (
         a * b * d + a * c * d + b * c * d
@@ -498,130 +163,50 @@ def _cf_g3_VIII(p: Lengths) -> ClosedRow:
         + b * d * e + c * d * e
     )
     q = a * (b * c * d + b * c * e + b * d * e + c * d * e)
-    quad = b * c * d * e
-    return (
-        ell / 12 - (q + 2 * quad) / (6 * den),
-        (6 * q + 8 * quad) / den,
-        Fraction(0),
-        ell / 9 - (7 * quad + 2 * q) / (9 * den),
-        Fraction(3, 28) * ell + q / (28 * den),
-        Fraction(2, 9) * ell + (4 * quad + 5 * q) / (9 * den),
-    )
+    return _row(p, t=q / den, x=b * c * d * e / den)
 
 
-def _cf_g3_IX(p: Lengths) -> ClosedRow:
+def _g3_IX(p: Lengths) -> ClosedRow:
     # The tau entry printed in the source table for this family, ell/12 + b/6,
     # contradicts both delta_1 = 0 and the family's phi entry; the value below
     # is the one forced by the topology (loop + theta with arcs d, e, b+c) and
     # it reproduces the printed phi exactly.  See the recorded discrepancy
     # probe "g3_IX_tau_as_printed" in pmgraph.identities.
-    b, c, d, e = p["b"], p["c"], p["d"], p["e"]
-    ell = p["a"] + b + c + d + e
-    den = d * e + (b + c) * (d + e)
-    return (
-        ell / 12 - d * e * (b + c) / (6 * den),
-        (8 * b * c * d + 8 * b * c * e + 6 * b * d * e + 6 * c * d * e) / den,
-        Fraction(0),
-        ell / 9 + (-2 * (b + c) * d * e + 6 * b * c * (d + e)) / (9 * den),
-        Fraction(3, 28) * ell
-        + ((b + c) * d * e + 4 * b * c * (d + e)) / (28 * den),
-        Fraction(2, 9) * ell
-        + (5 * (b + c) * d * e + 12 * b * c * (d + e)) / (9 * den),
-    )
+    return _row(p, **_arcs_path(p["d"], p["e"], p["b"], p["c"]))
 
 
-def _cf_g3_X(p: Lengths) -> ClosedRow:
-    a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    ell = a + b + c + d + p["e"]
-    s = a * b + a * c + b * c
-    return (
-        ell / 12 + d / 6 - a * b * c / (6 * s),
-        6 * d + 6 * a * b * c / s,
-        d,
-        ell / 9 + 11 * d / 9 - 2 * a * b * c / (9 * s),
-        Fraction(3, 28) * ell + 5 * d / 28 + a * b * c / (28 * s),
-        Fraction(2, 9) * ell + 13 * d / 9 + 5 * a * b * c / (9 * s),
-    )
-
-
-def _cf_g3_XI(p: Lengths) -> ClosedRow:
-    c, d, e, f = p["c"], p["d"], p["e"], p["f"]
-    ell = p["a"] + p["b"] + c + d + e + f
-    s = c + d
-    h = e * f / (e + f)
-    return (
-        ell / 12 + s / 6,
-        6 * s + 8 * h,
-        s,
-        ell / 9 + 11 * s / 9 + 2 * h / 3,
-        Fraction(3, 28) * ell + 5 * s / 28 + h / 7,
-        Fraction(2, 9) * ell + 13 * s / 9 + 4 * h / 3,
-    )
-
-
-def _cf_g3_XII(p: Lengths) -> ClosedRow:
-    a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    ell = a + b + c + d + e + p["f"]
-    w = a * b + (a + b) * (c + d)
-    return (
-        ell / 12 + e / 6 - a * b * (c + d) / (6 * w),
-        6 * e
-        + (6 * a * b * c + 6 * a * b * d + 8 * a * c * d + 8 * b * c * d) / w,
-        e,
-        ell / 9 + 11 * e / 9 + (6 * (a + b) * c * d - 2 * a * b * (c + d)) / (9 * w),
-        Fraction(3, 28) * ell + 5 * e / 28
-        + (4 * (a + b) * c * d + a * b * (c + d)) / (28 * w),
-        Fraction(2, 9) * ell + 13 * e / 9
-        + (12 * (a + b) * c * d + 5 * a * b * (c + d)) / (9 * w),
-    )
-
-
-def _cf_g3_XIII(p: Lengths) -> ClosedRow:
+def _g3_XIII(p: Lengths) -> ClosedRow:
     a, b, c, d, e, f = p["a"], p["b"], p["c"], p["d"], p["e"], p["f"]
-    ell = a + b + c + d + e + f
     ca = (
         a * c * d * e + b * c * d * e + a * c * d * f + b * c * d * f
         + a * c * e * f + b * c * e * f + a * d * e * f + b * d * e * f
     )
-    cb = a * b * c * e + a * b * d * e + a * b * c * f + a * b * d * f
-    cc = c * d * e * f
     cd = (
         (a + b) * c * e + (a + b) * d * e + c * d * e
         + (a + b) * c * f + (a + b) * d * f + c * d * f
         + c * e * f + d * e * f
     )
-    return (
-        ell / 12 - (ca + 2 * cc) / (6 * cd),
-        (6 * ca + 8 * cb + 8 * cc) / cd,
-        Fraction(0),
-        ell / 9 - (2 * ca - 6 * cb + 7 * cc) / (9 * cd),
-        Fraction(3, 28) * ell + (ca + 4 * cb) / (28 * cd),
-        Fraction(2, 9) * ell + (5 * ca + 12 * cb + 4 * cc) / (9 * cd),
+    return _row(
+        p,
+        h=(a * b * c * e + a * b * d * e + a * b * c * f + a * b * d * f) / cd,
+        t=ca / cd,
+        x=c * d * e * f / cd,
     )
 
 
-def _cf_g3_XIV(p: Lengths) -> ClosedRow:
+def _g3_XIV(p: Lengths) -> ClosedRow:
     a, b, c, d, e, f = p["a"], p["b"], p["c"], p["d"], p["e"], p["f"]
-    ell = a + b + c + d + e + f
     ca = (
         a * b * c * d + a * b * c * e + a * b * d * e + a * c * d * e
         + a * b * c * f + a * b * d * f + b * c * d * f + a * c * e * f
         + b * c * e * f + a * d * e * f + b * d * e * f + c * d * e * f
     )
-    cb = b * c * d * e + a * c * d * f + a * b * e * f
     cc = (
         a * b * d + a * c * d + b * c * d + a * b * e + a * c * e + b * c * e
         + b * d * e + c * d * e + a * b * f + a * c * f + b * c * f
         + a * d * f + c * d * f + a * e * f + b * e * f + d * e * f
     )
-    return (
-        ell / 12 - (ca + 2 * cb) / (6 * cc),
-        (6 * ca + 8 * cb) / cc,
-        Fraction(0),
-        ell / 9 - (2 * ca + 7 * cb) / (9 * cc),
-        Fraction(3, 28) * ell + ca / (28 * cc),
-        Fraction(2, 9) * ell + (5 * ca + 4 * cb) / (9 * cc),
-    )
+    return _row(p, t=ca / cc, x=(b * c * d * e + a * c * d * f + a * b * e * f) / cc)
 
 
 # ---------------------------------------------------------------------------
@@ -629,86 +214,96 @@ def _cf_g3_XIV(p: Lengths) -> ClosedRow:
 # by default), edges as ``id:u-v`` in drawing order, closed forms
 
 _TABLE: list[tuple[str, str, str, str, Callable[[Lengths], ClosedRow]]] = [
-    ("g0.I", "single vertex of weight 3 (degenerate: zero length)",
-     "X:3", "", _cf_g0_I),
-    ("g0.II", "segment joining weights 1 and 2", "P:1 Q:2", "a:P-Q", _cf_g0_II),
+    ("g0.I", "single vertex of weight 3 (degenerate: zero length)", "X:3", "",
+     lambda p: _row(p)),
+    ("g0.II", "segment joining weights 1 and 2", "P:1 Q:2", "a:P-Q",
+     lambda p: _row(p, s=p["a"])),
     ("g0.III", "path on three weight-1 vertices", "P:1 M:1 Q:1", "a:P-M b:M-Q",
-     _cf_g0_III),
+     lambda p: _row(p, s=p["a"] + p["b"])),
     ("g0.IV", "3-star with weight-1 leaves", "C L1:1 L2:1 L3:1",
-     "a:C-L1 b:C-L2 c:C-L3", _cf_g0_IV),
-    ("g1.I", "one loop at a weight-2 vertex", "X:2", "a:X-X", _cf_g1_I),
+     "a:C-L1 b:C-L2 c:C-L3", lambda p: _row(p, s=p["a"] + p["b"] + p["c"])),
+    ("g1.I", "one loop at a weight-2 vertex", "X:2", "a:X-X", lambda p: _row(p)),
     ("g1.II", "two arcs between weight-1 vertices", "X:1 Y:1", "a:X-Y b:X-Y",
-     _cf_g1_II),
+     lambda p: _row(p, h=_par(p["a"], p["b"]))),
     ("g1.III", "loop at weight 1 plus a pendant weight-1 leaf", "X:1 L:1",
-     "b:X-X a:X-L", _cf_g1_III),
+     "b:X-X a:X-L", lambda p: _row(p, s=p["a"])),
     ("g1.IV", "loop at weight 0 plus a pendant weight-2 leaf", "X L:2",
-     "b:X-X a:X-L", _cf_g1_IV),
+     "b:X-X a:X-L", lambda p: _row(p, s=p["a"])),
     ("g1.V", "two arcs to a weight-1 vertex plus a pendant leaf", "J P:1 L:1",
-     "b:J-P c:J-P a:J-L", _cf_g1_V),
+     "b:J-P c:J-P a:J-L", lambda p: _row(p, s=p["a"], h=_par(p["b"], p["c"]))),
     ("g1.VI", "two arcs with a pendant leaf on each side", "J1 J2 L1:1 L2:1",
-     "c:J1-J2 d:J1-J2 a:J1-L1 b:J2-L2", _cf_g1_VI),
+     "c:J1-J2 d:J1-J2 a:J1-L1 b:J2-L2",
+     lambda p: _row(p, s=p["a"] + p["b"], h=_par(p["c"], p["d"]))),
     ("g1.VII", "loop with two pendant leaves at one vertex", "X L1:1 L2:1",
-     "c:X-X a:X-L1 b:X-L2", _cf_g1_VII),
+     "c:X-X a:X-L1 b:X-L2", lambda p: _row(p, s=p["a"] + p["b"])),
     ("g1.VIII", "loop, then a path through weight 1 to a leaf", "X Y:1 L:1",
-     "c:X-X a:X-Y b:Y-L", _cf_g1_VIII),
+     "c:X-X a:X-Y b:Y-L", lambda p: _row(p, s=p["a"] + p["b"])),
     ("g1.IX", "loop, bridge, then two pendant leaves", "X Y L1:1 L2:1",
-     "d:X-X a:X-Y b:Y-L1 c:Y-L2", _cf_g1_IX),
-    ("g2.I", "two loops at a weight-1 vertex", "X:1", "a:X-X b:X-X", _cf_g2_I),
+     "d:X-X a:X-Y b:Y-L1 c:Y-L2", lambda p: _row(p, s=p["a"] + p["b"] + p["c"])),
+    ("g2.I", "two loops at a weight-1 vertex", "X:1", "a:X-X b:X-X",
+     lambda p: _row(p)),
     ("g2.II", "loop plus two arcs to a weight-1 vertex", "X Y:1",
-     "a:X-X b:X-Y c:X-Y", _cf_g2_II),
+     "a:X-X b:X-Y c:X-Y", lambda p: _row(p, h=_par(p["b"], p["c"]))),
     ("g2.III", "theta graph with one weight-1 vertex", "X:1 Y",
-     "a:X-Y b:X-Y c:X-Y", _cf_g2_III),
+     "a:X-Y b:X-Y c:X-Y", lambda p: _row(p, t=_par3(p["a"], p["b"], p["c"]))),
     ("g2.IV", "two arcs plus a path through weight 1", "X Y M:1",
-     "a:X-Y b:X-Y c:X-M d:M-Y", _cf_g2_IV),
+     "a:X-Y b:X-Y c:X-M d:M-Y",
+     lambda p: _row(p, **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
     ("g2.V", "loops joined by a bridge, far vertex weight 1", "X Y:1",
-     "a:X-X c:X-Y b:Y-Y", _cf_g2_V),
+     "a:X-X c:X-Y b:Y-Y", lambda p: _row(p, s=p["c"])),
     ("g2.VI", "loop, two arcs, pendant weight-1 leaf", "X Y L:1",
-     "a:X-X b:X-Y c:X-Y d:Y-L", _cf_g2_VI),
+     "a:X-X b:X-Y c:X-Y d:Y-L", lambda p: _row(p, s=p["d"], h=_par(p["b"], p["c"]))),
     ("g2.VII", "theta plus pendant weight-1 leaf", "X Y L:1",
-     "a:X-Y b:X-Y c:X-Y d:Y-L", _cf_g2_VII),
+     "a:X-Y b:X-Y c:X-Y d:Y-L",
+     lambda p: _row(p, s=p["d"], t=_par3(p["a"], p["b"], p["c"]))),
     ("g2.VIII", "two arcs plus subdivided arc, leaf at the midpoint", "X Y M L:1",
-     "a:X-Y b:X-Y c:X-M d:M-Y e:M-L", _cf_g2_VIII),
+     "a:X-Y b:X-Y c:X-M d:M-Y e:M-L",
+     lambda p: _row(p, s=p["e"], **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
     ("g2.IX", "two loops plus pendant weight-1 leaf", "X L:1",
-     "a:X-X c:X-X b:X-L", _cf_g2_IX),
+     "a:X-X c:X-X b:X-L", lambda p: _row(p, s=p["b"])),
     # g2.VI relabelled: VI's a, b, c, d are X's d, a, b, c
     ("g2.X", "two arcs, loop on one side, leaf on the other", "X Y L:1",
-     "d:X-X a:X-Y b:X-Y c:Y-L", _cf_g2_X),
+     "d:X-X a:X-Y b:X-Y c:Y-L", lambda p: _row(p, s=p["c"], h=_par(p["a"], p["b"]))),
     ("g2.XI", "loops joined by a path through weight 1", "X P:1 Y",
-     "a:X-X c:X-P d:P-Y b:Y-Y", _cf_g2_XI),
+     "a:X-X c:X-P d:P-Y b:Y-Y", lambda p: _row(p, s=p["c"] + p["d"])),
     ("g2.XII", "loops joined by a bridge, pendant leaf", "X Y L:1",
-     "a:X-X c:X-Y b:Y-Y d:Y-L", _cf_g2_XII),
+     "a:X-X c:X-Y b:Y-Y d:Y-L", lambda p: _row(p, s=p["c"] + p["d"])),
     ("g2.XIII", "two arcs, bridge to a loop, bridge to a weight-1 leaf",
-     "X Y M L:1", "a:X-Y b:X-Y c:X-M e:M-M d:Y-L", _cf_g2_XIII),
+     "X Y M L:1", "a:X-Y b:X-Y c:X-M e:M-M d:Y-L",
+     lambda p: _row(p, s=p["c"] + p["d"], h=_par(p["a"], p["b"]))),
     ("g2.XIV", "3-star joining two loops and a weight-1 leaf", "W X Y L:1",
-     "c:W-X d:W-Y e:W-L a:X-X b:Y-Y", _cf_g2_XIV),
-    ("g3.I", "bouquet of three loops", "X", "a:X-X b:X-X c:X-X", _cf_g3_I),
-    ("g3.II", "4-banana", "X Y", "a:X-Y b:X-Y c:X-Y d:X-Y", _cf_g3_II),
+     "c:W-X d:W-Y e:W-L a:X-X b:Y-Y", lambda p: _row(p, s=p["c"] + p["d"] + p["e"])),
+    ("g3.I", "bouquet of three loops", "X", "a:X-X b:X-X c:X-X", lambda p: _row(p)),
+    ("g3.II", "4-banana", "X Y", "a:X-Y b:X-Y c:X-Y d:X-Y", _g3_II),
     ("g3.III", "theta graph plus a loop", "X Y", "a:X-Y b:X-Y c:X-Y d:X-X",
-     _cf_g3_III),
+     lambda p: _row(p, t=_par3(p["a"], p["b"], p["c"]))),
     ("g3.IV", "two loops joined by two arcs", "X Y", "a:X-X b:Y-Y c:X-Y d:X-Y",
-     _cf_g3_IV),
+     lambda p: _row(p, h=_par(p["c"], p["d"]))),
     ("g3.V", "two loops, bridge, another loop", "X Y", "a:X-X b:X-X d:X-Y c:Y-Y",
-     _cf_g3_V),
+     lambda p: _row(p, s=p["d"])),
     ("g3.VI", "chain of three loops", "X M Y", "a:X-X d:X-M b:M-M e:M-Y c:Y-Y",
-     _cf_g3_VI),
+     lambda p: _row(p, s=p["d"] + p["e"])),
     ("g3.VII", "loop, bridge, two arcs, loop", "X Y Z",
-     "a:X-X c:X-Y d:Y-Z e:Y-Z b:Z-Z", _cf_g3_VII),
+     "a:X-X c:X-Y d:Y-Z e:Y-Z b:Z-Z",
+     lambda p: _row(p, s=p["c"], h=_par(p["d"], p["e"]))),
     ("g3.VIII", "arc plus two doubled arcs on three vertices", "X Y Z",
-     "a:X-Y b:X-Z c:X-Z d:Y-Z e:Y-Z", _cf_g3_VIII),
+     "a:X-Y b:X-Z c:X-Z d:Y-Z e:Y-Z", _g3_VIII),
     ("g3.IX", "loop at the apex of a triangle with one doubled side", "X Y Z",
-     "a:Z-Z b:X-Z c:Y-Z d:X-Y e:X-Y", _cf_g3_IX),
+     "a:Z-Z b:X-Z c:Y-Z d:X-Y e:X-Y", _g3_IX),
     ("g3.X", "theta, bridge, loop", "X Y Z", "a:X-Y b:X-Y c:X-Y d:Y-Z e:Z-Z",
-     _cf_g3_X),
+     lambda p: _row(p, s=p["d"], t=_par3(p["a"], p["b"], p["c"]))),
     ("g3.XI", "loop, bridge, two arcs, bridge, loop", "W Y Z X",
-     "a:W-W c:W-Y e:Y-Z f:Y-Z d:Z-X b:X-X", _cf_g3_XI),
+     "a:W-W c:W-Y e:Y-Z f:Y-Z d:Z-X b:X-X",
+     lambda p: _row(p, s=p["c"] + p["d"], h=_par(p["e"], p["f"]))),
     ("g3.XII", "two arcs plus subdivided arc, bridge to a loop", "X Y M Z",
-     "a:X-Y b:X-Y c:X-M d:M-Y e:M-Z f:Z-Z", _cf_g3_XII),
+     "a:X-Y b:X-Y c:X-M d:M-Y e:M-Z f:Z-Z",
+     lambda p: _row(p, s=p["e"], **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
     # 4-cycle X-Y-W-Z-X with the X-Y and W-Z sides doubled
     ("g3.XIII", "4-cycle with two opposite sides doubled", "X Y W Z",
-     "c:X-Y d:X-Y b:Y-W e:W-Z f:W-Z a:Z-X", _cf_g3_XIII),
+     "c:X-Y d:X-Y b:Y-W e:W-Z f:W-Z a:Z-X", _g3_XIII),
     # opposite edge pairs (a,f), (b,e), (c,d)
     ("g3.XIV", "complete graph on four vertices", "1 2 3 4",
-     "a:1-2 b:1-3 c:1-4 d:2-3 e:2-4 f:3-4", _cf_g3_XIV),
+     "a:1-2 b:1-3 c:1-4 d:2-3 e:2-4 f:3-4", _g3_XIV),
 ]
 
 

@@ -419,16 +419,11 @@ def one_point_union(g1: PmGraph, g2: PmGraph, at1: str, at2: str) -> PmGraph:
     keeps ``q = q1 + q2``, which preserves validity of the union.
     """
     taken_v = set(g1.vertex_ids)
-    v_rename: dict[str, str] = {}
+    v_rename = {at2: at1}
     for v in g2.vertices:
-        if v.id == at2:
-            v_rename[v.id] = at1
-            continue
-        name = v.id
-        while name in taken_v:
-            name += "'"
-        v_rename[v.id] = name
-        taken_v.add(name)
+        if v.id != at2:
+            v_rename[v.id] = _fresh_id(taken_v, v.id)
+            taken_v.add(v_rename[v.id])
     taken_e = {e.id for e in g1.edges}
     vertices = list(g1.vertices)
     for i, v in enumerate(vertices):
@@ -439,9 +434,7 @@ def one_point_union(g1: PmGraph, g2: PmGraph, at1: str, at2: str) -> PmGraph:
             vertices.append(Vertex(v_rename[v.id], v.q))
     edges = list(g1.edges)
     for e in g2.edges:
-        name = e.id
-        while name in taken_e:
-            name += "'"
+        name = _fresh_id(taken_e, e.id)
         taken_e.add(name)
         edges.append(Edge(name, v_rename[e.u], v_rename[e.v], e.length))
     return PmGraph(tuple(vertices), tuple(edges))

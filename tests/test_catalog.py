@@ -8,6 +8,7 @@ from pmgraph import (
     ParameterError,
     PmGraph,
     UnknownFamilyError,
+    bound_table,
     build,
     check_family,
     closed_form,
@@ -99,8 +100,8 @@ class TestClosedForms:
         assert inv.phi == 0
 
     def test_identical_presentation_pairs(self):
-        # three pairs of distinct topologies whose table rows coincide (the
-        # _cf_* aliases): g1.VII is a star and g1.VIII a path, g2.XII has a
+        # three pairs of distinct topologies whose table rows name the same
+        # parts: g1.VII is a star and g1.VIII a path, g2.XII has a
         # pendant leaf and g2.XI has none, g1.III and g1.IV differ in weights
         rng = random.Random(99)
         for left, right in (
@@ -115,6 +116,21 @@ class TestClosedForms:
                 a = closed_form(left, lengths)
                 b = closed_form(right, lengths)
                 assert a == b, (left, right, lengths)
+
+    def test_every_column_is_a_fraction(self):
+        # an int or a float column compares equal to the Fraction of the same
+        # value (0 / 6 is the float 0.0), so only its type gives it away
+        rng = random.Random(17)
+        points = [(fid, random_lengths(family(fid).params, rng)) for fid in list_families()]
+        points += [
+            (spec.witness.family, dict(spec.witness.lengths))
+            for spec in bound_table()
+            if spec.witness is not None
+        ]
+        for fid, lengths in points:
+            row = family(fid).closed(lengths)
+            assert len(row) == 6
+            assert [type(v) for v in row] == [Fraction] * 6, (fid, lengths, row)
 
     def test_delta_partition(self):
         rng = random.Random(3)

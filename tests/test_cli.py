@@ -341,3 +341,10 @@ class TestVerify:
             main, ["verify", "bounds", "--family", "g9.I"]
         )
         assert result.exit_code == 2
+
+    def test_bounds_family_without_a_row(self, runner):
+        # g0.I is in the catalog, but its zero length leaves no ratio to bound
+        result = runner.invoke(main, ["verify", "bounds", "--family", "g0.I"])
+        assert result.exit_code == 2
+        assert result.stdout_bytes == b""
+        assert "no bound row covers family 'g0.I'" in result.output

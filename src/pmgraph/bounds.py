@@ -24,10 +24,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
+from functools import cache
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import _reduced, _tau, _theta, _zhang
+from .invariants import InvariantSet, _scaled, _zhang
 
 
 @dataclass(frozen=True)
@@ -155,23 +156,26 @@ def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> F
 
 
 def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """All four bounded ratios from a single engine pass over one graph."""
-    graph, rm = _reduced(catalog.build(fid, lengths))
-    ell = graph.total_length
-    t = _tau(graph, rm)
-    quartet = _zhang(t, _theta(graph, rm), ell)
-    return {
-        "tau": t / ell,
-        "phi": quartet["phi"] / ell,
-        "lambda": quartet["lambda"] / ell,
-        "epsilon": quartet["epsilon"] / ell,
-    }
+    """tau, phi, lambda, epsilon and Z over ell from a single engine pass."""
+    _require_length(fid)
+    _, s = _scaled(catalog.build(fid, lengths))
+    return {"tau": Fraction(s.tau, s.ell), **_zhang(s, s.ell)}
 
 
 def closed_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the family's closed form; tolerates boundary zeros."""
-    closed = catalog._closed_form(catalog.family(fid), dict(lengths))
+    closed = _closed(fid, lengths)
     return closed.by_name(invariant) / closed.ell
+
+
+def _closed(fid: str, lengths: Mapping[str, Fraction]) -> InvariantSet:
+    _require_length(fid)
+    return catalog._closed_form(catalog.family(fid), dict(lengths))
+
+
+def _require_length(fid: str) -> None:
+    if catalog.family(fid).degenerate:  # every ratio is over ell, 0 on g0.I
+        raise catalog.CatalogError(f"family {fid!r} has total length 0 and no invariant/ell")
 
 
 def sample_check(
@@ -198,6 +202,8 @@ def _sample_reports(
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if only is not None:
+        _require_length(only)
     covered = []
     for spec in specs:
         families = [
@@ -247,26 +253,32 @@ def _sample_reports(
 
 def witness_check(spec: BoundSpec) -> WitnessReport:
     """Confirm the floor is attained at the recorded witness, exactly."""
+    return _witness_check(spec, engine_ratios, _closed)
+
+
+def _witness_check(spec: BoundSpec, engine, closed) -> WitnessReport:
+    # with the evaluators passed in, verify_bounds can share them across rows
     witness = spec.witness
     if witness is None:
         raise ValueError(f"bound {spec.selector}/{spec.invariant} has no witness")
     checks: list[tuple[str, bool, str]] = []
     if not witness.is_boundary:
-        engine = engine_ratio(witness.family, witness.lengths, spec.invariant)
+        ratio = engine(witness.family, witness.lengths)[spec.invariant]
         checks.append(
             (
                 f"engine {spec.invariant}/ell at {witness.family} witness",
-                engine == spec.floor,
-                f"{engine} vs floor {spec.floor}",
+                ratio == spec.floor,
+                f"{ratio} vs floor {spec.floor}",
             )
         )
-    closed = closed_ratio(witness.family, witness.lengths, spec.invariant)
+    closed_set = closed(witness.family, witness.lengths)
+    ratio = closed_set.by_name(spec.invariant) / closed_set.ell
     where = " boundary" if witness.is_boundary else ""
     checks.append(
         (
             f"closed-form {spec.invariant}/ell at {witness.family}{where} witness",
-            closed == spec.floor,
-            f"{closed} vs floor {spec.floor}",
+            ratio == spec.floor,
+            f"{ratio} vs floor {spec.floor}",
         )
     )
     if witness.is_boundary:
@@ -277,7 +289,7 @@ def witness_check(spec: BoundSpec) -> WitnessReport:
             lengths = dict(witness.lengths)
             for name in zero_names:
                 lengths[name] = Fraction(1, denom)
-            ratios.append(engine_ratio(witness.family, lengths, spec.invariant))
+            ratios.append(engine(witness.family, lengths)[spec.invariant])
         above = all(r > spec.floor for r in ratios)
         checks.append(
             (
@@ -305,7 +317,8 @@ def verify_bounds(
 
     ``family`` restricts the table to the rows covering that family in the
     sense of :func:`matching_families`, so no row covers ``g0.I``.
-    Each covered family is sampled in one seeded pass shared by its rows.
+    Each covered family is sampled in one seeded pass shared by its rows, and
+    each distinct witness point is evaluated once for all its rows.
     """
     specs = [
         spec for spec in bound_table() if family is None or _covers(spec, family)
@@ -314,7 +327,14 @@ def verify_bounds(
         raise catalog.UnknownFamilyError(
             f"no bound row covers family {family!r}"
         )
+    engine, closed = _once(engine_ratios), _once(_closed)
     return [
-        (report, witness_check(report.spec) if report.spec.witness else None)
+        (report, _witness_check(report.spec, engine, closed) if report.spec.witness else None)
         for report in _sample_reports(specs, samples, seed, family)
     ]
+
+
+def _once(evaluate):
+    # evaluate(fid, lengths) once per distinct point, for one verify_bounds call
+    cached = cache(lambda fid, frozen: evaluate(fid, dict(frozen)))
+    return lambda fid, lengths: cached(fid, tuple(sorted(lengths.items())))

@@ -35,11 +35,10 @@ class InputError(click.ClickException):
 
 def _load_graph(path: str) -> PmGraph:
     """Read and parse PATH; the engine validates the graph when it solves it."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
     try:
-        return parse_graph(text)
-    except ParseError as exc:
+        with open(path, "r", encoding="utf-8") as handle:
+            return parse_graph(handle.read())
+    except (UnicodeDecodeError, ParseError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -115,17 +114,10 @@ def resistance(path: str, as_json: bool) -> None:
     except InvalidGraphError as exc:
         raise InputError(f"{path}: {exc}") from exc
     order = rm.order
-    if as_json:
-        _echo_json(
-            {
-                "order": list(order),
-                "matrix": [
-                    [str(rm.get(p, s)) for s in order] for p in order
-                ],
-            }
-        )
-        return
     cells = [[str(rm.get(p, s)) for s in order] for p in order]
+    if as_json:
+        _echo_json({"order": list(order), "matrix": cells})
+        return
     width = max(
         [len(v) for v in order] + [len(c) for row in cells for c in row]
     )

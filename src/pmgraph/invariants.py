@@ -10,11 +10,12 @@ Every invariant here is unchanged when a weight-0 vertex of valence 2 is
 smoothed away, so every public function evaluates on the reduced model.  It
 validates the graph it is given once, smooths it with the linear walk of
 :func:`pmgraph.graph.normalize` (``K`` is 0 on every removed vertex, and the
-genus and each bridge's side genera are kept), and solves what is left once;
-every value is read off that one matrix.  A subdivided genus-3 graph thus
-costs a solve on at most 4 vertices, and a graph with nothing to smooth,
-such as every catalog graph, is solved as given.  :func:`invariant_set`
-gets every invariant from the one solve.
+genus and each bridge's side genera are kept), and solves what is left once,
+in ``Fraction``.  That solve is then scaled once to one integer denominator
+``q``, and every value is built from int numerators, one ``Fraction`` each.
+A subdivided genus-3 graph thus costs a solve on at most 4 vertices, and a
+graph with nothing to smooth, such as every catalog graph, is solved as
+given.  :func:`invariant_set` gets every invariant from the one solve.
 """
 
 from __future__ import annotations
@@ -32,19 +33,20 @@ from .graph import (
     genus,
     require_valid,
 )
-from .resistance import ResistanceMatrix, _classify_edges, _solve, resistance_matrix
+from .resistance import _classify_edges, _scale, _Scaled, _solve, resistance_matrix
 
 
-def _reduced(g: PmGraph, keep: Optional[str] = None) -> tuple[PmGraph, ResistanceMatrix]:
-    # the prologue of every engine entry: validate g once, smooth it (keeping
-    # ``keep``) and solve the result once; with nothing to smooth that is
-    # resistance_matrix(g)
+def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple[PmGraph, _Scaled]:
+    # the prologue of every engine entry: validate g once, smooth it keeping
+    # ``keep``, solve the result grounded at ``keep`` and scale that solve once
     removable = _removable(g, keep)
-    if not removable:
-        return g, resistance_matrix(g)
-    require_valid(g)
-    h = _smooth(g, removable)
-    return h, _solve(h)
+    if removable:
+        require_valid(g)
+        g = _smooth(g, removable)
+        rm = _solve(g, keep)
+    else:
+        rm = resistance_matrix(g, keep)
+    return g, _scale(g, rm, canonical_divisor(g) if theta else None)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
@@ -56,23 +58,12 @@ def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
 
         tau = sum_e (L - R_e)^2 / (12 L) + sum_e (r(v, y) - r(u, y))^2 / (4 L)
 
-    with ``R_e = r(u, v)``, and ``R_e = 0`` on a loop.  The value is
-    independent of the base vertex ``y`` (checked property, not assumed);
-    ``base`` defaults to the first vertex.
+    with ``R_e = r(u, v)``, and ``R_e = 0`` on a loop.  The solve is grounded
+    at ``y``; the value is independent of it (checked property, not
+    assumed), and ``base`` defaults to the first vertex.
     """
-    return _tau(*_reduced(g, base), base)
-
-
-def _tau(g: PmGraph, rm: ResistanceMatrix, base: Optional[str] = None) -> Fraction:
-    if base is None:
-        base = g.vertex_ids[0]
-    total = Fraction(0)
-    for e in g.edges:
-        L = e.length
-        c = L if e.is_loop else L - rm.get(e.u, e.v)
-        d = rm.get(e.v, base) - rm.get(e.u, base)
-        total += (c * c / 3 + d * d) / L
-    return total / 4
+    _, s = _scaled(g, base, theta=False)
+    return Fraction(s.tau, s.den)
 
 
 def theta(g: PmGraph) -> Fraction:
@@ -83,11 +74,8 @@ def theta(g: PmGraph) -> Fraction:
     does not change under subdivision or smoothing of weight-0 valence-2
     vertices.
     """
-    return _theta(*_reduced(g))
-
-
-def _theta(g: PmGraph, rm: ResistanceMatrix) -> Fraction:
-    return rm.pair_sum(canonical_divisor(g))
+    _, s = _scaled(g)
+    return Fraction(s.theta, s.den)
 
 
 def delta(g: PmGraph) -> dict[int, Fraction]:
@@ -97,15 +85,15 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    return _delta(*_reduced(g))
+    return _delta(*_scaled(g, theta=False))
 
 
-def _delta(g: PmGraph, rm: ResistanceMatrix) -> dict[int, Fraction]:
-    result = {i: Fraction(0) for i in range(genus(g).gbar // 2 + 1)}
-    classes = _classify_edges(g, rm)
-    for e in g.edges:
-        result[classes[e.id].type_index] += e.length
-    return result
+def _delta(g: PmGraph, s: _Scaled) -> dict[int, Fraction]:
+    sums = dict.fromkeys(range(genus(g).gbar // 2 + 1), 0)
+    classes = _classify_edges(g, s.bridges)
+    for e, length in zip(g.edges, s.lengths):
+        sums[classes[e.id].type_index] += length
+    return {i: Fraction(total, s.q) for i, total in sums.items()}
 
 
 @dataclass(frozen=True, eq=True)
@@ -176,47 +164,47 @@ def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
     On total genus 3 these admit closed forms in ``tau``, ``theta`` and the
     total length ``ell``::
 
-        phi     = 13/3 tau + theta/12 - ell/4
-        lambda  =  3/7 tau + theta/56 + ell/14
-        epsilon =  8/3 tau + theta/6
-        Z       =  5/9 tau + theta/72
+        phi     = (52 tau + theta - 3 ell) / 12
+        lambda  = (24 tau + theta + 4 ell) / 56
+        epsilon = (16 tau + theta) / 6
+        Z       = (40 tau + theta) / 72
 
     Any other total genus raises :class:`UnsupportedGenusError`.
     """
-    g, rm = _reduced(g)
+    g, s = _scaled(g)
     gbar = genus(g).gbar
     if gbar != 3:
         raise UnsupportedGenusError(
             f"phi/lambda/epsilon/Z require total genus 3, got {gbar}"
         )
-    return _zhang(_tau(g, rm), _theta(g, rm), g.total_length)
+    return _zhang(s, s.den)
 
 
-def _zhang(t: Fraction, th: Fraction, ell: Fraction) -> dict[str, Fraction]:
-    # the total genus 3 closed forms of zhang_invariants
+# the closed forms of zhang_invariants: name -> (a, b, d) in (a tau + theta + b ell) / d
+_QUARTET = {"phi": (52, -3, 12), "lambda": (24, 4, 56), "epsilon": (16, 0, 6), "Z": (40, 0, 72)}
+
+
+def _zhang(s: _Scaled, den: int) -> dict[str, Fraction]:
+    # the quartet from the numerators of s over den: s.den gives the values,
+    # s.ell their ratios to ell
     return {
-        "phi": Fraction(13, 3) * t + th / 12 - ell / 4,
-        "lambda": Fraction(3, 7) * t + th / 56 + ell / 14,
-        "epsilon": Fraction(8, 3) * t + th / 6,
-        "Z": Fraction(5, 9) * t + th / 72,
+        name: Fraction(a * s.tau + s.theta + b * s.ell, d * den)
+        for name, (a, b, d) in _QUARTET.items()
     }
 
 
 def invariant_set(g: PmGraph) -> InvariantSet:
     """All invariants of a valid graph in one pass (one Laplacian solve)."""
-    g, rm = _reduced(g)
+    g, s = _scaled(g)
     data = genus(g)
-    t = _tau(g, rm)
-    th = _theta(g, rm)
-    ell = g.total_length
-    quartet = _zhang(t, th, ell) if data.gbar == 3 else {}
+    quartet = _zhang(s, s.den) if data.gbar == 3 else {}
     return InvariantSet(
-        ell=ell,
+        ell=Fraction(s.ell, s.den),
         g=data.g,
         gbar=data.gbar,
-        tau=t,
-        theta=th,
-        delta=_delta(g, rm),
+        tau=Fraction(s.tau, s.den),
+        theta=Fraction(s.theta, s.den),
+        delta=_delta(g, s),
         phi=quartet.get("phi"),
         lam=quartet.get("lambda"),
         epsilon=quartet.get("epsilon"),

@@ -15,16 +15,19 @@ order backwards and gives the grounded Green's function ``Z = A^{-1}``
 exactly on the filled pattern, which holds the diagonal and every edge.
 That is all tau and the bridge test read; ``r(p, s) = Z_pp + Z_ss - 2 Z_ps``.
 A pair outside the pattern costs one forward and back solve with the
-factor, after which its whole column is known, and a weighted sum over all
-pairs (theta) costs one such solve in all.
+factor, after which its whole column is known.  For the engine, ``_scale``
+puts the lengths, ``Z`` and theta's one such solve on a single integer
+denominator, so tau, theta and the bridge test run on ints after it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Optional
 
 from .graph import PmGraph, PmGraphError, genus, require_valid
@@ -174,21 +177,6 @@ class ResistanceMatrix:
             x[v] = sum((l * x[a] for a, l in f.cols[v].items()), y.get(v, 0) / f.pivots[v])
         return x
 
-    def pair_sum(self, weights: dict[str, int]) -> Fraction:
-        """``sum over ordered pairs (p, s) of w_p w_s r(p, s)``, from one solve.
-
-        With ``r(p, s) = Z_pp + Z_ss - 2 Z_ps`` and the ground row of ``Z``
-        zero, the sum is ``2 W sum_p w_p Z_pp - 2 w^T Z w`` with ``W = sum w``,
-        and ``Z w`` is one solve.
-        """
-        w = {self._index[p]: c for p, c in weights.items() if c}
-        w.pop(self._ground, None)
-        green = self._green
-        x = self.solve(w)
-        diagonal = sum((c * green[i][i] for i, c in w.items()), Fraction(0))
-        cross = sum((c * x[i] for i, c in w.items()), Fraction(0))
-        return 2 * sum(weights.values()) * diagonal - 2 * cross
-
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
         return tuple(tuple(self.get(p, s) for s in self.order) for p in self.order)
@@ -242,7 +230,67 @@ def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
     return ResistanceMatrix(order, index, k, _factor(adj, diag))
 
 
-def resistance(g: PmGraph, p: str, s: str) -> Fraction:
+# a solve on one integer denominator q: q L_e and the bridge test per edge,
+# and tau, theta (0 without weights) and ell as numerators over den = 12 q^3
+_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den")
+
+
+def _scale(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
+    """Put the solve of ``g`` on one integer denominator ``q``, once.
+
+    ``q`` is the lcm of the denominators of the edge lengths, of their
+    conductances, of the Green's function on the filled pattern and of
+    ``Z w``, theta's one solve with the weights ``w`` (by vertex id).  Tau
+    is read at the vertex ``rm`` is grounded at.
+    """
+    index, ground, green = rm._index, rm._ground, rm._green
+    w = {index[p]: c for p, c in (weights or {}).items() if c}
+    w.pop(ground, None)
+    x = rm.solve(w) if w else {}
+    lengths = [e.length for e in g.edges]
+    q = lcm(
+        *(length.numerator * length.denominator for length in lengths),
+        *(value.denominator for row in green.values() for value in row.values()),
+        *(value.denominator for value in x.values()),
+    )
+    z = {i: {j: v.numerator * (q // v.denominator) for j, v in row.items()}
+         for i, row in green.items()}
+    z[ground] = {}
+    scaled = [length.numerator * (q // length.denominator) for length in lengths]
+    edges = [
+        (index[e.u], index[e.v], l, q // length.numerator * length.denominator)
+        for e, length, l in zip(g.edges, lengths, scaled)
+    ]
+    x = {i: v.numerator * (q // v.denominator) for i, v in x.items()}
+    tau, theta, bridges = _core(edges, z, w, x, sum((weights or {}).values()))
+    s = 12 * q * q
+    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q)
+
+
+def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
+    """``12 q^3 tau``, ``q theta`` and each edge's bridge test from a solve
+    scaled by ``q``, with ``+``, ``-`` and ``*`` alone.
+
+    ``edges`` holds ``(i, j, l = q L, c = q / L)`` with end indices ``i, j``,
+    ``z = q Z`` has a row per vertex (the ground's empty: the ground is tau's
+    base, ``r(v, base) = Z_vv``) and ``x = q Z w`` for the weights ``w`` off
+    the ground, which with the ground's sum to ``total``.  With ``rho = z_uu + z_vv - 2 z_uv`` (0 on a
+    loop), ``12 q^3 tau = sum_e ((l - rho)^2 + 3 (z_vv - z_uu)^2) c`` (Cinkir,
+    2011), a bridge is an edge with ``rho == l``, and
+    ``q theta = sum_p 2 w_p (total z_pp - x_p)``.
+    """
+    tau = 0
+    bridges = []
+    for i, j, l, c in edges:
+        zi = z[i]
+        zii, zjj = zi.get(i, 0), z[j].get(j, 0)
+        rho = zii + zjj - 2 * zi.get(j, 0)
+        tau += ((l - rho) * (l - rho) + 3 * (zjj - zii) * (zjj - zii)) * c
+        bridges.append(rho == l)
+    return tau, sum(2 * c * (total * z[i][i] - x[i]) for i, c in w.items()), bridges
+
+
+def effective_resistance(g: PmGraph, p: str, s: str) -> Fraction:
     """Effective resistance between two vertices."""
     return resistance_matrix(g).get(p, s)
 
@@ -272,13 +320,13 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    return _classify_edges(g, resistance_matrix(g))
+    return _classify_edges(g, _scale(g, resistance_matrix(g)).bridges)
 
 
-def _classify_edges(g: PmGraph, rm: ResistanceMatrix) -> dict[str, EdgeClass]:
-    # classify_edges on a graph already validated and solved into rm
+def _classify_edges(g: PmGraph, flags: list) -> dict[str, EdgeClass]:
+    # classify_edges on a graph already validated, given _scale's bridge tests
     result = {e.id: EdgeClass(e.id, False, 0) for e in g.edges}
-    bridges = [e for e in g.edges if not e.is_loop and rm.get(e.u, e.v) == e.length]
+    bridges = [e for e, bridge in zip(g.edges, flags) if bridge]
     if not bridges:
         return result
     # Every bridge is an edge of every spanning tree, and its far side is

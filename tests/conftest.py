@@ -103,6 +103,25 @@ def random_pm_graph(n: int, rng: random.Random) -> PmGraph:
     return PmGraph.build(vertices, edges)
 
 
+def dense_graph(n: int, rng: random.Random) -> PmGraph:
+    # a random spanning tree plus n chords, loops and parallel edges allowed;
+    # leaves get q = 1 and every other vertex q = 0
+    names = [f"v{i}" for i in range(n)]
+    ends = [(names[i], names[rng.randrange(i)]) for i in range(1, n)]
+    ends += [(rng.choice(names), rng.choice(names)) for _ in range(n)]
+    valence = dict.fromkeys(names, 0)
+    for u, v in ends:
+        valence[u] += 1
+        valence[v] += 1
+    return PmGraph.build(
+        [(name, 1 if valence[name] == 1 else 0) for name in names],
+        [
+            (f"e{k}", u, v, Fraction(rng.randint(1, 20), rng.randint(1, 20)))
+            for k, (u, v) in enumerate(ends)
+        ],
+    )
+
+
 def random_subdivided(fid: str, n: int, rng: random.Random) -> PmGraph:
     """Catalog family ``fid`` at random lengths, with random edges split at
     random rational points until it has ``n`` vertices."""

@@ -11,6 +11,11 @@ the package implementation uses:
   sums;
 * tau via floating-point quadrature of the defining integral instead of the
   per-edge closed form;
+* tau, theta and the Zhang quartet by the ``Fraction`` formulas the engine
+  used before it put each solve on one integer denominator: tau per edge
+  from any resistance matrix at any base, theta over every ordered pair of
+  vertices, and phi, lambda, epsilon and Z from their closed forms in tau,
+  theta and ell;
 * polynomials as dicts from exponent tuples to ``Fraction`` instead of
   packed integer monomials with ``int`` coefficients;
 * the stable weighted graphs of a given total genus by brute force over
@@ -26,7 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
-from pmgraph import PmGraph, resistance_matrix, subdivide
+from pmgraph import PmGraph, canonical_divisor, resistance_matrix, subdivide
 from pmgraph.polynomials import VARIABLES
 
 
@@ -219,6 +224,42 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
         integral += 2 * sum(squares[2:-2:2])
         total += integral * h / 3
     return total / 4.0
+
+
+def tau_by_formula(g: PmGraph, matrix=None, base: str | None = None) -> Fraction:
+    """tau = sum_e ((L - R_e)^2 / 3 + (r(v, y) - r(u, y))^2) / (4 L), in Fractions.
+
+    ``matrix`` is any resistance matrix of ``g`` (``get(p, s)``); the base
+    ``y`` defaults to the first vertex.
+    """
+    matrix = matrix or resistance_matrix(g)
+    base = base or g.vertex_ids[0]
+    total = Fraction(0)
+    for e in g.edges:
+        c = e.length if e.is_loop else e.length - matrix.get(e.u, e.v)
+        d = matrix.get(e.v, base) - matrix.get(e.u, base)
+        total += (c * c / 3 + d * d) / e.length
+    return total / 4
+
+
+def theta_by_pairs(g: PmGraph, matrix=None, weights=None) -> Fraction:
+    """sum over ordered vertex pairs of w_p w_s r(p, s); w defaults to K."""
+    matrix = matrix or resistance_matrix(g)
+    weights = weights or canonical_divisor(g)
+    return sum(
+        (weights[p] * weights[s] * matrix.get(p, s) for p in g.vertex_ids for s in g.vertex_ids),
+        Fraction(0),
+    )
+
+
+def zhang_by_formula(tau: Fraction, theta: Fraction, ell: Fraction) -> dict[str, Fraction]:
+    """phi, lambda, epsilon and Z of a total genus 3 graph from tau, theta, ell."""
+    return {
+        "phi": Fraction(13, 3) * tau + theta / 12 - ell / 4,
+        "lambda": Fraction(3, 7) * tau + theta / 56 + ell / 14,
+        "epsilon": Fraction(8, 3) * tau + theta / 6,
+        "Z": Fraction(5, 9) * tau + theta / 72,
+    }
 
 
 def _canonical(weights, pairs):

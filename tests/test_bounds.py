@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 from pmgraph import (
+    CatalogError,
     UnknownFamilyError,
     bound_table,
     build,
@@ -16,6 +17,7 @@ from pmgraph import (
     verify_bounds,
     witness_check,
 )
+from pmgraph.bounds import closed_ratio
 
 
 def _row(selector, invariant):
@@ -116,6 +118,24 @@ class TestSampling:
             sample_check(
                 BoundSpec("g7.*", "phi", Fraction(1)), samples=2, seed=0
             )
+
+    def test_only_the_zero_length_family(self):
+        with pytest.raises(CatalogError, match="'g0.I' has total length 0") as caught:
+            sample_check(_row("g0.*", "phi"), samples=2, seed=0, only="g0.I")
+        assert not isinstance(caught.value, UnknownFamilyError)
+
+    def test_ratios_of_the_zero_length_family(self):
+        with pytest.raises(CatalogError, match="'g0.I' has total length 0"):
+            closed_ratio("g0.I", {}, "phi")
+        with pytest.raises(CatalogError, match="'g0.I' has total length 0"):
+            engine_ratios("g0.I", {})
+
+    def test_verify_bounds_evaluates_each_witness_once(self):
+        # the g3.XIV rows name two witnesses (g3.XIV and g3.I at ones);
+        # the report equals the one witness_check gives row by row
+        results = verify_bounds(family="g3.XIV", samples=2, seed=0)
+        for report, witness_report in results:
+            assert witness_report == witness_check(report.spec)
 
     def test_verify_bounds_family_filter(self):
         results = verify_bounds(family="g3.XIV", samples=4, seed=0)

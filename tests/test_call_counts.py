@@ -8,6 +8,7 @@ look up at call time, so every call inside the package is seen.
 
 import importlib
 import random
+import sys
 from collections import Counter
 from fractions import Fraction
 
@@ -76,11 +77,11 @@ def test_verify_bounds_draws_each_sample_once(counts):
     for report, _ in results:
         if report.spec.witness is not None:
             witness_check(report.spec)
-    # 4 samples shared by the 4 rows, plus what the witness checks solve
-    assert total == {
-        "validate": 4 + counts["validate"],
-        "_factor": 4 + counts["_factor"],
-    }
+    # 4 samples shared by the 4 rows, plus the 2 distinct witnesses (g3.XIV
+    # and g3.I at ones), each solved once for all the rows that name it;
+    # witness_check alone still solves each row's witness
+    assert total == {"validate": 4 + 2, "_factor": 4 + 2}
+    assert counts == {"validate": 4, "_factor": 4}
 
 
 @pytest.mark.parametrize("entry", [build, cross_check], ids=lambda f: f.__name__)
@@ -205,3 +206,31 @@ def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
     lengths = {name: Fraction(1) for name in "abcdef"}
     engine_ratios("g3.XIV", lengths)
     assert factors == {"validate": 1, "pivots": [len(build("g3.XIV", lengths).vertices) - 1]}
+
+
+# -- the integer tail ---------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        invariant_set, zhang_invariants, tau, theta, delta, classify_edges,
+        lambda g: engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"}),
+    ],
+    ids=["invariant_set", "zhang_invariants", "tau", "theta", "delta", "classify_edges", "engine_ratios"],
+)
+def test_engine_entry_scales_once(entry, monkeypatch, k4_unit):
+    # _scale is imported by name, so count it in every module that holds it
+    solver = importlib.import_module("pmgraph.resistance")
+    original = solver._scale
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("pmgraph") and getattr(module, "_scale", None) is original:
+            monkeypatch.setattr(module, "_scale", counted)
+    entry(k4_unit)
+    assert len(calls) == 1

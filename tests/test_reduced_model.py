@@ -4,7 +4,8 @@ Every engine entry smooths away weight-0 vertices of valence 2 before it
 solves, so on subdivided inputs the solve it runs is on at most 4 vertices.
 These tests solve the same graphs as given, through ``resistance_matrix``
 and ``classify_edges``, and read every invariant off that full solve with
-the private helpers, pairwise theta and per-edge delta.
+the Fraction reference formulas of ``oracles``, pairwise theta and per-edge
+delta.
 """
 
 import random
@@ -14,7 +15,6 @@ import pytest
 
 from pmgraph import (
     PmGraph,
-    canonical_divisor,
     classify_edges,
     family,
     genus,
@@ -24,40 +24,18 @@ from pmgraph import (
     resistance_matrix,
     tau,
 )
-from pmgraph.invariants import _tau, _zhang
+from pmgraph.resistance import _scale
 
-from conftest import random_pm_graph, random_subdivided
+from conftest import dense_graph, random_pm_graph, random_subdivided
+from oracles import tau_by_formula, theta_by_pairs, zhang_by_formula
 
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
-
-
-def dense_graph(n: int, rng: random.Random) -> PmGraph:
-    # a random spanning tree plus n chords, loops and parallel edges allowed;
-    # leaves get q = 1 and every other vertex q = 0
-    names = [f"v{i}" for i in range(n)]
-    ends = [(names[i], names[rng.randrange(i)]) for i in range(1, n)]
-    ends += [(rng.choice(names), rng.choice(names)) for _ in range(n)]
-    valence = dict.fromkeys(names, 0)
-    for u, v in ends:
-        valence[u] += 1
-        valence[v] += 1
-    return PmGraph.build(
-        [(name, 1 if valence[name] == 1 else 0) for name in names],
-        [
-            (f"e{k}", u, v, Fraction(rng.randint(1, 20), rng.randint(1, 20)))
-            for k, (u, v) in enumerate(ends)
-        ],
-    )
 
 
 def full_solve_invariants(g: PmGraph) -> dict:
     """Every invariant of ``g`` from a solve of ``g`` as given."""
     rm = resistance_matrix(g)
-    k = canonical_divisor(g)
-    theta = sum(
-        (k[p] * k[s] * rm.get(p, s) for p in g.vertex_ids for s in g.vertex_ids),
-        Fraction(0),
-    )
+    theta = theta_by_pairs(g, rm)
     data = genus(g)
     delta = {i: Fraction(0) for i in range(data.gbar // 2 + 1)}
     classes = classify_edges(g)
@@ -67,12 +45,12 @@ def full_solve_invariants(g: PmGraph) -> dict:
         "ell": g.total_length,
         "g": data.g,
         "gbar": data.gbar,
-        "tau": _tau(g, rm),
+        "tau": tau_by_formula(g, rm),
         "theta": theta,
         "delta": delta,
     }
     if data.gbar == 3:
-        values.update(_zhang(values["tau"], theta, g.total_length))
+        values.update(zhang_by_formula(values["tau"], theta, g.total_length))
     return values
 
 
@@ -118,20 +96,16 @@ def test_random_pm_graph_reduced_solve_equals_full_solve(n):
     assert reduced_solve_invariants(g) == full_solve_invariants(g)
 
 
-def test_pair_sum_equals_the_pairwise_sum():
+def test_scaled_theta_equals_the_pairwise_sum():
     rng = random.Random("pair-sum")
     for n in (1, 2, 7, 20):
         g = random_pm_graph(n, rng)
         rm = resistance_matrix(g)
         weights = {vid: rng.randint(-3, 3) for vid in g.vertex_ids}
         weights[g.vertex_ids[0]] = 2  # the ground carries weight too
-        pairwise = sum(
-            (weights[p] * weights[s] * rm.get(p, s) for p in g.vertex_ids for s in g.vertex_ids),
-            Fraction(0),
-        )
-        total = rm.pair_sum(weights)
-        assert type(total) is Fraction
-        assert total == pairwise
+        scaled = _scale(g, rm, weights)
+        assert type(scaled.theta) is int
+        assert Fraction(scaled.theta, scaled.den) == theta_by_pairs(g, rm, weights)
 
 
 @pytest.mark.parametrize("fid, g", SUBDIVIDED[::8], ids=[fid for fid, _ in SUBDIVIDED[::8]])

@@ -13,7 +13,7 @@ from pmgraph import (
     list_families,
     family,
     random_lengths,
-    resistance,
+    effective_resistance,
     resistance_matrix,
 )
 
@@ -70,14 +70,14 @@ class TestLaplacian:
 class TestResistance:
     def test_single_edge(self):
         g = PmGraph.build([("A", 1), ("B", 1)], [("e", "A", "B", 7)])
-        assert resistance(g, "A", "B") == 7
+        assert effective_resistance(g, "A", "B") == 7
 
     def test_parallel_law(self):
         g = PmGraph.build(
             ["A", "B"],
             [("e1", "A", "B", 2), ("e2", "A", "B", 3)],
         )
-        assert resistance(g, "A", "B") == Fraction(6, 5)
+        assert effective_resistance(g, "A", "B") == Fraction(6, 5)
 
     def test_k4_unit(self, k4_unit):
         rm = resistance_matrix(k4_unit)
@@ -101,7 +101,7 @@ class TestResistance:
 
     def test_series_path(self):
         g = build_path((1, 2, 3))
-        assert resistance(g, "p0", "p3") == 6
+        assert effective_resistance(g, "p0", "p3") == 6
 
     def test_shortest_path_upper_bound(self, k4_unit):
         rm = resistance_matrix(k4_unit)
@@ -183,7 +183,7 @@ class TestClassification:
 
     def test_bridge_resistance_equals_length(self):
         g = build_loop_with_bridge(bridge=Fraction(7, 4), loop=1)
-        assert resistance(g, "X", "Y") == Fraction(7, 4)
+        assert effective_resistance(g, "X", "Y") == Fraction(7, 4)
 
     def test_matches_removal_oracle_on_catalog(self):
         import random
@@ -221,3 +221,15 @@ class TestClassification:
             else:
                 assert not c.is_bridge and c.type_index == 0, eid
                 assert c.side_genera is None, eid
+
+
+def test_submodule_import_binds_the_module():
+    # the package exports effective_resistance, so the attribute
+    # pmgraph.resistance stays the submodule
+    import types
+
+    import pmgraph.resistance as R
+
+    assert isinstance(R, types.ModuleType)
+    circle = build_circle()
+    assert R.effective_resistance(circle, "v0", "v1") == Fraction(4 * 8, 12)

@@ -170,6 +170,13 @@ class PmGraph:
                 val[e.v] = val.get(e.v, 0) + 1
         return val
 
+    @cached_property
+    def _divisor(self) -> dict[str, int]:
+        # canonical_divisor, computed once per graph: validate reads it and
+        # the engine's theta takes it from the same graph
+        valences = self._valences
+        return {v.id: valences.get(v.id, 0) - 2 + 2 * v.q for v in self.vertices}
+
     def valence(self, vid: str) -> int:
         """Number of edge ends at ``vid``; a self-loop counts twice."""
         if vid not in self._vertex_map:
@@ -263,7 +270,7 @@ def validate(g: PmGraph) -> ValidationReport:
                 "{" + ", ".join(sorted(c)) + "}" for c in components
             )
             problems.append(f"graph is not connected: components {labels}")
-        divisor = canonical_divisor(g)
+        divisor = g._divisor
         for vid in g.vertex_ids:
             if divisor[vid] < 0:
                 v = g.vertex(vid)
@@ -283,7 +290,7 @@ def require_valid(g: PmGraph) -> PmGraph:
 
 def canonical_divisor(g: PmGraph) -> dict[str, int]:
     """Coefficient ``v(p) - 2 + 2*q(p)`` of the canonical divisor at each vertex."""
-    return {v.id: g.valence(v.id) - 2 + 2 * v.q for v in g.vertices}
+    return dict(g._divisor)
 
 
 def genus(g: PmGraph) -> GenusData:

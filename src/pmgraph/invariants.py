@@ -10,12 +10,17 @@ Every invariant here is unchanged when a weight-0 vertex of valence 2 is
 smoothed away, so every public function evaluates on the reduced model.  It
 validates the graph it is given once, smooths it with the linear walk of
 :func:`pmgraph.graph.normalize` (``K`` is 0 on every removed vertex, and the
-genus and each bridge's side genera are kept), and solves what is left once,
-in ``Fraction``.  That solve is then scaled once to one integer denominator
-``q``, and every value is built from int numerators, one ``Fraction`` each.
-A subdivided genus-3 graph thus costs a solve on at most 4 vertices, and a
-graph with nothing to smooth, such as every catalog graph, is solved as
-given.  :func:`invariant_set` gets every invariant from the one solve.
+genus and each bridge's side genera are kept), and solves what is left once.
+The solve comes as one integer ``T`` and ``N = T Z``: on at most 4 vertices,
+the stable bound for total genus 3, from a dense fraction-free elimination
+of the integer Laplacian, and above that from the sparse factor and the
+integer selected inverse (see :mod:`pmgraph.resistance`).  That solve is then
+scaled once to one integer denominator ``q``, a multiple of ``T``, and every
+value is built from int numerators, one ``Fraction`` each.  A subdivided
+genus-3 graph thus costs a dense solve on at most 4 vertices, and a graph
+with nothing to smooth, such as every catalog graph, is solved as given.
+:func:`invariant_set` gets every invariant from the one solve, and theta's
+weights are the canonical divisor the validation computed.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from .resistance import _classify_edges, _scale, _Scaled, _solve, resistance_mat
 def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple[PmGraph, _Scaled]:
     # the prologue of every engine entry: validate g once, smooth it keeping
     # ``keep``, solve the result grounded at ``keep`` and scale that solve once
+    given = g
     removable = _removable(g, keep)
     if removable:
         require_valid(g)
@@ -46,7 +52,10 @@ def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple
         rm = _solve(g, keep)
     else:
         rm = resistance_matrix(g, keep)
-    return g, _scale(g, rm, canonical_divisor(g) if theta else None)
+    # the validation of the graph as given computed its divisor; smoothing
+    # keeps K on every kept vertex, and _scale skips the removed ones, where
+    # K is 0
+    return g, _scale(g, rm, canonical_divisor(given) if theta else None)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:

@@ -1,23 +1,33 @@
 """Exact effective resistance and bridge/type classification.
 
 The graph is viewed as a resistor network: an edge of length ``L`` is a
-resistor of ``L`` ohms, and every value is an exact ``Fraction``.
-Self-loops carry no current between distinct vertices and are skipped;
-parallel edges add their conductances.
+resistor of ``L`` ohms.  Self-loops carry no current between distinct
+vertices and are skipped; parallel edges add their conductances.
 
-One vertex is grounded and the Laplacian of the other vertices is factored
-as ``A = L D L^T``, always eliminating the vertex with the fewest remaining
-neighbours (ties go to the earlier vertex, so the work is deterministic).
-On the graphs pm-graph invariants live on, mostly series paths, pendant
-trees and bridges, this order makes almost no fill.  The selected
-inversion of Takahashi, Fagan and Chin (1973) then walks the elimination
-order backwards and gives the grounded Green's function ``Z = A^{-1}``
-exactly on the filled pattern, which holds the diagonal and every edge.
-That is all tau and the bridge test read; ``r(p, s) = Z_pp + Z_ss - 2 Z_ps``.
-A pair outside the pattern costs one forward and back solve with the
-factor, after which its whole column is known.  For the engine, ``_scale``
-puts the lengths, ``Z`` and theta's one such solve on a single integer
-denominator, so tau, theta and the bridge test run on ints after it.
+One vertex is grounded, and the solve is held as ints: one integer ``T`` and
+``N = T Z`` on a pattern, with ``Z = A^{-1}`` the grounded Green's function
+of the reduced Laplacian ``A``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``,
+one ``Fraction`` per value.  Two producers give ``T`` and ``N``, chosen by
+the number of vertices (``DENSE_VERTICES``):
+
+* up to 4 vertices, the stable bound for total genus 3, a fraction-free
+  Gauss-Jordan elimination (Bareiss, 1968) of the integer Laplacian
+  ``M A``, ``M`` the lcm of the length numerators, gives
+  ``T = det(M A)`` and ``N = M adj(M A)`` on every pair;
+* above, ``A = L D L^T`` is factored over ``Fraction``, always eliminating
+  the vertex with the fewest remaining neighbours (ties go to the earlier
+  vertex, so the work is deterministic); on the graphs pm-graph invariants
+  live on, mostly series paths, pendant trees and bridges, this order makes
+  almost no fill.  With ``T = det(A) prod_e num(L_e)``, the selected
+  inversion of Takahashi, Fagan and Chin (1973) runs on ints and gives
+  ``N`` on the filled pattern, which holds the diagonal and every edge.
+  A pair outside it costs one forward and back solve with the factor, after
+  which its whole column is known.
+
+That is all tau and the bridge test read.  For the engine, ``_scale`` puts
+the lengths, ``N`` and theta's one solve on a single integer denominator
+``q``, a multiple of ``T``, so tau, theta and the bridge test run on ints
+after it.
 """
 
 from __future__ import annotations
@@ -54,18 +64,35 @@ def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
     return order, matrix
 
 
+# The largest graph solved by the dense producer.  Every stable graph of
+# total genus 3 has at most 2g - 2 = 4 vertices, so each engine call on a
+# genus-3 input takes this path after smoothing.  The bound stays there
+# because the dense solve's size is not the graph's alone: ``M`` is the lcm of
+# every length numerator, so ``det(M A)`` has up to ``(n - 1) bits(M)`` bits
+# and grows with each edge of a new numerator, while the sparse producer
+# never scales ``A`` as a whole.  Solve plus scale on smoothed random graphs
+# with numerators up to 20, 2 cores: 16 against 41 us at 3.7 vertices, 108
+# against 226 us at 10, 306 against 344 us at 12.7 and 929 against 505 us at
+# 17.2, so even with small numerators the dense solve loses from about 13.
+DENSE_VERTICES = 4
+
+
 @dataclass(frozen=True)
 class _Factor:
     """``A = L D L^T`` of a grounded Laplacian, by vertex index.
 
     ``elim`` is the elimination order.  ``cols[v]`` maps each neighbour
-    ``a`` eliminated after ``v`` to ``-L[a][v]``, which is positive because
-    every off-diagonal entry of a Laplacian is a negated conductance.
+    ``a`` eliminated after ``v`` to ``l_av = -L[a][v]``, which is positive
+    because every off-diagonal entry of a Laplacian is a negated
+    conductance.  ``scaled[v]`` is the same column on one integer
+    denominator: ``(delta_v, {a: delta_v l_av})``, with ``delta_v`` the lcm
+    of the column's denominators.
     """
 
     elim: tuple[int, ...]
     cols: dict[int, dict[int, Fraction]]
     pivots: dict[int, Fraction]
+    scaled: dict[int, tuple[int, dict[int, int]]]
 
 
 def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _Factor:
@@ -81,6 +108,7 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _
     elim: list[int] = []
     cols: dict[int, dict[int, Fraction]] = {}
     pivots: dict[int, Fraction] = {}
+    scaled: dict[int, tuple[int, dict[int, int]]] = {}
     while heap:
         degree, v = heapq.heappop(heap)
         if v in pivots or degree != len(adj[v]):
@@ -101,26 +129,116 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _
         elim.append(v)
         cols[v] = col
         pivots[v] = d
-    return _Factor(tuple(elim), cols, pivots)
+        delta = lcm(*(la.denominator for la in col.values()))
+        scaled[v] = delta, {a: la.numerator * (delta // la.denominator) for a, la in col.items()}
+    return _Factor(tuple(elim), cols, pivots, scaled)
 
 
-def _selected_inverse(factor: _Factor) -> dict[int, dict[int, Fraction]]:
-    """Entries of ``A^{-1}`` on the filled pattern (Takahashi recurrence).
+def _green(n: int, ground: int, edges: list) -> tuple:
+    """``(T, N, factor)`` for the Laplacian of ``n`` vertices grounded at
+    ``ground``: one integer ``T`` and ``N = T Z`` on the pattern, with ``Z``
+    the grounded Green's function.
 
-    In reverse elimination order, ``Z_vj = sum_a l_av Z_aj`` for each ``j``
-    in ``col(v)`` and ``Z_vv = 1/d_v + sum_a l_av Z_av``, with
-    ``l_av = -L_av``.  ``col(v)`` is a clique of later vertices, so every
-    ``Z_aj`` read is already known.  The result is symmetric.
+    ``edges`` holds ``(i, j, length)`` for every edge that is not a loop.
+    Graphs of at most ``DENSE_VERTICES`` vertices take the dense producer
+    (``factor`` is ``None`` and ``N`` holds every pair), larger ones the
+    sparse one.
     """
-    z: dict[int, dict[int, Fraction]] = {}
+    if n <= DENSE_VERTICES:
+        return _dense_green(n, ground, edges)
+    return _sparse_green(n, ground, edges)
+
+
+def _dense_green(n: int, ground: int, edges: list) -> tuple:
+    """``T = det(M A)`` and ``N = M adj(M A)`` on every pair, by fraction-free
+    Gauss-Jordan elimination (Bareiss, 1968) of the integer Laplacian ``M A``.
+
+    ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
+    The elimination runs in place and keeps the matrix symmetric, as the
+    sweep operator does: pivot ``k`` turns each entry ``b_ij`` off row and
+    column ``k`` into ``(p b_ij - b_ik b_kj) / p'``, with ``p`` the pivot and
+    ``p'`` the one before, and the pivot itself into ``-p'``.  Every
+    division is exact by Sylvester's identity: after pivot ``k`` each entry
+    is ``p`` times the swept value.  At the end the last pivot is
+    ``det(M A)`` and the matrix is ``-adj(M A)``.  A grounded Laplacian is
+    positive definite, so no pivot is 0 and no rows swap.
+    """
+    m = lcm(*(length.numerator for _, _, length in edges))
+    unknowns = [v for v in range(n) if v != ground]
+    size = len(unknowns)
+    row_of = {v: r for r, v in enumerate(unknowns)}
+    rows = [[0] * size for _ in unknowns]
+    for i, j, length in edges:
+        w = m // length.numerator * length.denominator
+        ri, rj = row_of.get(i), row_of.get(j)
+        if ri is not None:
+            rows[ri][ri] += w
+        if rj is not None:
+            rows[rj][rj] += w
+            if ri is not None:
+                rows[ri][rj] -= w
+                rows[rj][ri] -= w
+    previous = 1
+    for k, pivot_row in enumerate(rows):
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                for j in range(i, size):
+                    if j != k:
+                        row[j] = rows[j][i] = (p * row[j] - f * pivot_row[j]) // previous
+        pivot_row[k] = -previous
+        previous = p
+    green = {v: {unknowns[c]: -m * b for c, b in enumerate(row)} for v, row in zip(unknowns, rows)}
+    return previous, green, None
+
+
+def _sparse_green(n: int, ground: int, edges: list) -> tuple:
+    """``T = det(A) prod_e num(L_e)`` and ``N = T Z`` on the filled pattern,
+    by the minimum-degree factor and the Takahashi recurrence on ints.
+
+    ``T`` is an integer, a weighted count of spanning trees, and so is every
+    ``T Z_ij``, a weighted count of 2-forests (the all-minors matrix-tree
+    theorem).  In reverse elimination order, ``N_vj = sum_a l_av N_aj`` for
+    each ``j`` in ``col(v)`` and ``N_vv = T / d_v + sum_a l_av N_av``
+    (Takahashi, Fagan and Chin, 1973); ``col(v)`` is a clique of later
+    vertices, so every ``N_aj`` read is already known.  With ``l`` on the
+    column's denominator ``delta_v``, each sum is an int divided exactly by
+    ``delta_v``.
+    """
+    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(n) if i != ground}
+    diag = dict.fromkeys(adj, Fraction(0))
+    numerators = 1
+    for i, j, length in edges:
+        numerators *= length.numerator
+        c = Fraction(length.denominator, length.numerator)
+        for a, b in ((i, j), (j, i)):
+            if a != ground:
+                diag[a] += c
+                if b != ground:
+                    adj[a][b] = adj[a].get(b, 0) + c
+    factor = _factor(adj, diag)
+    t, den = numerators, 1
+    for d in factor.pivots.values():
+        t *= d.numerator
+        den *= d.denominator
+    t //= den
+    green: dict[int, dict[int, int]] = {}
     for v in reversed(factor.elim):
-        col = factor.cols[v]
-        zv = z[v] = {}
+        delta, col = factor.scaled[v]
+        gv = green[v] = {}
         for j in col:
-            zj = z[j]
-            zv[j] = zj[v] = sum(l * zj[a] for a, l in col.items())
-        zv[v] = 1 / factor.pivots[v] + sum(l * zv[a] for a, l in col.items())
-    return z
+            gj = green[j]
+            gv[j] = gj[v] = sum(l * gj[a] for a, l in col.items()) // delta
+        gv[v] = _back(t, factor.pivots[v], 1, delta, sum(l * gv[a] for a, l in col.items()))
+    return t, green, factor
+
+
+def _back(t: int, d: Fraction, y: Fraction | int, delta: int, s: int) -> int:
+    # the int T y / d + s / delta, exact: the back substitution's step
+    return (t * y.numerator * d.denominator * delta + s * y.denominator * d.numerator) // (
+        y.denominator * d.numerator * delta
+    )
 
 
 class ResistanceMatrix:
@@ -130,18 +248,22 @@ class ResistanceMatrix:
     and ``values`` is the full matrix as a tuple of rows.  Two matrices are
     equal when their orders and values are; neither depends on which vertex
     was grounded during the solve.
+
+    The solve is held as ints: ``T`` and ``N = T Z``, by vertex index, the
+    ground's row left out.  ``N`` grows by whole columns as pairs outside
+    the filled pattern are asked for; the dense producer leaves none.
     """
 
     def __init__(
-        self, order: tuple[str, ...], index: dict[str, int], ground: int, factor: _Factor
+        self, order: tuple[str, ...], index: dict[str, int], ground: int,
+        t: int, green: dict[int, dict[int, int]], factor: Optional[_Factor],
     ) -> None:
         self.order = order
         self._index = index
         self._ground = ground
+        self._t = t
+        self._green = green
         self._factor = factor
-        # the grounded Green's function, by vertex index; grows by whole
-        # columns as pairs outside the filled pattern are asked for
-        self._green = _selected_inverse(factor)
 
     def get(self, p: str, s: str) -> Fraction:
         i, j = self._index[p], self._index[s]
@@ -149,32 +271,41 @@ class ResistanceMatrix:
             return Fraction(0)
         green = self._green
         if i == self._ground:
-            return green[j][j]
+            return Fraction(green[j][j], self._t)
         if j == self._ground:
-            return green[i][i]
-        zij = green[i].get(j)
-        if zij is None:
-            for v, x in self.solve({j: Fraction(1)}).items():
+            return Fraction(green[i][i], self._t)
+        nij = green[i].get(j)
+        if nij is None:
+            for v, x in self.solve({j: 1}).items():
                 green[v][j] = green[j][v] = x
-            zij = green[i][j]
-        return green[i][i] + green[j][j] - 2 * zij
+            nij = green[i][j]
+        return Fraction(green[i][i] + green[j][j] - 2 * nij, self._t)
 
-    def solve(self, rhs: dict[int, Fraction]) -> dict[int, Fraction]:
-        """``x`` with ``A x = rhs`` by one forward and back solve with the factor.
+    def solve(self, rhs: dict[int, int]) -> dict[int, int]:
+        """``T x`` with ``A x = rhs`` for an int ``rhs``, as ints.
 
         Both are keyed by vertex index; the ground is not an unknown, so a
-        ground entry of ``rhs`` is ignored and ``x`` has none.
+        ground entry of ``rhs`` is ignored and ``x`` has none.  ``T x`` is
+        an int because every ``T Z_ij`` is.  On the dense producer's ``N``
+        it is ``N rhs``; otherwise one forward and one back solve with the
+        factor, the back solve on ints.
         """
-        f = self._factor
+        f, t = self._factor, self._t
+        if f is None:
+            return {i: sum(row[j] * c for j, c in rhs.items() if j in row)
+                    for i, row in self._green.items()}
         y = dict(rhs)
         for v in f.elim:  # forward: only rhs entries and their ancestors fill
             yv = y.get(v)
             if yv:
                 for a, l in f.cols[v].items():
                     y[a] = y.get(a, 0) + l * yv
-        x: dict[int, Fraction] = {}
-        for v in reversed(f.elim):  # back: x_v = y_v / d_v + sum_a l_av x_a
-            x[v] = sum((l * x[a] for a, l in f.cols[v].items()), y.get(v, 0) / f.pivots[v])
+        x: dict[int, int] = {}
+        for v in reversed(f.elim):  # back: T x_v = T y_v / d_v + sum_a l_av T x_a
+            delta, col = f.scaled[v]
+            s = sum(l * x[a] for a, l in col.items())
+            yv = y.get(v)
+            x[v] = _back(t, f.pivots[v], yv, delta, s) if yv else s // delta
         return x
 
     @cached_property
@@ -194,7 +325,7 @@ class ResistanceMatrix:
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
-    """Effective resistances of a valid graph, from one exact sparse solve.
+    """Effective resistances of a valid graph, from one exact solve.
 
     Validates ``g`` and then solves it as given, so every vertex of ``g`` has
     its row.  ``ground`` picks the vertex removed to form the reduced
@@ -214,20 +345,8 @@ def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
         raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
     index = {vid: i for i, vid in enumerate(order)}
     k = index[ground]
-    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(len(order))}
-    diag = dict.fromkeys(adj, Fraction(0))
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        c = Fraction(1) / e.length
-        i, j = index[e.u], index[e.v]
-        adj[i][j] = adj[j][i] = adj[i].get(j, 0) + c
-        diag[i] += c
-        diag[j] += c
-    for j in adj.pop(k):
-        del adj[j][k]
-    del diag[k]
-    return ResistanceMatrix(order, index, k, _factor(adj, diag))
+    edges = [(index[e.u], index[e.v], e.length) for e in g.edges if not e.is_loop]
+    return ResistanceMatrix(order, index, k, *_green(len(order), k, edges))
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
@@ -238,30 +357,27 @@ _Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den")
 def _scale(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
     """Put the solve of ``g`` on one integer denominator ``q``, once.
 
-    ``q`` is the lcm of the denominators of the edge lengths, of their
-    conductances, of the Green's function on the filled pattern and of
-    ``Z w``, theta's one solve with the weights ``w`` (by vertex id).  Tau
-    is read at the vertex ``rm`` is grounded at.
+    ``q`` is the lcm of the solve's ``T`` and of ``num * den`` of each edge
+    length, so ``z = q Z = N (q / T)``, ``x = q Z w = T x (q / T)`` for
+    theta's one solve with the weights ``w`` (by vertex id; a vertex that is
+    not in ``g`` must weigh 0), ``q L`` and ``q / L`` are all ints.  Tau is
+    read at the vertex ``rm`` is grounded at.
     """
-    index, ground, green = rm._index, rm._ground, rm._green
+    index, ground, t = rm._index, rm._ground, rm._t
     w = {index[p]: c for p, c in (weights or {}).items() if c}
     w.pop(ground, None)
     x = rm.solve(w) if w else {}
     lengths = [e.length for e in g.edges]
-    q = lcm(
-        *(length.numerator * length.denominator for length in lengths),
-        *(value.denominator for row in green.values() for value in row.values()),
-        *(value.denominator for value in x.values()),
-    )
-    z = {i: {j: v.numerator * (q // v.denominator) for j, v in row.items()}
-         for i, row in green.items()}
+    q = lcm(t, *(length.numerator * length.denominator for length in lengths))
+    r = q // t
+    z = {i: {j: v * r for j, v in row.items()} for i, row in rm._green.items()}
     z[ground] = {}
     scaled = [length.numerator * (q // length.denominator) for length in lengths]
     edges = [
         (index[e.u], index[e.v], l, q // length.numerator * length.denominator)
         for e, length, l in zip(g.edges, lengths, scaled)
     ]
-    x = {i: v.numerator * (q // v.denominator) for i, v in x.items()}
+    x = {i: v * r for i, v in x.items()}
     tau, theta, bridges = _core(edges, z, w, x, sum((weights or {}).values()))
     s = 12 * q * q
     return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q)

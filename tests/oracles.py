@@ -6,6 +6,9 @@ the package implementation uses:
 * resistance via weighted spanning-tree / 2-forest enumeration instead of a
   Laplacian solve, and via a dense Gauss-Jordan inverse of the reduced
   Laplacian instead of a sparse factorization;
+* the grounded Green's function ``Z`` on the filled pattern by the
+  ``Fraction`` selected inversion the engine ran before it held each solve
+  as one integer ``T`` and ``N = T Z``;
 * bridges and the total genus of their sides via a combinatorial
   connectivity scan instead of the exact resistance identity and subtree
   sums;
@@ -134,6 +137,46 @@ def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
     return tuple(
         tuple(z(i, i) + z(j, j) - 2 * z(i, j) for j in range(n)) for i in range(n)
     )
+
+
+def selected_inverse(factor) -> dict[int, dict[int, Fraction]]:
+    """Entries of ``A^{-1}`` on the filled pattern (Takahashi recurrence),
+    in ``Fraction``, from a ``resistance._Factor``.
+
+    In reverse elimination order, ``Z_vj = sum_a l_av Z_aj`` for each ``j``
+    in ``col(v)`` and ``Z_vv = 1/d_v + sum_a l_av Z_av``, with
+    ``l_av = -L_av``.  ``col(v)`` is a clique of later vertices, so every
+    ``Z_aj`` read is already known.  The result is symmetric.
+    """
+    z: dict[int, dict[int, Fraction]] = {}
+    for v in reversed(factor.elim):
+        col = factor.cols[v]
+        zv = z[v] = {}
+        for j in col:
+            zj = z[j]
+            zv[j] = zj[v] = sum(l * zj[a] for a, l in col.items())
+        zv[v] = 1 / factor.pivots[v] + sum(l * zv[a] for a, l in col.items())
+    return z
+
+
+def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fraction]]:
+    """``Z`` of ``g`` grounded at vertex index ``ground`` on the pattern of
+    the engine's minimum-degree factor, by :func:`selected_inverse`."""
+    from pmgraph.resistance import _factor
+
+    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    adj = {i: {} for i in index.values() if i != ground}
+    diag = dict.fromkeys(adj, Fraction(0))
+    for e in g.edges:
+        if e.is_loop:
+            continue
+        i, j = index[e.u], index[e.v]
+        for a, b in ((i, j), (j, i)):
+            if a != ground:
+                diag[a] += 1 / e.length
+                if b != ground:
+                    adj[a][b] = adj[a].get(b, 0) + 1 / e.length
+    return selected_inverse(_factor(adj, diag))
 
 
 def _reachable(g: PmGraph, start: str, removed: str) -> set[str]:

@@ -2,8 +2,9 @@
 one seeded sampling pass per family for the bound suite.  Certificates are
 the opposite case: every run expands every identity again.
 
-The counters wrap module globals (``validate``, ``_factor``), which callers
-look up at call time, so every call inside the package is seen.
+The counters wrap module globals (``validate``, ``_green``, which runs
+either producer of the solve), which callers look up at call time, so every
+call inside the package is seen.
 """
 
 import importlib
@@ -41,7 +42,7 @@ def counts(monkeypatch):
     tally = Counter()
     for module_name, name in (
         ("pmgraph.graph", "validate"),
-        ("pmgraph.resistance", "_factor"),
+        ("pmgraph.resistance", "_green"),
     ):
         module = importlib.import_module(module_name)
         original = getattr(module, name)
@@ -61,12 +62,12 @@ def counts(monkeypatch):
 )
 def test_engine_entry_validates_and_solves_once(entry, counts, k4_unit):
     entry(k4_unit)
-    assert counts == {"validate": 1, "_factor": 1}
+    assert counts == {"validate": 1, "_green": 1}
 
 
 def test_engine_ratios_validates_and_solves_once(counts):
     engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"})
-    assert counts == {"validate": 1, "_factor": 1}
+    assert counts == {"validate": 1, "_green": 1}
 
 
 def test_verify_bounds_draws_each_sample_once(counts):
@@ -80,8 +81,8 @@ def test_verify_bounds_draws_each_sample_once(counts):
     # 4 samples shared by the 4 rows, plus the 2 distinct witnesses (g3.XIV
     # and g3.I at ones), each solved once for all the rows that name it;
     # witness_check alone still solves each row's witness
-    assert total == {"validate": 4 + 2, "_factor": 4 + 2}
-    assert counts == {"validate": 4, "_factor": 4}
+    assert total == {"validate": 4 + 2, "_green": 4 + 2}
+    assert counts == {"validate": 4, "_green": 4}
 
 
 @pytest.mark.parametrize("entry", [build, cross_check], ids=lambda f: f.__name__)
@@ -150,23 +151,24 @@ def test_every_certificate_run_expands_again(monkeypatch):
 
 @pytest.fixture
 def factors(monkeypatch):
-    """Validations and the pivot count of every factor the engine builds."""
+    """Validations and the pivot count (unknowns) of every solve the engine
+    makes, by either producer."""
     graph = importlib.import_module("pmgraph.graph")
     solver = importlib.import_module("pmgraph.resistance")
     seen = {"validate": 0, "pivots": []}
-    validate, factor = graph.validate, solver._factor
+    validate, green = graph.validate, solver._green
 
     def counted_validate(g):
         seen["validate"] += 1
         return validate(g)
 
-    def counted_factor(adj, diag):
-        result = factor(adj, diag)
-        seen["pivots"].append(len(result.pivots))
+    def counted_green(n, ground, edges):
+        result = green(n, ground, edges)
+        seen["pivots"].append(len(result[1]))
         return result
 
     monkeypatch.setattr(graph, "validate", counted_validate)
-    monkeypatch.setattr(solver, "_factor", counted_factor)
+    monkeypatch.setattr(solver, "_green", counted_green)
     return seen
 
 

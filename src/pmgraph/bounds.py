@@ -20,7 +20,6 @@ The single zero-length family ``g0.I`` is excluded from every ratio check.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
@@ -28,7 +27,7 @@ from functools import cache
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import InvariantSet, _scaled, _zhang
+from .invariants import _QUARTET, _scaled, _zhang
 
 
 @dataclass(frozen=True)
@@ -164,13 +163,17 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
 
 def closed_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the family's closed form; tolerates boundary zeros."""
-    closed = _closed(fid, lengths)
-    return closed.by_name(invariant) / closed.ell
+    return closed_ratios(fid, lengths)[invariant]
 
 
-def _closed(fid: str, lengths: Mapping[str, Fraction]) -> InvariantSet:
+def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
+    """The ratios of :func:`engine_ratios` from the family's closed form.
+
+    No graph is built, so a boundary witness with zero lengths evaluates.
+    """
     _require_length(fid)
-    return catalog._closed_form(catalog.family(fid), dict(lengths))
+    closed = catalog._closed_form(catalog.family(fid), dict(lengths))
+    return {name: closed.by_name(name) / closed.ell for name in ("tau", *_QUARTET)}
 
 
 def _require_length(fid: str) -> None:
@@ -206,9 +209,10 @@ def _sample_reports(
         _require_length(only)
     covered = []
     for spec in specs:
-        families = [
-            fid for fid in matching_families(spec) if only is None or fid == only
-        ]
+        if only is None:
+            families = matching_families(spec)
+        else:
+            families = [only] if _covers(spec, only) else []
         if not families:
             raise catalog.UnknownFamilyError(
                 f"selector {spec.selector!r} matches no family"
@@ -217,10 +221,10 @@ def _sample_reports(
     # (row index, family) -> (min ratio, its lengths, first violation)
     found: dict[tuple[int, str], tuple] = {}
     for fid in dict.fromkeys(fid for families in covered for fid in families):
-        params = catalog.family(fid).params
-        rng = random.Random(f"{fid}:{seed}")
-        draws = [catalog.random_lengths(params, rng) for _ in range(samples)]
-        points = [(tuple(sorted(x.items())), engine_ratios(fid, x)) for x in draws]
+        points = [
+            (tuple(sorted(x.items())), engine_ratios(fid, x))
+            for x in catalog._seeded_lengths(fid, samples, seed)
+        ]
         for i, spec in enumerate(specs):
             if fid in covered[i]:
                 ratios = [(r[spec.invariant], frozen) for frozen, r in points]
@@ -253,7 +257,7 @@ def _sample_reports(
 
 def witness_check(spec: BoundSpec) -> WitnessReport:
     """Confirm the floor is attained at the recorded witness, exactly."""
-    return _witness_check(spec, engine_ratios, _closed)
+    return _witness_check(spec, engine_ratios, closed_ratios)
 
 
 def _witness_check(spec: BoundSpec, engine, closed) -> WitnessReport:
@@ -271,8 +275,7 @@ def _witness_check(spec: BoundSpec, engine, closed) -> WitnessReport:
                 f"{ratio} vs floor {spec.floor}",
             )
         )
-    closed_set = closed(witness.family, witness.lengths)
-    ratio = closed_set.by_name(spec.invariant) / closed_set.ell
+    ratio = closed(witness.family, witness.lengths)[spec.invariant]
     where = " boundary" if witness.is_boundary else ""
     checks.append(
         (
@@ -320,6 +323,8 @@ def verify_bounds(
     Each covered family is sampled in one seeded pass shared by its rows, and
     each distinct witness point is evaluated once for all its rows.
     """
+    if family is not None:
+        catalog.family(family)  # an unknown family is named before the row filter
     specs = [
         spec for spec in bound_table() if family is None or _covers(spec, family)
     ]
@@ -327,7 +332,7 @@ def verify_bounds(
         raise catalog.UnknownFamilyError(
             f"no bound row covers family {family!r}"
         )
-    engine, closed = _once(engine_ratios), _once(_closed)
+    engine, closed = _once(engine_ratios), _once(closed_ratios)
     return [
         (report, _witness_check(report.spec, engine, closed) if report.spec.witness else None)
         for report in _sample_reports(specs, samples, seed, family)

@@ -42,7 +42,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .graph import Edge, PmGraph, PmGraphError, RationalLike, Vertex, as_rational
 from .invariants import InvariantSet, invariant_set
@@ -425,27 +425,26 @@ def cross_check(fid: str, lengths: Mapping[str, RationalLike]) -> CrossCheckRepo
     p = _coerce_lengths(spec, lengths)
     engine = invariant_set(_build(spec, p))
     closed = _closed_form(spec, p)
-    mismatches = []
-    for label, got, want in [
-        ("ell", engine.ell, closed.ell),
-        ("g", engine.g, closed.g),
-        ("gbar", engine.gbar, closed.gbar),
-        ("tau", engine.tau, closed.tau),
-        ("theta", engine.theta, closed.theta),
-        ("delta", engine.delta, closed.delta),
-        ("phi", engine.phi, closed.phi),
-        ("lambda", engine.lam, closed.lam),
-        ("epsilon", engine.epsilon, closed.epsilon),
-        ("Z", engine.z, closed.z),
-    ]:
-        if got != want:
-            mismatches.append(f"{label}: engine {got} != closed form {want}")
+    want = closed.named_values()
+    mismatches = [
+        f"{name}: engine {got} != closed form {want[name]}"
+        for name, got in engine.named_values().items()
+        if got != want[name]
+    ]
     return CrossCheckReport(fid, p, engine, closed, tuple(mismatches))
 
 
 def random_lengths(params: Sequence[str], rng: random.Random) -> Lengths:
     """Strictly positive rational lengths, numerator and denominator in 1..64."""
     return {name: Fraction(rng.randint(1, 64), rng.randint(1, 64)) for name in params}
+
+
+def _seeded_lengths(fid: str, samples: int, seed: int) -> Iterator[Lengths]:
+    # the family's own stream, seeded by its id and ``seed``, so its draws do
+    # not depend on which other families are sampled
+    params = family(fid).params
+    rng = random.Random(f"{fid}:{seed}")
+    return (random_lengths(params, rng) for _ in range(samples))
 
 
 def check_family(
@@ -456,11 +455,9 @@ def check_family(
     Returns (number of passing samples, first failing report or None).
     Deterministic for a given (family, samples, seed).
     """
-    spec = family(fid)
-    rng = random.Random(f"{fid}:{seed}")
     passed = 0
-    for _ in range(samples):
-        report = cross_check(fid, random_lengths(spec.params, rng))
+    for lengths in _seeded_lengths(fid, samples, seed):
+        report = cross_check(fid, lengths)
         if not report.passed:
             return passed, report
         passed += 1

@@ -1,29 +1,29 @@
 """Command-line interface.
 
 Exit codes: 0 on success (all checks passed), 1 when a verification command
-finds a violation, 2 on usage or input errors.  All rational values are
-printed exactly as ``p/q`` in lowest terms; human-readable listings may add
-a decimal approximation, always prefixed by ``~``.
+finds a violation, 2 on usage or input errors.  Exit 2 is decided in two
+places: the ``main`` group turns any :class:`PmGraphError` a command raises
+into an :class:`InputError` with the same message, and :func:`_on_file`
+does the same for the commands that read a graph file, naming the file.
+All rational values are printed exactly as ``p/q`` in lowest terms;
+human-readable listings may add a decimal approximation, always prefixed
+by ``~``.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Optional
 
 import click
 
 from . import bounds as bounds_mod
 from . import catalog as catalog_mod
 from . import identities as identities_mod
-from .graph import (
-    InvalidGraphError,
-    PmGraph,
-    as_rational,
-)
-from .invariants import invariant_set
-from .io import ParseError, graph_to_text, parse_graph
+from .graph import PmGraphError, as_rational
+from .invariants import FIELDS, invariant_set
+from .io import graph_to_text, parse_graph
 from .resistance import resistance_matrix
 
 
@@ -33,12 +33,15 @@ class InputError(click.ClickException):
     exit_code = 2
 
 
-def _load_graph(path: str) -> PmGraph:
-    """Read and parse PATH; the engine validates the graph when it solves it."""
+def _on_file(path: str, compute):
+    """``compute`` of the graph in PATH; an input error names PATH.
+
+    The engine validates the graph when it solves it.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return parse_graph(handle.read())
-    except (UnicodeDecodeError, ParseError) as exc:
+            return compute(parse_graph(handle.read()))
+    except (UnicodeDecodeError, PmGraphError) as exc:
         raise InputError(f"{path}: {exc}") from exc
 
 
@@ -69,7 +72,17 @@ def _echo_json(payload) -> None:
     click.echo(json.dumps(payload, indent=2))
 
 
-@click.group()
+class _Group(click.Group):
+    """The exit-2 boundary: a package error ends any command with its message."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except PmGraphError as exc:
+            raise InputError(str(exc)) from exc
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Exact invariants of polarized metrized graphs of total genus 3."""
 
@@ -79,28 +92,18 @@ def main() -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit the JSON schema.")
 def invariants(path: str, as_json: bool) -> None:
     """Compute all invariants of the graph in PATH."""
-    graph = _load_graph(path)
-    try:
-        inv = invariant_set(graph)
-    except InvalidGraphError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    inv = _on_file(path, invariant_set)
     if as_json:
         _echo_json(inv.to_json_dict())
         return
-    click.echo(f"ell     = {_approx(inv.ell)}")
-    click.echo(f"g       = {inv.g}")
-    click.echo(f"gbar    = {inv.gbar}")
-    click.echo(f"tau     = {_approx(inv.tau)}")
-    click.echo(f"theta   = {_approx(inv.theta)}")
-    for index in sorted(inv.delta):
-        click.echo(f"delta{index}  = {_approx(inv.delta[index])}")
+    for name, value in inv.named_values().items():
+        if name == "delta":
+            for index in sorted(value):
+                click.echo(f"delta{index}  = {_approx(value[index])}")
+        elif value is not None:
+            click.echo(f"{name:8s}= {_approx(value)}")
     if inv.phi is None:
         click.echo("phi/lambda/epsilon/Z: undefined (total genus is not 3)")
-    else:
-        click.echo(f"phi     = {_approx(inv.phi)}")
-        click.echo(f"lambda  = {_approx(inv.lam)}")
-        click.echo(f"epsilon = {_approx(inv.epsilon)}")
-        click.echo(f"Z       = {_approx(inv.z)}")
 
 
 @main.command()
@@ -108,11 +111,7 @@ def invariants(path: str, as_json: bool) -> None:
 @click.option("--json", "as_json", is_flag=True, help="Emit JSON instead of text.")
 def resistance(path: str, as_json: bool) -> None:
     """Print the all-pairs effective resistance matrix of the graph in PATH."""
-    graph = _load_graph(path)
-    try:
-        rm = resistance_matrix(graph)
-    except InvalidGraphError as exc:
-        raise InputError(f"{path}: {exc}") from exc
+    rm = _on_file(path, resistance_matrix)
     order = rm.order
     cells = [[str(rm.get(p, s)) for s in order] for p in order]
     if as_json:
@@ -151,12 +150,9 @@ def catalog_eval(family_id: str, lengths_text: str) -> None:
     for the ``invariants`` command and reproduces identical numbers.
     """
     assignments = _parse_lengths(lengths_text) if lengths_text else {}
-    try:
-        spec = catalog_mod.family(family_id)
-        graph = catalog_mod.build(family_id, assignments)
-        closed = catalog_mod.closed_form(family_id, assignments)
-    except catalog_mod.CatalogError as exc:
-        raise InputError(str(exc)) from exc
+    spec = catalog_mod.family(family_id)
+    graph = catalog_mod.build(family_id, assignments)
+    closed = catalog_mod.closed_form(family_id, assignments)
     shown = " ".join(f"{k}={assignments[k]}" for k in spec.params)
     click.echo(f"# family {family_id}: {spec.description}")
     click.echo(f"# lengths: {shown if shown else '(none)'}")
@@ -176,10 +172,6 @@ def catalog_eval(family_id: str, lengths_text: str) -> None:
 def catalog_check(samples: int, seed: int, family_id: Optional[str]) -> None:
     """Cross-check closed forms against the engine on random exact lengths."""
     if family_id is not None:
-        try:
-            catalog_mod.family(family_id)
-        except catalog_mod.UnknownFamilyError as exc:
-            raise InputError(str(exc)) from exc
         fids = [family_id]
     else:
         fids = [
@@ -228,11 +220,7 @@ def table(genus: int, lengths_text: str, fmt: str) -> None:
                 f"{fid}: missing length(s) {', '.join(missing)} for --genus {genus}"
             )
         subset = {p: assignments[p] for p in spec.params}
-        try:
-            inv = catalog_mod.closed_form(fid, subset)
-        except catalog_mod.CatalogError as exc:
-            raise InputError(str(exc)) from exc
-        rows.append((fid, subset, inv))
+        rows.append((fid, subset, catalog_mod.closed_form(fid, subset)))
     if fmt == "json":
         _echo_json(
             [
@@ -245,9 +233,10 @@ def table(genus: int, lengths_text: str, fmt: str) -> None:
             ]
         )
         return
-    columns = [
-        "family", "ell", "g", "gbar", "tau", "theta", "delta0", "delta1",
-        "phi", "lambda", "epsilon", "Z",
+    # delta has one column per type: 0 and 1 on total genus 3
+    columns = ["family"] + [
+        column for name in FIELDS
+        for column in (["delta0", "delta1"] if name == "delta" else [name])
     ]
     click.echo(",".join(columns))
     for fid, _subset, inv in rows:
@@ -304,17 +293,7 @@ def verify_bounds(
     family_id: Optional[str], samples: int, seed: int, as_json: bool
 ) -> None:
     """Sample each bound row exactly and confirm sharpness witnesses."""
-    if family_id is not None:
-        try:
-            catalog_mod.family(family_id)
-        except catalog_mod.UnknownFamilyError as exc:
-            raise InputError(str(exc)) from exc
-    try:
-        results = bounds_mod.verify_bounds(
-            family=family_id, samples=samples, seed=seed
-        )
-    except catalog_mod.UnknownFamilyError as exc:
-        raise InputError(str(exc)) from exc
+    results = bounds_mod.verify_bounds(family=family_id, samples=samples, seed=seed)
     violation = False
     payload = []
     for report, witness_report in results:

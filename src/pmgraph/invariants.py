@@ -105,6 +105,14 @@ def _delta(g: PmGraph, s: _Scaled) -> dict[int, Fraction]:
     return {i: Fraction(total, s.q) for i, total in sums.items()}
 
 
+# the invariant vocabulary in output order: each conventional name with its
+# InvariantSet field
+FIELDS = {
+    "ell": "ell", "g": "g", "gbar": "gbar", "tau": "tau", "theta": "theta",
+    "delta": "delta", "phi": "phi", "lambda": "lam", "epsilon": "epsilon", "Z": "z",
+}
+
+
 @dataclass(frozen=True, eq=True)
 class InvariantSet:
     """Complete exact invariant record of a pm-graph.
@@ -128,43 +136,33 @@ class InvariantSet:
     epsilon: Optional[Fraction] = None
     z: Optional[Fraction] = None
 
+    def named_values(self) -> dict:
+        """Every field by its conventional name, in output order."""
+        return {name: getattr(self, field) for name, field in FIELDS.items()}
+
     def to_json_dict(self) -> dict:
-        payload: dict = {
-            "ell": str(self.ell),
-            "g": self.g,
-            "gbar": self.gbar,
-            "tau": str(self.tau),
-            "theta": str(self.theta),
-            "delta": {
-                str(i): str(self.delta[i]) for i in sorted(self.delta)
-            },
-        }
-        if self.phi is not None:
-            payload["phi"] = str(self.phi)
-            payload["lambda"] = str(self.lam)
-            payload["epsilon"] = str(self.epsilon)
-            payload["Z"] = str(self.z)
-        return payload
+        values = self.named_values().items()
+        return {name: _json(value) for name, value in values if value is not None}
 
     def by_name(self, name: str) -> Fraction:
-        """Look up an invariant by its conventional name (``lambda``, ``Z``...)."""
-        aliases = {
-            "ell": self.ell,
-            "tau": self.tau,
-            "theta": self.theta,
-            "phi": self.phi,
-            "lambda": self.lam,
-            "epsilon": self.epsilon,
-            "Z": self.z,
-        }
-        if name not in aliases:
+        """Look up a rational invariant by its conventional name (``lambda``, ``Z``...)."""
+        if name in ("g", "gbar", "delta") or name not in FIELDS:
             raise KeyError(name)
-        value = aliases[name]
+        value = getattr(self, FIELDS[name])
         if value is None:
             raise UnsupportedGenusError(
                 f"{name} is only defined on total genus 3 graphs"
             )
         return value
+
+
+def _json(value):
+    # g and gbar stay ints, delta maps each type to its value, the rest are p/q
+    if isinstance(value, int):
+        return value
+    if isinstance(value, dict):
+        return {str(i): str(value[i]) for i in sorted(value)}
+    return str(value)
 
 
 def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
@@ -214,8 +212,5 @@ def invariant_set(g: PmGraph) -> InvariantSet:
         tau=Fraction(s.tau, s.den),
         theta=Fraction(s.theta, s.den),
         delta=_delta(g, s),
-        phi=quartet.get("phi"),
-        lam=quartet.get("lambda"),
-        epsilon=quartet.get("epsilon"),
-        z=quartet.get("Z"),
+        **{FIELDS[name]: value for name, value in quartet.items()},
     )

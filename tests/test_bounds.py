@@ -10,6 +10,7 @@ from pmgraph import (
     engine_ratio,
     engine_ratios,
     family,
+    list_families,
     matching_families,
     named,
     random_lengths,
@@ -17,7 +18,7 @@ from pmgraph import (
     verify_bounds,
     witness_check,
 )
-from pmgraph.bounds import closed_ratio
+from pmgraph.bounds import closed_ratio, closed_ratios
 
 
 def _row(selector, invariant):
@@ -168,3 +169,29 @@ class TestPolynomialAgreement:
             tau_gap = (ratios["tau"] - Fraction(5, 96)) * ell
             assert phi_gap == r_val / (288 * c_val)
             assert tau_gap == s_val / (96 * c_val)
+
+
+class TestClosedRatios:
+    def test_equal_to_the_engine_at_seeded_points(self):
+        import random
+
+        for fid in list_families():
+            if family(fid).degenerate:
+                continue
+            rng = random.Random(f"closed-ratios:{fid}")
+            for _ in range(3):
+                lengths = random_lengths(family(fid).params, rng)
+                assert closed_ratios(fid, lengths) == engine_ratios(fid, lengths), fid
+
+    @pytest.mark.parametrize("fid, zero", [("g3.VIII", ("a",)), ("g3.XIII", ("a", "b"))])
+    def test_boundary_witnesses_evaluate(self, fid, zero):
+        lengths = {p: Fraction(0 if p in zero else 1) for p in family(fid).params}
+        ratios = closed_ratios(fid, lengths)
+        assert ratios["phi"] == Fraction(1, 16)
+        assert list(ratios) == ["tau", "phi", "lambda", "epsilon", "Z"]
+        assert ratios["phi"] == closed_ratio(fid, lengths, "phi")
+
+    def test_verify_bounds_names_an_unknown_family(self):
+        for fid in ("g9.X", "g3.Z"):
+            with pytest.raises(UnknownFamilyError, match=f"^unknown family '{fid}'$"):
+                verify_bounds(family=fid, samples=1)

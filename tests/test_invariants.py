@@ -164,6 +164,21 @@ class TestInvariantSet:
         assert inv.by_name("Z") == Fraction(37, 144)
         assert inv.by_name("tau") == Fraction(5, 16)
 
+    def test_by_name_serves_exactly_the_rational_invariants(self, k4_unit):
+        inv = invariant_set(k4_unit)
+        fields = {"ell": inv.ell, "tau": inv.tau, "theta": inv.theta, "phi": inv.phi,
+                  "lambda": inv.lam, "epsilon": inv.epsilon, "Z": inv.z}
+        assert {name: inv.by_name(name) for name in fields} == fields
+        for name in ("g", "gbar", "delta", "lam", "z", "nope"):
+            with pytest.raises(KeyError) as caught:
+                inv.by_name(name)
+            assert caught.value.args == (name,)
+        loop = invariant_set(build_loop())
+        assert loop.by_name("tau") == loop.tau
+        for name in ("phi", "lambda", "epsilon", "Z"):
+            with pytest.raises(UnsupportedGenusError, match=f"^{name} is only defined"):
+                loop.by_name(name)
+
     def test_cross_identities(self, k4_unit):
         inv = invariant_set(k4_unit)
         assert inv.lam == inv.phi / 21 + (inv.epsilon + inv.ell) / 12

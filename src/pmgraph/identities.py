@@ -41,7 +41,14 @@ from functools import partial
 from itertools import product
 from typing import Callable, Mapping, Optional, Union
 
-from .polynomials import VARIABLES, Polynomial, variables
+from .polynomials import (
+    VARIABLES,
+    Polynomial,
+    _negative_part,
+    _text,
+    _weighted_sum,
+    variables,
+)
 
 a, b, c, d, e, f, k, m, n = variables()
 
@@ -411,11 +418,12 @@ def _shorten(text: str) -> str:
 
 
 def _equal(label: str, left: Polynomial, right: Polynomial) -> ComponentResult:
-    diff = left - right
-    if diff.is_zero:
+    if left == right:
         return ComponentResult(label, True)
+    diff = left - right
     return ComponentResult(
-        label, False, _shorten(f"difference ({diff.monomial_count()} terms): {diff}")
+        label, False,
+        _shorten(f"difference ({diff.monomial_count()} terms): {_text(diff, _DETAIL_LIMIT)}"),
     )
 
 
@@ -432,11 +440,11 @@ def _value(
 
 
 def _nonnegative(label: str, poly: Polynomial) -> ComponentResult:
-    bad = {exps: coeff for exps, coeff in poly.terms().items() if coeff < 0}
-    if not bad:
+    bad = _negative_part(poly)
+    if bad.is_zero:
         return ComponentResult(label, True)
     return ComponentResult(
-        label, False, _shorten(f"negative coefficients: {Polynomial(bad)}")
+        label, False, _shorten(f"negative coefficients: {_text(bad, _DETAIL_LIMIT)}")
     )
 
 
@@ -444,16 +452,15 @@ _Components = list[ComponentResult]
 
 
 def _case(case: dict, assumption: str) -> _Components:
-    decomposition = (
-        2 * case["two"] + 13 * case["thirteen"] + 15 * case["fifteen"]
-        + 11 * case["eleven"] + 15 * case["T"]
-    )
+    decomposition = _weighted_sum([
+        (2, case["two"]), (13, case["thirteen"]), (15, case["fifteen"]),
+        (11, case["eleven"]), (15, case["T"]),
+    ])
     label = f"R = 2[..] + 13[..] + 15[squares] + 11[cross] + 15*T (under {assumption})"
     return [_equal(label, _XIV_R, decomposition)]
 
 
-def _t_sub(index: int, case: dict, subs: dict[str, Polynomial]) -> _Components:
-    subs_text = ", ".join(f"{name} = {value}" for name, value in sorted(subs.items()))
+def _t_sub(index: int, case: dict, subs: dict[str, Polynomial], subs_text: str) -> _Components:
     return [
         _equal(f"T{index}[{subs_text}] matches its displayed expansion",
                case["T"].substitute(subs), case["T_sub"]),
@@ -473,9 +480,10 @@ for _index, ((_label, _row), _pairs) in enumerate(
     _assumption = ", ".join(f"{big} >= {small}" for big, small in _pairs)
     _subs = {big: Polynomial.variable(small) + step
              for (big, small), step in zip(_pairs, (k, m, n))}
+    _subs_text = ", ".join(f"{name} = {value}" for name, value in sorted(_subs.items()))
     NAMED[f"xiv.T{_index}"] = _row["T"]
     _CASE_CERTIFICATES[f"xiv.case_{_label}"] = partial(_case, _row, _assumption)
-    _T_SUB_CERTIFICATES[f"xiv.T{_index}_sub"] = partial(_t_sub, _index, _row, _subs)
+    _T_SUB_CERTIFICATES[f"xiv.T{_index}_sub"] = partial(_t_sub, _index, _row, _subs, _subs_text)
 
 
 def _viii_phi_rewrite() -> _Components:

@@ -18,14 +18,19 @@ when it is not, so equal polynomials have equal term dicts.  Only ``int``
 and ``Fraction`` scalars are accepted; a float raises ``TypeError``.
 :meth:`Polynomial.terms` and :meth:`Polynomial.coefficients` still give
 tuple keys and ``Fraction`` values.
+
+Each operation normalises as it writes its result, in one pass: ``+`` and
+``-`` copy the left terms and touch only the right operand's keys
+(:func:`_accumulate`), a product drops zeros, turns integral Fractions into
+ints and collects the guard bits in its one output loop, and
+:meth:`Polynomial.substitute` expands each term as a list of pairs and
+normalises once at the end.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import reduce
-from operator import or_
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
 VARIABLES: tuple[str, ...] = ("a", "b", "c", "d", "e", "f", "k", "m", "n")
 _INDEX = {name: i for i, name in enumerate(VARIABLES)}
@@ -73,19 +78,105 @@ def _normalised(terms: dict) -> dict:
     return clean
 
 
+def _accumulate(out: dict, terms: dict, weight: Scalar = 1) -> dict:
+    """Add ``weight`` times ``terms`` into ``out`` in place and return it.
+
+    Only the keys of ``terms`` are touched: one that sums to zero is deleted
+    and an integral Fraction becomes an ``int``, so a normalised ``out``
+    stays normalised and keeps its term order.
+    """
+    get = out.get
+    scaled = weight != 1
+    for key, coeff in terms.items():
+        coeff = get(key, 0) + (coeff * weight if scaled else coeff)
+        if not coeff:
+            out.pop(key, None)
+        elif coeff.__class__ is Fraction and coeff.denominator == 1:
+            out[key] = coeff.numerator
+        else:
+            out[key] = coeff
+    return out
+
+
+def _expand(left, right) -> dict:
+    """Every ``k1 + k2: c1 * c2`` of two sequences of pairs, summed by key in
+    order of first appearance; sums of zero are kept."""
+    sums: dict = {}
+    get = sums.get
+    for k1, c1 in left:
+        for k2, c2 in right:
+            k2 += k1
+            sums[k2] = get(k2, 0) + c1 * c2
+    return sums
+
+
 def _product(left: dict, right: dict) -> dict:
     """Normalised term dict of the product; raises if an exponent overflows."""
-    out: dict = {}
-    get = out.get
-    pairs = list(right.items())
-    for k1, c1 in left.items():
-        for k2, c2 in pairs:
-            key = k1 + k2
-            out[key] = get(key, 0) + c1 * c2
-    out = _normalised(out)
-    if reduce(or_, out, 0) & _GUARD:
+    out = {}
+    used = 0
+    for key, coeff in _expand(left.items(), list(right.items())).items():
+        if coeff:
+            used |= key
+            if coeff.__class__ is Fraction and coeff.denominator == 1:
+                coeff = coeff.numerator
+            out[key] = coeff
+    if used & _GUARD:
         raise ValueError(f"exponent above {MAX_EXPONENT} in a product")
     return out
+
+
+def _top(terms: dict) -> int:
+    """The packed key whose byte ``i`` is the largest exponent of variable ``i``."""
+    return int.from_bytes(bytes(map(max, zip(*map(_exponents, terms)))), "big") if terms else 0
+
+
+def _text(poly: "Polynomial", limit: Optional[int] = None) -> str:
+    """``str(poly)``, highest degree first, then by key.  Past ``limit``
+    characters it stops at a prefix longer than ``limit``, so only the
+    leading terms are formatted."""
+    terms = poly._terms
+    if not terms:
+        return "0"
+    pieces = []
+    size = 0
+    for key in sorted(terms, key=lambda key: (-sum(_exponents(key)), -key)):
+        coeff = terms[key]
+        factors = []
+        for name, power in zip(VARIABLES, _exponents(key)):
+            if power == 1:
+                factors.append(name)
+            elif power > 1:
+                factors.append(f"{name}^{power}")
+        body = "*".join(factors)
+        if not body:
+            text = str(coeff)
+        elif coeff == 1:
+            text = body
+        elif coeff == -1:
+            text = f"-{body}"
+        else:
+            text = f"{coeff}*{body}"
+        if pieces:
+            text = f" - {text[1:]}" if text[0] == "-" else f" + {text}"
+        pieces.append(text)
+        size += len(text)
+        if limit is not None and size > limit:
+            break
+    return "".join(pieces)
+
+
+def _negative_part(poly: "Polynomial") -> "Polynomial":
+    """The terms of ``poly`` with a negative coefficient."""
+    return _make({key: coeff for key, coeff in poly._terms.items() if coeff < 0})
+
+
+def _weighted_sum(parts: list) -> "Polynomial":
+    """``sum(weight * poly for weight, poly in parts)`` in one accumulation:
+    the same terms in the same order as the left-to-right sum."""
+    out: dict = {}
+    for weight, poly in parts:
+        _accumulate(out, poly._terms, weight)
+    return _make(out)
 
 
 class Polynomial:
@@ -142,16 +233,11 @@ class Polynomial:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        out = dict(self._terms)
         if isinstance(other, Polynomial):
-            get = out.get
-            for key, coeff in other._terms.items():
-                out[key] = get(key, 0) + coeff
-        elif isinstance(other, (int, Fraction)):
-            out[0] = out.get(0, 0) + other
-        else:
-            return NotImplemented
-        return _make(_normalised(out))
+            return _make(_accumulate(dict(self._terms), other._terms))
+        if isinstance(other, (int, Fraction)):
+            return _make(_accumulate(dict(self._terms), {0: other}))
+        return NotImplemented
 
     __radd__ = __add__
 
@@ -159,16 +245,11 @@ class Polynomial:
         return _make({key: -coeff for key, coeff in self._terms.items()})
 
     def __sub__(self, other: Union["Polynomial", Scalar]) -> "Polynomial":
-        out = dict(self._terms)
         if isinstance(other, Polynomial):
-            get = out.get
-            for key, coeff in other._terms.items():
-                out[key] = get(key, 0) - coeff
-        elif isinstance(other, (int, Fraction)):
-            out[0] = out.get(0, 0) - other
-        else:
-            return NotImplemented
-        return _make(_normalised(out))
+            return _make(_accumulate(dict(self._terms), other._terms, -1))
+        if isinstance(other, (int, Fraction)):
+            return _make(_accumulate(dict(self._terms), {0: other}, -1))
+        return NotImplemented
 
     def __rsub__(self, other: Scalar) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
@@ -225,7 +306,7 @@ class Polynomial:
 
     def substitute(self, assignment: Mapping[str, Union["Polynomial", Scalar]]) -> "Polynomial":
         """Simultaneously replace variables by polynomials (or scalars)."""
-        replaced: dict[int, list[dict]] = {}  # variable index -> its powers 0, 1, ...
+        replaced: dict[int, dict] = {}
         for name, value in assignment.items():
             if name not in _INDEX:
                 raise KeyError(f"unknown variable {name!r}")
@@ -234,25 +315,45 @@ class Polynomial:
             else:
                 value = _scalar(value)
                 value = {0: value} if value else {}
-            replaced[_INDEX[name]] = [{0: 1}, value]
-        order = sorted(replaced.items())
+            replaced[_INDEX[name]] = value
+        # per replaced variable, in variable order: the shift of its byte, the
+        # terms of its value's powers 0, 1, ... and the _top key of each power
+        order = [(8 * (_NVARS - 1 - i), [{0: 1}, value], [0, _top(value)])
+                 for i, value in sorted(replaced.items())]
+        # Values in pairwise disjoint sets of variables multiply to distinct
+        # monomials, so a term's expansion needs no merging; otherwise each
+        # factor is merged as a product of dicts would be, for the same order.
+        supports = [{i for i, power in enumerate(_exponents(tops[1])) if power}
+                    for _, _, tops in order]
+        disjoint = sum(map(len, supports)) == len(set().union(*supports))
         kept = sum(0xFF << 8 * (_NVARS - 1 - i) for i in range(_NVARS) if i not in replaced)
         total: dict = {}
         get = total.get
         for key, coeff in self._terms.items():
-            factor = {0: coeff}
-            exps = _exponents(key)
-            for i, powers in order:
-                power = exps[i]
-                if power:
-                    while len(powers) <= power:
-                        powers.append(_product(powers[-1], powers[1]))
-                    factor = _product(factor, powers[power])
-            residual = key & kept
-            for k, c in factor.items():
-                k += residual
-                if k & _GUARD:
-                    raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")
+            top = key & kept
+            part = [(top, coeff)]
+            overflow = 0
+            for shift, powers, tops in order:
+                power = key >> shift & 0xFF
+                if not power:
+                    continue
+                while len(powers) <= power:
+                    powers.append(_product(powers[-1], powers[1]))
+                    tops.append(tops[-1] + tops[1])
+                pairs = powers[power].items()
+                if disjoint or len(part) == 1:
+                    part = [(k1 + k2, c1 * c2) for k1, c1 in part for k2, c2 in pairs]
+                else:
+                    part = [pair for pair in _expand(part, pairs).items() if pair[1]]
+                # a term's largest exponent of each variable is the sum of its
+                # factors' largest, so checking that sum after every factor
+                # catches an overflow before a later factor can carry it into
+                # the next byte; a term that a zero value removes raises nothing
+                top += tops[power]
+                overflow |= top & _GUARD
+            if overflow and part:
+                raise ValueError(f"exponent above {MAX_EXPONENT} in a substitution")
+            for k, c in part:
                 c = get(k, 0) + c
                 if c:
                     total[k] = c
@@ -263,17 +364,21 @@ class Polynomial:
     def evaluate(self, point: Mapping[str, Scalar]) -> Fraction:
         """Exact value at a rational point; every supporting variable required."""
         values = {name: _scalar(value) for name, value in point.items()}
-        missing = self.support() - set(values)
+        support = self.support()
+        missing = support - set(values)
         if missing:
             raise KeyError(f"no value for variable(s) {', '.join(sorted(missing))}")
+        # A variable whose value is 1 leaves every term as it is.
+        if all(values[name] == 1 for name in support):
+            return Fraction(sum(self._terms.values()))
         rows = [(_exponents(key), coeff) for key, coeff in self._terms.items()]
-        # Scale every variable by its denominator to its top power, so the sum
-        # runs over ints: table[p] = num**p * den**(top - p).
+        # Scale every other variable by its denominator to its top power, so
+        # the sum runs over ints: table[p] = num**p * den**(top - p).
         scale = 1
-        used = []  # (variable index, table) for the variables that occur
+        used = []  # (variable index, table) for the variables to multiply in
         for i, column in enumerate(zip(*(exps for exps, _ in rows))):
             top = max(column)
-            if top:
+            if top and values[VARIABLES[i]] != 1:
                 value = Fraction(values[VARIABLES[i]])
                 num, den = value.numerator, value.denominator
                 scale *= den**top
@@ -291,28 +396,7 @@ class Polynomial:
     # -- formatting ---------------------------------------------------------
 
     def __str__(self) -> str:
-        if not self._terms:
-            return "0"
-        parts = []
-        for key in sorted(self._terms, key=lambda key: (-sum(_exponents(key)), -key)):
-            coeff = self._terms[key]
-            factors = []
-            for name, power in zip(VARIABLES, _exponents(key)):
-                if power == 1:
-                    factors.append(name)
-                elif power > 1:
-                    factors.append(f"{name}^{power}")
-            body = "*".join(factors)
-            if not body:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append(f"-{body}")
-            else:
-                parts.append(f"{coeff}*{body}")
-        text = " + ".join(parts)
-        return text.replace("+ -", "- ")
+        return _text(self)
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"

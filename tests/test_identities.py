@@ -2,14 +2,19 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+import pmgraph.identities as identities_mod
 from pmgraph import (
     PROBE_NAMES,
+    Polynomial,
     identity_names,
     named,
+    variables,
     verify_all,
     verify_identity,
 )
+from pmgraph.cli import main
 
 ONES = {v: 1 for v in "abcdef"}
 RECORDS = Path(__file__).parent / "data" / "identity_records.txt"
@@ -128,3 +133,48 @@ class TestCertificates:
         # names, order, labels, details and witnesses of all 29 entries
         text = "".join(_record(cert) for cert in verify_all())
         assert text.encode() == RECORDS.read_bytes()
+
+
+class TestFailureBranches:
+    """A certificate that fails, made by replacing one registry row, with
+    its output text pinned literally."""
+
+    def test_negative_coefficient_fails_the_run(self, monkeypatch):
+        a, b, c = variables()[:3]
+        poly = a**2 - 2 * a * b + Fraction(-1, 3) * c + 5
+        monkeypatch.setitem(
+            identities_mod._CERTIFICATES, "xiv.T1_sub",
+            lambda: [identities_mod._nonnegative("expansion has no negative coefficient", poly)],
+        )
+        result = CliRunner().invoke(main, ["verify", "identities"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert (
+            "FAIL  xiv.T1_sub\n"
+            "      expansion has no negative coefficient: negative coefficients: -2*a*b - 1/3*c\n"
+            "PASS  xiv.T2_sub\n"
+        ) in result.output
+
+    def test_long_difference_is_cut_to_the_limit(self, monkeypatch):
+        monkeypatch.setitem(
+            identities_mod._CERTIFICATES, "xiv.D_equals_M",
+            lambda: [identities_mod._equal("D = A", named("xiv.D"), named("xiv.A"))],
+        )
+        cert = verify_identity("xiv.D_equals_M")
+        assert not cert.passed
+        (component,) = cert.components
+        detail = (
+            "difference (60 terms): a^2*b*d + a^2*b*e + a^2*b*f + a^2*c*d + a^2*c*e"
+            " + a^2*c*f + a^2*d*f + a^2*e*f + a*b^2*d + a*b^2*e + a*b^2*f - a*b*c*d"
+            " - a*b*c*e - a*b ..."
+        )
+        assert len(detail) == identities_mod._DETAIL_LIMIT == 160
+        assert component.detail == detail
+        result = CliRunner().invoke(main, ["verify", "identities", "--name", "xiv.D_equals_M"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output == f"FAIL  xiv.D_equals_M\n      D = A: {detail}\n"
+
+    def test_zero_polynomial_is_nonnegative(self):
+        result = identities_mod._nonnegative("zero", Polynomial())
+        assert result == identities_mod.ComponentResult("zero", True)

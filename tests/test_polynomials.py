@@ -164,6 +164,13 @@ class TestExponentRange:
         with pytest.raises(ValueError):
             (a**100 * b**100).substitute({"a": b})
 
+    def test_substitution_overflow_raises_before_it_carries(self):
+        # a third factor of d^127 would carry out of d's byte and leave
+        # d^125 with its guard bit clear, so only a check after every factor
+        # sees the second one overflow
+        with pytest.raises(ValueError):
+            (d**127 * a * b).substitute({"a": d**127, "b": d**127})
+
     @pytest.mark.parametrize("exps", [(MAX_EXPONENT + 1,) + (0,) * 8, (-1,) + (0,) * 8, (1, 0)])
     def test_constructor_exponents(self, exps):
         with pytest.raises(ValueError):
@@ -257,6 +264,18 @@ class TestAgainstReference:
                 Polynomial(terms).substitute(assignment),
                 RefPolynomial(terms).substitute(ref_assignment),
             )
+
+    def test_substitution_merges_each_factor_like_the_reference(self):
+        # a*d expands to b^2 - b*c + c*b - c^2: merged, the two b*c products
+        # cancel before they reach the b*c already in the sum, which keeps
+        # its place; added one by one they would move it behind b^2
+        terms = (b * c + a * d).terms()
+        got = Polynomial(terms).substitute({"a": b + c, "d": b - c})
+        want = RefPolynomial(terms).substitute(
+            {"a": RefPolynomial((b + c).terms()), "d": RefPolynomial((b - c).terms())}
+        )
+        _assert_same(got, want)
+        assert list(got.terms().values()) == [1, 1, -1]
 
     def test_random_evaluations(self):
         rng = random.Random(20144)

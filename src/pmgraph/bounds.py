@@ -24,10 +24,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
 from functools import cache
+from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import _QUARTET, _scaled, _zhang
+from .invariants import _QUARTET, _scaled
+from .resistance import _Scaled
 
 
 @dataclass(frozen=True)
@@ -36,6 +38,10 @@ class Witness:
 
     family: str
     lengths: Mapping[str, Fraction]
+
+    def __post_init__(self):
+        # the bound table is shared by every call, so its witnesses are read-only
+        object.__setattr__(self, "lengths", MappingProxyType(dict(self.lengths)))
 
     @property
     def is_boundary(self) -> bool:
@@ -107,37 +113,34 @@ def _boundary(fid: str, zero: tuple[str, ...]) -> Witness:
     )
 
 
+# every certified floor, one row per (family group, invariant); built once
+_TABLE = [
+    BoundSpec("g0.*", "phi", Fraction(4, 3), exact=True, witness=_ones("g0.II")),
+    BoundSpec("g0.*", "lambda", Fraction(2, 7), exact=True, witness=_ones("g0.II")),
+    BoundSpec("g0.*", "epsilon", Fraction(5, 3), exact=True, witness=_ones("g0.II")),
+    BoundSpec("g1.*", "phi", Fraction(1, 9), witness=_ones("g1.I")),
+    BoundSpec("g1.*", "lambda", Fraction(3, 28), witness=_ones("g1.I")),
+    BoundSpec("g1.*", "epsilon", Fraction(2, 9), witness=_ones("g1.I")),
+    BoundSpec("g2.*", "phi", Fraction(7, 81), witness=_ones("g2.III")),
+    BoundSpec("g2.*", "lambda", Fraction(3, 28), witness=_ones("g2.I")),
+    BoundSpec("g2.*", "epsilon", Fraction(2, 9), witness=_ones("g2.I")),
+    # phi floors vary by family within total genus 3 graphs of genus 3
+    BoundSpec("g3.I,g3.IV,g3.V,g3.VI,g3.VII,g3.XI", "phi",
+              Fraction(1, 9), witness=_ones("g3.I")),
+    BoundSpec("g3.III,g3.IX,g3.X,g3.XII", "phi", Fraction(7, 81)),
+    BoundSpec("g3.II", "phi", Fraction(1, 16), witness=_ones("g3.II")),
+    BoundSpec("g3.VIII", "phi", Fraction(1, 16), witness=_boundary("g3.VIII", ("a",))),
+    BoundSpec("g3.XIII", "phi", Fraction(1, 16), witness=_boundary("g3.XIII", ("a", "b"))),
+    BoundSpec("g3.XIV", "phi", Fraction(17, 288), witness=_ones("g3.XIV")),
+    BoundSpec("g3.XIV", "tau", Fraction(5, 96), witness=_ones("g3.XIV")),
+    BoundSpec("g3.*", "lambda", Fraction(3, 28), witness=_ones("g3.I")),
+    BoundSpec("g3.*", "epsilon", Fraction(2, 9), witness=_ones("g3.I")),
+]
+
+
 def bound_table() -> list[BoundSpec]:
-    """All certified floors, one row per (family group, invariant)."""
-    third = [
-        # phi floors vary by family within total genus 3 graphs of genus 3
-        BoundSpec("g3.I,g3.IV,g3.V,g3.VI,g3.VII,g3.XI", "phi",
-                  Fraction(1, 9), witness=_ones("g3.I")),
-        BoundSpec("g3.III,g3.IX,g3.X,g3.XII", "phi", Fraction(7, 81)),
-        BoundSpec("g3.II", "phi", Fraction(1, 16), witness=_ones("g3.II")),
-        BoundSpec("g3.VIII", "phi", Fraction(1, 16),
-                  witness=_boundary("g3.VIII", ("a",))),
-        BoundSpec("g3.XIII", "phi", Fraction(1, 16),
-                  witness=_boundary("g3.XIII", ("a", "b"))),
-        BoundSpec("g3.XIV", "phi", Fraction(17, 288), witness=_ones("g3.XIV")),
-        BoundSpec("g3.XIV", "tau", Fraction(5, 96), witness=_ones("g3.XIV")),
-        BoundSpec("g3.*", "lambda", Fraction(3, 28), witness=_ones("g3.I")),
-        BoundSpec("g3.*", "epsilon", Fraction(2, 9), witness=_ones("g3.I")),
-    ]
-    return [
-        BoundSpec("g0.*", "phi", Fraction(4, 3), exact=True,
-                  witness=_ones("g0.II")),
-        BoundSpec("g0.*", "lambda", Fraction(2, 7), exact=True,
-                  witness=_ones("g0.II")),
-        BoundSpec("g0.*", "epsilon", Fraction(5, 3), exact=True,
-                  witness=_ones("g0.II")),
-        BoundSpec("g1.*", "phi", Fraction(1, 9), witness=_ones("g1.I")),
-        BoundSpec("g1.*", "lambda", Fraction(3, 28), witness=_ones("g1.I")),
-        BoundSpec("g1.*", "epsilon", Fraction(2, 9), witness=_ones("g1.I")),
-        BoundSpec("g2.*", "phi", Fraction(7, 81), witness=_ones("g2.III")),
-        BoundSpec("g2.*", "lambda", Fraction(3, 28), witness=_ones("g2.I")),
-        BoundSpec("g2.*", "epsilon", Fraction(2, 9), witness=_ones("g2.I")),
-    ] + third
+    """All certified floors, one row per (family group, invariant), as a new list."""
+    return list(_TABLE)
 
 
 def matching_families(spec: BoundSpec) -> list[str]:
@@ -149,6 +152,16 @@ def _covers(spec: BoundSpec, fid: str) -> bool:
     return spec.matches(fid) and not catalog.family(fid).degenerate
 
 
+# each ratio to ell as (a tau + c theta + b ell) / (d ell): tau, then the quartet
+_RATIOS = {"tau": (1, 0, 0, 1), **{name: (a, 1, b, d) for name, (a, b, d) in _QUARTET.items()}}
+
+
+def _ratio(s: _Scaled, name: str) -> tuple[int, int]:
+    # invariant/ell as an int numerator over a positive int denominator
+    a, c, b, d = _RATIOS[name]
+    return a * s.tau + c * s.theta + b * s.ell, d * s.ell
+
+
 def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the general engine (no closed forms involved)."""
     return engine_ratios(fid, lengths)[invariant]
@@ -158,7 +171,7 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
     """tau, phi, lambda, epsilon and Z over ell from a single engine pass."""
     _require_length(fid)
     _, s = _scaled(catalog.build(fid, lengths))
-    return {"tau": Fraction(s.tau, s.ell), **_zhang(s, s.ell)}
+    return {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
 
 
 def closed_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
@@ -173,7 +186,7 @@ def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
     """
     _require_length(fid)
     closed = catalog._closed_form(catalog.family(fid), dict(lengths))
-    return {name: closed.by_name(name) / closed.ell for name in ("tau", *_QUARTET)}
+    return {name: closed.by_name(name) / closed.ell for name in _RATIOS}
 
 
 def _require_length(fid: str) -> None:
@@ -221,18 +234,26 @@ def _sample_reports(
     # (row index, family) -> (min ratio, its lengths, first violation)
     found: dict[tuple[int, str], tuple] = {}
     for fid in dict.fromkeys(fid for families in covered for fid in families):
-        points = [
-            (tuple(sorted(x.items())), engine_ratios(fid, x))
-            for x in catalog._seeded_lengths(fid, samples, seed)
-        ]
+        # fid has length, so its samples are solved without _require_length
+        draws = catalog._seeded_lengths(fid, samples, seed)
+        points = [(x, _scaled(catalog.build(fid, x))[1]) for x in draws]
         for i, spec in enumerate(specs):
-            if fid in covered[i]:
-                ratios = [(r[spec.invariant], frozen) for frozen, r in points]
-                bad = (
-                    (fid, frozen, ratio) for ratio, frozen in ratios
-                    if (ratio != spec.floor if spec.exact else ratio < spec.floor)
-                )
-                found[i, fid] = (*min(ratios, key=lambda p: p[0]), next(bad, None))
+            if fid not in covered[i]:
+                continue
+            # each ratio meets the floor and the running minimum as crossed
+            # int products; only the reported ones become Fractions
+            p, q = spec.floor.as_integer_ratio()
+            least = bad = None
+            for x, s in points:
+                num, den = _ratio(s, spec.invariant)
+                if least is None or num * least[1] < least[0] * den:
+                    least = num, den, x
+                if bad is None and (num * q != p * den if spec.exact else num * q < p * den):
+                    bad = num, den, x
+            found[i, fid] = (
+                Fraction(*least[:2]), tuple(sorted(least[2].items())),
+                bad and (fid, tuple(sorted(bad[2].items())), Fraction(*bad[:2])),
+            )
     reports = []
     for i, (spec, families) in enumerate(zip(specs, covered)):
         per_family = [(fid, *found[i, fid]) for fid in families]
@@ -240,18 +261,11 @@ def _sample_reports(
         # order, so this is the minimum a single pass over the row finds
         min_family, min_ratio, min_lengths, _ = min(per_family, key=lambda r: r[1])
         violation = next((r[3] for r in per_family if r[3] is not None), None)
-        reports.append(
-            SampleReport(
-                spec=spec,
-                families=tuple(families),
-                samples_per_family=samples,
-                seed=seed,
-                min_ratio=min_ratio,
-                min_family=min_family,
-                min_lengths=min_lengths,
-                violation=violation,
-            )
-        )
+        reports.append(SampleReport(
+            spec=spec, families=tuple(families), samples_per_family=samples, seed=seed,
+            min_ratio=min_ratio, min_family=min_family, min_lengths=min_lengths,
+            violation=violation,
+        ))
     return reports
 
 
@@ -326,7 +340,7 @@ def verify_bounds(
     if family is not None:
         catalog.family(family)  # an unknown family is named before the row filter
     specs = [
-        spec for spec in bound_table() if family is None or _covers(spec, family)
+        spec for spec in _TABLE if family is None or _covers(spec, family)
     ]
     if not specs:
         raise catalog.UnknownFamilyError(

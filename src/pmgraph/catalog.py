@@ -2,22 +2,26 @@
 
 The catalog is one table, :data:`_TABLE`, with one row per family: its id,
 a description, its vertices with their weights, its edges as ``id:u-v`` and
-its transcribed closed forms for every invariant.  The edge ids are the
-parameter letters, so a family's parameters are its sorted edge ids, and one
-builder turns any row and a set of lengths into a graph.  The closed forms
-are rational expressions in the edge lengths; the engine in
+the parts of its transcribed closed forms.  The edge ids are the parameter
+letters, so a family's parameters are its sorted edge ids, and one builder
+turns any row and a set of lengths into a graph.  The closed forms are
+rational expressions in the edge lengths; the engine in
 :mod:`pmgraph.invariants` never sees them, which is what makes
 :func:`cross_check` a meaningful test: the two routes share no code beyond
-Fraction arithmetic.
+exact arithmetic.
 
 Every closed-form row (tau, theta, delta1, phi, lambda, epsilon) is a sum of
-five parts, and :func:`_row` writes each part's coefficients once, as
-literals: the total length ``ell``, the bridge length ``s`` (which is
-delta1), a banana part ``h`` (``uv/(u+v)`` for two arcs in parallel), a
-theta part ``t`` (``abc/(ab+ac+bc)`` for three) and a four-arc part ``x``
-(the same for four).  A row says only which parts its family has; the
-families g3.II, VIII, IX, XIII and XIV build theirs, as quotients of
-spanning-tree polynomials, in a function of their own.
+five parts with the coefficients of :data:`_COEFFICIENTS`, written once as
+the published literals: the total length ``ell``, the bridge length ``s``
+(which is delta1), a banana part ``h`` (``uv/(u+v)`` for two arcs in
+parallel), a theta part ``t`` (``abc/(ab+ac+bc)`` for three) and a four-arc
+part ``x`` (the same for four).  A row's parts function says only which
+parts its family has; g3.II, VIII, IX, XIII and XIV build theirs from
+spanning-tree polynomials in a function of their own.  The closed forms run
+on integers: the lengths are scaled once by the lcm ``D`` of their
+denominators, a parts function returns the numerators of ``h``, ``t`` and
+``x`` over one denominator ``q`` with ``+``, ``-`` and ``*`` alone, and each
+column is one ``Fraction`` over ``252 q D`` (252 clears every coefficient).
 
 Families are grouped by the Betti number ``g`` of the graph (the vertex
 weights always top the total genus up to 3): 4 families with ``g = 0``,
@@ -42,6 +46,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
+from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from .graph import Edge, PmGraph, PmGraphError, RationalLike, Vertex, as_rational
@@ -89,112 +95,96 @@ class FamilySpec:
 
 
 # ---------------------------------------------------------------------------
-# closed forms: every row is ``_row`` of its family's parts
+# closed forms: every row is one sum of its family's parts
 
 
-_0 = Fraction(0)
+# each part's coefficients in the columns (tau, theta, delta1, phi, lambda,
+# epsilon), as published; cleared at import to the ints 252 times them, by
+# column, in the order of the parts (ell, s, h, t, x)
+_COEFFICIENTS = {
+    "ell": ("1/12", "0", "0", "1/9", "3/28", "2/9"),
+    "s": ("1/6", "6", "1", "11/9", "5/28", "13/9"),
+    "h": ("0", "8", "0", "2/3", "1/7", "4/3"),
+    "t": ("-1/6", "6", "0", "-2/9", "1/28", "5/9"),
+    "x": ("-1/3", "8", "0", "-7/9", "0", "4/9"),
+}
+_COLUMNS = tuple(
+    zip(*([int(252 * Fraction(c)) for c in row] for row in _COEFFICIENTS.values()))
+)
 
 
-def _row(
-    p: Lengths, s: Fraction = _0, h: Fraction = _0, t: Fraction = _0, x: Fraction = _0
-) -> ClosedRow:
-    # (tau, theta, delta1, phi, lambda, epsilon) of a family with lengths
-    # ``p``: the total length's terms plus, for each nonzero part, its own
-    # literal coefficients.  ``s`` is the bridge length (delta1), ``h`` the
-    # banana part, ``t`` the theta part and ``x`` the four-arc part.
-    ell = sum(p.values(), _0)
-    tau, theta, phi, lam, eps = ell / 12, _0, ell / 9, 3 * ell / 28, 2 * ell / 9
-    if s:
-        tau += s / 6
-        theta += 6 * s
-        phi += 11 * s / 9
-        lam += 5 * s / 28
-        eps += 13 * s / 9
-    if h:
-        theta += 8 * h
-        phi += 2 * h / 3
-        lam += h / 7
-        eps += 4 * h / 3
-    if t:
-        tau -= t / 6
-        theta += 6 * t
-        phi -= 2 * t / 9
-        lam += t / 28
-        eps += 5 * t / 9
-    if x:
-        tau -= x / 3
-        theta += 8 * x
-        phi -= 7 * x / 9
-        eps += 4 * x / 9
-    return tau, theta, s, phi, lam, eps
+def _parts(q=1, s=0, h=0, t=0, x=0) -> tuple:
+    # a family's parts at integer lengths: the bridge length ``s`` itself,
+    # and the numerators of ``h``, ``t`` and ``x`` over one denominator ``q``
+    return q, s, h, t, x
 
 
-def _par(u: Fraction, v: Fraction) -> Fraction:
-    # two arcs in parallel: the banana part
-    return u * v / (u + v)
+def _integers(p: Lengths) -> tuple[int, dict[str, int]]:
+    # the lengths as ints n over one denominator D, the lcm of theirs
+    d = lcm(*(v.denominator for v in p.values()))
+    return d, {name: v.numerator * (d // v.denominator) for name, v in p.items()}
 
 
-def _par3(a: Fraction, b: Fraction, c: Fraction) -> Fraction:
-    # three arcs in parallel: the theta part
-    return a * b * c / (a * b + a * c + b * c)
+def _closed(parts: Callable[[dict], tuple]) -> Callable[[Lengths], ClosedRow]:
+    # a family's closed forms from its parts function: the lengths are scaled
+    # once to ints n = D p, and each column is one Fraction over 252 q D
+    def closed(p: Lengths) -> ClosedRow:
+        d, n = _integers(p)
+        q, s, *rest = parts(n)
+        terms = (q * sum(n.values()), q * s, *rest)
+        den = 252 * q * d
+        return tuple(Fraction(sum(map(mul, column, terms)), den) for column in _COLUMNS)
+
+    return closed
 
 
-def _arcs_path(
-    a: Fraction, b: Fraction, c: Fraction, d: Fraction
-) -> dict[str, Fraction]:
+def _par(u, v, s=0) -> tuple:
+    # two arcs in parallel: the banana part uv/(u+v)
+    return _parts(u + v, s, h=u * v)
+
+
+def _par3(a, b, c, s=0) -> tuple:
+    # three arcs in parallel: the theta part abc/(ab+ac+bc)
+    return _parts(a * b + a * c + b * c, s, t=a * b * c)
+
+
+def _arcs_path(a, b, c, d, s=0) -> tuple:
     # arcs a and b in parallel with the path c + d through a vertex with
     # K != 0: the theta part and the banana part of that subgraph
-    w = a * b + (a + b) * (c + d)
-    return {"t": a * b * (c + d) / w, "h": (a + b) * c * d / w}
+    return _parts(a * b + (a + b) * (c + d), s, h=(a + b) * c * d, t=a * b * (c + d))
 
 
-def _g3_II(p: Lengths) -> ClosedRow:
+def _g3_II(p: dict) -> tuple:
     # four arcs in parallel
     a, b, c, d = p["a"], p["b"], p["c"], p["d"]
-    return _row(p, x=a * b * c * d / (b * c * d + a * (c * d + b * (c + d))))
+    return _parts(b * c * d + a * (c * d + b * (c + d)), x=a * b * c * d)
 
 
-def _g3_VIII(p: Lengths) -> ClosedRow:
+def _g3_VIII(p: dict) -> tuple:
     a, b, c, d, e = p["a"], p["b"], p["c"], p["d"], p["e"]
-    # denominator = complement spanning-tree polynomial of the topology
-    den = (
-        a * b * d + a * c * d + b * c * d
-        + a * b * e + a * c * e + b * c * e
-        + b * d * e + c * d * e
-    )
-    q = a * (b * c * d + b * c * e + b * d * e + c * d * e)
-    return _row(p, t=q / den, x=b * c * d * e / den)
+    # q = complement spanning-tree polynomial of the topology, a (b + c)(d + e) + u
+    u = b * c * (d + e) + (b + c) * d * e  # bcd + bce + bde + cde
+    return _parts(a * (b + c) * (d + e) + u, t=a * u, x=b * c * d * e)
 
 
-def _g3_IX(p: Lengths) -> ClosedRow:
+def _g3_IX(p: dict) -> tuple:
     # The tau entry printed in the source table for this family, ell/12 + b/6,
     # contradicts both delta_1 = 0 and the family's phi entry; the value below
     # is the one forced by the topology (loop + theta with arcs d, e, b+c) and
     # it reproduces the printed phi exactly.  See the recorded discrepancy
     # probe "g3_IX_tau_as_printed" in pmgraph.identities.
-    return _row(p, **_arcs_path(p["d"], p["e"], p["b"], p["c"]))
+    return _arcs_path(p["d"], p["e"], p["b"], p["c"])
 
 
-def _g3_XIII(p: Lengths) -> ClosedRow:
+def _g3_XIII(p: dict) -> tuple:
     a, b, c, d, e, f = p["a"], p["b"], p["c"], p["d"], p["e"], p["f"]
-    ca = (
-        a * c * d * e + b * c * d * e + a * c * d * f + b * c * d * f
-        + a * c * e * f + b * c * e * f + a * d * e * f + b * d * e * f
-    )
-    cd = (
-        (a + b) * c * e + (a + b) * d * e + c * d * e
-        + (a + b) * c * f + (a + b) * d * f + c * d * f
-        + c * e * f + d * e * f
-    )
-    return _row(
-        p,
-        h=(a * b * c * e + a * b * d * e + a * b * c * f + a * b * d * f) / cd,
-        t=ca / cd,
-        x=c * d * e * f / cd,
-    )
+    # the spanning-tree polynomials factored over the doubled sides c, d and e, f
+    u = c * d * (e + f) + (c + d) * e * f  # cde + cdf + cef + def
+    v = (c + d) * (e + f)
+    return _parts((a + b) * v + u, h=a * b * v, t=(a + b) * u, x=c * d * e * f)
 
 
-def _g3_XIV(p: Lengths) -> ClosedRow:
+def _g3_XIV(p: dict) -> tuple:
     a, b, c, d, e, f = p["a"], p["b"], p["c"], p["d"], p["e"], p["f"]
     ca = (
         a * b * c * d + a * b * c * e + a * b * d * e + a * c * d * e
@@ -206,98 +196,95 @@ def _g3_XIV(p: Lengths) -> ClosedRow:
         + b * d * e + c * d * e + a * b * f + a * c * f + b * c * f
         + a * d * f + c * d * f + a * e * f + b * e * f + d * e * f
     )
-    return _row(p, t=ca / cc, x=(b * c * d * e + a * c * d * f + a * b * e * f) / cc)
+    return _parts(cc, t=ca, x=b * c * d * e + a * c * d * f + a * b * e * f)
 
 
 # ---------------------------------------------------------------------------
 # the topology table: id, description, vertices (``id`` or ``id:q``, weight 0
-# by default), edges as ``id:u-v`` in drawing order, closed forms
+# by default), edges as ``id:u-v`` in drawing order, parts
 
-_TABLE: list[tuple[str, str, str, str, Callable[[Lengths], ClosedRow]]] = [
-    ("g0.I", "single vertex of weight 3 (degenerate: zero length)", "X:3", "",
-     lambda p: _row(p)),
-    ("g0.II", "segment joining weights 1 and 2", "P:1 Q:2", "a:P-Q",
-     lambda p: _row(p, s=p["a"])),
+_TABLE: list[tuple[str, str, str, str, Callable[[dict], tuple]]] = [
+    ("g0.I", "single vertex of weight 3 (degenerate: zero length)", "X:3", "", lambda p: _parts()),
+    ("g0.II", "segment joining weights 1 and 2", "P:1 Q:2", "a:P-Q", lambda p: _parts(s=p["a"])),
     ("g0.III", "path on three weight-1 vertices", "P:1 M:1 Q:1", "a:P-M b:M-Q",
-     lambda p: _row(p, s=p["a"] + p["b"])),
+     lambda p: _parts(s=p["a"] + p["b"])),
     ("g0.IV", "3-star with weight-1 leaves", "C L1:1 L2:1 L3:1",
-     "a:C-L1 b:C-L2 c:C-L3", lambda p: _row(p, s=p["a"] + p["b"] + p["c"])),
-    ("g1.I", "one loop at a weight-2 vertex", "X:2", "a:X-X", lambda p: _row(p)),
+     "a:C-L1 b:C-L2 c:C-L3", lambda p: _parts(s=p["a"] + p["b"] + p["c"])),
+    ("g1.I", "one loop at a weight-2 vertex", "X:2", "a:X-X", lambda p: _parts()),
     ("g1.II", "two arcs between weight-1 vertices", "X:1 Y:1", "a:X-Y b:X-Y",
-     lambda p: _row(p, h=_par(p["a"], p["b"]))),
+     lambda p: _par(p["a"], p["b"])),
     ("g1.III", "loop at weight 1 plus a pendant weight-1 leaf", "X:1 L:1",
-     "b:X-X a:X-L", lambda p: _row(p, s=p["a"])),
+     "b:X-X a:X-L", lambda p: _parts(s=p["a"])),
     ("g1.IV", "loop at weight 0 plus a pendant weight-2 leaf", "X L:2",
-     "b:X-X a:X-L", lambda p: _row(p, s=p["a"])),
+     "b:X-X a:X-L", lambda p: _parts(s=p["a"])),
     ("g1.V", "two arcs to a weight-1 vertex plus a pendant leaf", "J P:1 L:1",
-     "b:J-P c:J-P a:J-L", lambda p: _row(p, s=p["a"], h=_par(p["b"], p["c"]))),
+     "b:J-P c:J-P a:J-L", lambda p: _par(p["b"], p["c"], s=p["a"])),
     ("g1.VI", "two arcs with a pendant leaf on each side", "J1 J2 L1:1 L2:1",
      "c:J1-J2 d:J1-J2 a:J1-L1 b:J2-L2",
-     lambda p: _row(p, s=p["a"] + p["b"], h=_par(p["c"], p["d"]))),
+     lambda p: _par(p["c"], p["d"], s=p["a"] + p["b"])),
     ("g1.VII", "loop with two pendant leaves at one vertex", "X L1:1 L2:1",
-     "c:X-X a:X-L1 b:X-L2", lambda p: _row(p, s=p["a"] + p["b"])),
+     "c:X-X a:X-L1 b:X-L2", lambda p: _parts(s=p["a"] + p["b"])),
     ("g1.VIII", "loop, then a path through weight 1 to a leaf", "X Y:1 L:1",
-     "c:X-X a:X-Y b:Y-L", lambda p: _row(p, s=p["a"] + p["b"])),
+     "c:X-X a:X-Y b:Y-L", lambda p: _parts(s=p["a"] + p["b"])),
     ("g1.IX", "loop, bridge, then two pendant leaves", "X Y L1:1 L2:1",
-     "d:X-X a:X-Y b:Y-L1 c:Y-L2", lambda p: _row(p, s=p["a"] + p["b"] + p["c"])),
-    ("g2.I", "two loops at a weight-1 vertex", "X:1", "a:X-X b:X-X",
-     lambda p: _row(p)),
+     "d:X-X a:X-Y b:Y-L1 c:Y-L2", lambda p: _parts(s=p["a"] + p["b"] + p["c"])),
+    ("g2.I", "two loops at a weight-1 vertex", "X:1", "a:X-X b:X-X", lambda p: _parts()),
     ("g2.II", "loop plus two arcs to a weight-1 vertex", "X Y:1",
-     "a:X-X b:X-Y c:X-Y", lambda p: _row(p, h=_par(p["b"], p["c"]))),
+     "a:X-X b:X-Y c:X-Y", lambda p: _par(p["b"], p["c"])),
     ("g2.III", "theta graph with one weight-1 vertex", "X:1 Y",
-     "a:X-Y b:X-Y c:X-Y", lambda p: _row(p, t=_par3(p["a"], p["b"], p["c"]))),
+     "a:X-Y b:X-Y c:X-Y", lambda p: _par3(p["a"], p["b"], p["c"])),
     ("g2.IV", "two arcs plus a path through weight 1", "X Y M:1",
      "a:X-Y b:X-Y c:X-M d:M-Y",
-     lambda p: _row(p, **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
+     lambda p: _arcs_path(p["a"], p["b"], p["c"], p["d"])),
     ("g2.V", "loops joined by a bridge, far vertex weight 1", "X Y:1",
-     "a:X-X c:X-Y b:Y-Y", lambda p: _row(p, s=p["c"])),
+     "a:X-X c:X-Y b:Y-Y", lambda p: _parts(s=p["c"])),
     ("g2.VI", "loop, two arcs, pendant weight-1 leaf", "X Y L:1",
-     "a:X-X b:X-Y c:X-Y d:Y-L", lambda p: _row(p, s=p["d"], h=_par(p["b"], p["c"]))),
+     "a:X-X b:X-Y c:X-Y d:Y-L", lambda p: _par(p["b"], p["c"], s=p["d"])),
     ("g2.VII", "theta plus pendant weight-1 leaf", "X Y L:1",
      "a:X-Y b:X-Y c:X-Y d:Y-L",
-     lambda p: _row(p, s=p["d"], t=_par3(p["a"], p["b"], p["c"]))),
+     lambda p: _par3(p["a"], p["b"], p["c"], s=p["d"])),
     ("g2.VIII", "two arcs plus subdivided arc, leaf at the midpoint", "X Y M L:1",
      "a:X-Y b:X-Y c:X-M d:M-Y e:M-L",
-     lambda p: _row(p, s=p["e"], **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
+     lambda p: _arcs_path(p["a"], p["b"], p["c"], p["d"], s=p["e"])),
     ("g2.IX", "two loops plus pendant weight-1 leaf", "X L:1",
-     "a:X-X c:X-X b:X-L", lambda p: _row(p, s=p["b"])),
+     "a:X-X c:X-X b:X-L", lambda p: _parts(s=p["b"])),
     # g2.VI relabelled: VI's a, b, c, d are X's d, a, b, c
     ("g2.X", "two arcs, loop on one side, leaf on the other", "X Y L:1",
-     "d:X-X a:X-Y b:X-Y c:Y-L", lambda p: _row(p, s=p["c"], h=_par(p["a"], p["b"]))),
+     "d:X-X a:X-Y b:X-Y c:Y-L", lambda p: _par(p["a"], p["b"], s=p["c"])),
     ("g2.XI", "loops joined by a path through weight 1", "X P:1 Y",
-     "a:X-X c:X-P d:P-Y b:Y-Y", lambda p: _row(p, s=p["c"] + p["d"])),
+     "a:X-X c:X-P d:P-Y b:Y-Y", lambda p: _parts(s=p["c"] + p["d"])),
     ("g2.XII", "loops joined by a bridge, pendant leaf", "X Y L:1",
-     "a:X-X c:X-Y b:Y-Y d:Y-L", lambda p: _row(p, s=p["c"] + p["d"])),
+     "a:X-X c:X-Y b:Y-Y d:Y-L", lambda p: _parts(s=p["c"] + p["d"])),
     ("g2.XIII", "two arcs, bridge to a loop, bridge to a weight-1 leaf",
      "X Y M L:1", "a:X-Y b:X-Y c:X-M e:M-M d:Y-L",
-     lambda p: _row(p, s=p["c"] + p["d"], h=_par(p["a"], p["b"]))),
+     lambda p: _par(p["a"], p["b"], s=p["c"] + p["d"])),
     ("g2.XIV", "3-star joining two loops and a weight-1 leaf", "W X Y L:1",
-     "c:W-X d:W-Y e:W-L a:X-X b:Y-Y", lambda p: _row(p, s=p["c"] + p["d"] + p["e"])),
-    ("g3.I", "bouquet of three loops", "X", "a:X-X b:X-X c:X-X", lambda p: _row(p)),
+     "c:W-X d:W-Y e:W-L a:X-X b:Y-Y", lambda p: _parts(s=p["c"] + p["d"] + p["e"])),
+    ("g3.I", "bouquet of three loops", "X", "a:X-X b:X-X c:X-X", lambda p: _parts()),
     ("g3.II", "4-banana", "X Y", "a:X-Y b:X-Y c:X-Y d:X-Y", _g3_II),
     ("g3.III", "theta graph plus a loop", "X Y", "a:X-Y b:X-Y c:X-Y d:X-X",
-     lambda p: _row(p, t=_par3(p["a"], p["b"], p["c"]))),
+     lambda p: _par3(p["a"], p["b"], p["c"])),
     ("g3.IV", "two loops joined by two arcs", "X Y", "a:X-X b:Y-Y c:X-Y d:X-Y",
-     lambda p: _row(p, h=_par(p["c"], p["d"]))),
+     lambda p: _par(p["c"], p["d"])),
     ("g3.V", "two loops, bridge, another loop", "X Y", "a:X-X b:X-X d:X-Y c:Y-Y",
-     lambda p: _row(p, s=p["d"])),
+     lambda p: _parts(s=p["d"])),
     ("g3.VI", "chain of three loops", "X M Y", "a:X-X d:X-M b:M-M e:M-Y c:Y-Y",
-     lambda p: _row(p, s=p["d"] + p["e"])),
+     lambda p: _parts(s=p["d"] + p["e"])),
     ("g3.VII", "loop, bridge, two arcs, loop", "X Y Z",
      "a:X-X c:X-Y d:Y-Z e:Y-Z b:Z-Z",
-     lambda p: _row(p, s=p["c"], h=_par(p["d"], p["e"]))),
+     lambda p: _par(p["d"], p["e"], s=p["c"])),
     ("g3.VIII", "arc plus two doubled arcs on three vertices", "X Y Z",
      "a:X-Y b:X-Z c:X-Z d:Y-Z e:Y-Z", _g3_VIII),
     ("g3.IX", "loop at the apex of a triangle with one doubled side", "X Y Z",
      "a:Z-Z b:X-Z c:Y-Z d:X-Y e:X-Y", _g3_IX),
     ("g3.X", "theta, bridge, loop", "X Y Z", "a:X-Y b:X-Y c:X-Y d:Y-Z e:Z-Z",
-     lambda p: _row(p, s=p["d"], t=_par3(p["a"], p["b"], p["c"]))),
+     lambda p: _par3(p["a"], p["b"], p["c"], s=p["d"])),
     ("g3.XI", "loop, bridge, two arcs, bridge, loop", "W Y Z X",
      "a:W-W c:W-Y e:Y-Z f:Y-Z d:Z-X b:X-X",
-     lambda p: _row(p, s=p["c"] + p["d"], h=_par(p["e"], p["f"]))),
+     lambda p: _par(p["e"], p["f"], s=p["c"] + p["d"])),
     ("g3.XII", "two arcs plus subdivided arc, bridge to a loop", "X Y M Z",
      "a:X-Y b:X-Y c:X-M d:M-Y e:M-Z f:Z-Z",
-     lambda p: _row(p, s=p["e"], **_arcs_path(p["a"], p["b"], p["c"], p["d"]))),
+     lambda p: _arcs_path(p["a"], p["b"], p["c"], p["d"], s=p["e"])),
     # 4-cycle X-Y-W-Z-X with the X-Y and W-Z sides doubled
     ("g3.XIII", "4-cycle with two opposite sides doubled", "X Y W Z",
      "c:X-Y d:X-Y b:Y-W e:W-Z f:W-Z a:Z-X", _g3_XIII),
@@ -312,7 +299,7 @@ def _spec(
     description: str,
     vertices: str,
     edges: str,
-    closed: Callable[[Lengths], ClosedRow],
+    parts: Callable[[dict], tuple],
 ) -> FamilySpec:
     weighted = (token.partition(":") for token in vertices.split())
     wired = (token.partition(":") for token in edges.split())
@@ -322,7 +309,7 @@ def _spec(
         description=description,
         vertices=tuple(Vertex(vid, int(q or 0)) for vid, _, q in weighted),
         edges=tuple((eid, *ends.split("-")) for eid, _, ends in wired),
-        closed=closed,
+        closed=_closed(parts),
     )
 
 
@@ -374,18 +361,13 @@ def _build(spec: FamilySpec, p: Lengths) -> PmGraph:
 
 def _closed_form(spec: FamilySpec, p: Lengths) -> InvariantSet:
     tau_v, theta_v, delta1, phi_v, lam_v, eps_v = spec.closed(p)
-    ell = sum(p.values(), Fraction(0))
+    d, n = _integers(p)
+    ell = Fraction(sum(n.values()), d)
+    (tn, td), (hn, hd) = tau_v.as_integer_ratio(), theta_v.as_integer_ratio()
     return InvariantSet(
-        ell=ell,
-        g=spec.genus,
-        gbar=3,
-        tau=tau_v,
-        theta=theta_v,
-        delta={0: ell - delta1, 1: delta1},
-        phi=phi_v,
-        lam=lam_v,
-        epsilon=eps_v,
-        z=Fraction(5, 9) * tau_v + theta_v / 72,
+        ell=ell, g=spec.genus, gbar=3, tau=tau_v, theta=theta_v,
+        delta={0: ell - delta1, 1: delta1}, phi=phi_v, lam=lam_v, epsilon=eps_v,
+        z=Fraction(40 * tn * hd + hn * td, 72 * td * hd),  # (40 tau + theta) / 72
     )
 
 

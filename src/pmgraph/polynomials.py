@@ -254,7 +254,7 @@ class Polynomial:
     def __rsub__(self, other: Scalar) -> "Polynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        out = {0: other}
+        out = {0: _scalar(other)}
         get = out.get
         for key, coeff in self._terms.items():
             out[key] = get(key, 0) - coeff

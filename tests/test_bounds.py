@@ -84,6 +84,25 @@ class TestWitnesses:
         }
         assert boundary == {"g3.VIII", "g3.XIII"}
 
+    def test_witness_lengths_are_read_only(self):
+        witness = _row("g3.XIV", "phi").witness
+        with pytest.raises(TypeError):
+            witness.lengths["a"] = Fraction(2)
+        # a witness built from a dict does not share it
+        given = {"a": Fraction(1)}
+        built = type(witness)("g1.I", given)
+        given["a"] = Fraction(2)
+        assert built.lengths == {"a": Fraction(1)}
+
+    def test_bound_table_is_a_new_list_each_call(self):
+        before = verify_bounds(family="g3.XIV", samples=2, seed=4)
+        table = bound_table()
+        rows = list(table)
+        assert bound_table() is not table
+        table.clear()
+        assert bound_table() == rows
+        assert verify_bounds(family="g3.XIV", samples=2, seed=4) == before
+
     def test_k4_equalities(self):
         lengths = {v: Fraction(3, 7) for v in "abcdef"}
         assert engine_ratio("g3.XIV", lengths, "phi") == Fraction(17, 288)

@@ -7,6 +7,7 @@ either producer of the solve), which callers look up at call time, so every
 call inside the package is seen.
 """
 
+import dataclasses
 import importlib
 import random
 import sys
@@ -28,6 +29,7 @@ from pmgraph import (
     matching_families,
     normalize,
     random_lengths,
+    sample_check,
     tau,
     theta,
     verify_all,
@@ -100,16 +102,19 @@ def test_catalog_entry_checks_lengths_once(entry, monkeypatch):
     assert calls == ["g3.XIV"]
 
 
+def _draws(fid, samples, seed):
+    rng = random.Random(f"{fid}:{seed}")
+    return [random_lengths(family(fid).params, rng) for _ in range(samples)]
+
+
 def _one_pass_per_row(spec, samples, seed):
     # the per-row reference: every row draws its families' streams itself
     families = matching_families(spec)
-    points = []
-    for fid in families:
-        rng = random.Random(f"{fid}:{seed}")
-        for _ in range(samples):
-            lengths = random_lengths(family(fid).params, rng)
-            ratio = engine_ratios(fid, lengths)[spec.invariant]
-            points.append((fid, tuple(sorted(lengths.items())), ratio))
+    points = [
+        (fid, tuple(sorted(lengths.items())), engine_ratios(fid, lengths)[spec.invariant])
+        for fid in families
+        for lengths in _draws(fid, samples, seed)
+    ]
     min_family, min_lengths, min_ratio = min(points, key=lambda p: p[2])
     bad = [
         p for p in points
@@ -126,6 +131,58 @@ def test_shared_pass_equals_one_pass_per_row():
     assert [report.spec for report, _ in results] == bound_table()
     for report, _ in results:
         assert report == _one_pass_per_row(report.spec, 6, 17)
+
+
+def _forged(selector, invariant, floor):
+    spec = next(s for s in bound_table() if (s.selector, s.invariant) == (selector, invariant))
+    return dataclasses.replace(spec, floor=floor(spec))
+
+
+def _sampled_ratios(spec):
+    return [
+        engine_ratios(fid, lengths)[spec.invariant]
+        for fid in matching_families(spec)
+        for lengths in _draws(fid, 6, 17)
+    ]
+
+
+def _median_ratio(spec):
+    # a floor that some samples of the row meet exactly and others fall below
+    ratios = sorted(_sampled_ratios(spec))
+    return ratios[len(ratios) // 2]
+
+
+def _first_ratio(spec):
+    # a floor that the row's first sample meets exactly: no violation there
+    return _sampled_ratios(spec)[0]
+
+
+def _raised(spec):
+    return spec.floor + Fraction(1, 1000)
+
+
+def _lowered(spec):
+    return spec.floor - Fraction(1, 1000)
+
+
+@pytest.mark.parametrize(
+    "selector, invariant, floor",
+    [
+        ("g0.*", "phi", _raised),  # an exact row with a wrong floor
+        ("g0.*", "lambda", _lowered),
+        ("g2.*", "phi", _first_ratio),  # g2.I meets it, g2.III falls below
+        ("g3.*", "epsilon", _median_ratio),
+        ("g3.XIV", "tau", _first_ratio),
+        ("g3.XIV", "tau", _median_ratio),
+    ],
+)
+def test_violations_equal_one_pass_per_row(selector, invariant, floor):
+    # the integer comparisons find the same minimum and first violation as
+    # Fraction comparisons, on rows whose floor the samples violate
+    spec = _forged(selector, invariant, floor)
+    report = sample_check(spec, samples=6, seed=17)
+    assert report.violation is not None
+    assert report == _one_pass_per_row(spec, 6, 17)
 
 
 def test_every_certificate_run_expands_again(monkeypatch):

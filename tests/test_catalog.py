@@ -20,10 +20,28 @@ from pmgraph import (
     random_lengths,
     validate,
 )
+from pmgraph.catalog import _TABLE
+from pmgraph.polynomials import Polynomial
 
 
 def _ones(fid):
     return {name: 1 for name in family(fid).params}
+
+
+# distinct primes near 1e9, one per parameter, as length denominators
+_PRIMES = (999999937, 1000000007, 999999929, 1000000009, 999999893, 1000000021)
+
+
+def _large_points():
+    rng = random.Random(31)
+    return [
+        (fid, {
+            name: Fraction(rng.randint(1, 10**12), prime)
+            for name, prime in zip(family(fid).params, _PRIMES)
+        })
+        for fid in list_families()
+        if not family(fid).degenerate
+    ]
 
 
 class TestRegistry:
@@ -127,10 +145,28 @@ class TestClosedForms:
             for spec in bound_table()
             if spec.witness is not None
         ]
+        points += _large_points()
         for fid, lengths in points:
             row = family(fid).closed(lengths)
             assert len(row) == 6
             assert [type(v) for v in row] == [Fraction] * 6, (fid, lengths, row)
+
+    def test_large_coprime_denominators(self):
+        # D, the lcm of the denominators, is a product of six primes near 1e9
+        for fid, lengths in _large_points():
+            assert cross_check(fid, lengths).passed, (fid, lengths)
+
+    def test_parts_use_only_ring_operations(self):
+        # each parts function runs on polynomials, which have no division,
+        # and agrees with its integer parts at a seeded point
+        rng = random.Random(29)
+        for fid, *_, parts in _TABLE:
+            params = family(fid).params
+            symbolic = parts({name: Polynomial.variable(name) for name in params})
+            point = {name: rng.randint(1, 10**6) for name in params}
+            assert len(symbolic) == 5, fid
+            for poly, value in zip(symbolic, parts(point)):
+                assert (Polynomial.constant(0) + poly).substitute(point) == value, fid
 
     def test_delta_partition(self):
         rng = random.Random(3)

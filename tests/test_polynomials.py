@@ -40,6 +40,14 @@ class TestArithmetic:
     def test_rsub(self):
         assert (1 - a) == -(a - 1)
 
+    def test_bool_scalars_become_ints(self):
+        # True is the int 1 on either side of a subtraction, as in a sum
+        assert str(True - a) == str(1 - a) == "-a + 1"
+        assert str(a - True) == "a - 1"
+        assert True - a == 1 - a == -(a - 1)
+        assert a - True == a - 1
+        assert [type(v) for v in (True - a)._terms.values()] == [int, int]
+
 
 class TestEquality:
     def test_constant_comparison(self):

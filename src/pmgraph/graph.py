@@ -37,6 +37,10 @@ class UnsupportedGenusError(PmGraphError):
 # Largest decimal exponent a length literal may carry: ``Fraction`` expands
 # ``"1e999999999"`` into a billion-digit power of ten.
 MAX_DECIMAL_EXPONENT = 1000
+# Largest vertex weight ``q`` a valid graph may carry: ``delta`` has a key per
+# type ``0 .. gbar // 2``, so a 30-byte file with ``q=200000`` would print
+# 100001 of them and a weight near 10**12 would ask for that many entries.
+MAX_WEIGHT = 1000
 _EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
 
 
@@ -236,7 +240,7 @@ def validate(g: PmGraph) -> ValidationReport:
     """Check every pm-graph axiom and report all violations.
 
     Checks, in order: unique vertex ids, unique edge ids, edge endpoints
-    declared, positive lengths, nonnegative ``q``, nonempty vertex set,
+    declared, positive lengths, ``0 <= q <= MAX_WEIGHT``, nonempty vertex set,
     connectedness, and effectivity of the canonical divisor.
     """
     problems: list[str] = []
@@ -260,6 +264,8 @@ def validate(g: PmGraph) -> ValidationReport:
     for v in g.vertices:
         if v.q < 0:
             problems.append(f"vertex {v.id!r} has negative weight q={v.q}")
+        elif v.q > MAX_WEIGHT:
+            problems.append(f"vertex {v.id!r} has weight q={v.q} above {MAX_WEIGHT}")
     if not g.vertices:
         problems.append("vertex set is empty")
         return ValidationReport(False, tuple(problems))

@@ -38,7 +38,7 @@ from .graph import (
     genus,
     require_valid,
 )
-from .resistance import _classify_edges, _scale, _Scaled, _solve, resistance_matrix
+from .resistance import _scale, _Scaled, _sides, _solve, resistance_matrix
 
 
 def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple[PmGraph, _Scaled]:
@@ -94,14 +94,13 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    return _delta(*_scaled(g, theta=False))
+    return _delta(*_scaled(g))
 
 
 def _delta(g: PmGraph, s: _Scaled) -> dict[int, Fraction]:
     sums = dict.fromkeys(range(genus(g).gbar // 2 + 1), 0)
-    classes = _classify_edges(g, s.bridges)
-    for e, length in zip(g.edges, s.lengths):
-        sums[classes[e.id].type_index] += length
+    for sides, length in zip(_sides(g, s), s.lengths):
+        sums[min(sides) if sides else 0] += length
     return {i: Fraction(total, s.q) for i, total in sums.items()}
 
 

@@ -27,7 +27,8 @@ the number of vertices (``DENSE_VERTICES``):
 That is all tau and the bridge test read.  For the engine, ``_scale`` puts
 the lengths, ``N`` and theta's one solve on a single integer denominator
 ``q``, a multiple of ``T``, so tau, theta and the bridge test run on ints
-after it.
+after it.  Theta's solve also gives each bridge's side genera (see
+:func:`classify_edges`), so no second pass over the graph finds them.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .graph import PmGraph, PmGraphError, genus, require_valid
+from .graph import PmGraph, PmGraphError, canonical_divisor, genus, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -350,8 +351,9 @@ def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
-# and tau, theta (0 without weights) and ell as numerators over den = 12 q^3
-_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den")
+# tau, theta (0 without weights) and ell as numerators over den = 12 q^3, and
+# theta's solve x = q Z w by vertex index (no ground entry) with that index
+_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den index x")
 
 
 def _scale(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
@@ -380,7 +382,7 @@ def _scale(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] =
     x = {i: v * r for i, v in x.items()}
     tau, theta, bridges = _core(edges, z, w, x, sum((weights or {}).values()))
     s = 12 * q * q
-    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q)
+    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, index, x)
 
 
 def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
@@ -418,7 +420,9 @@ class EdgeClass:
     ``type_index`` is 0 for a non-bridge.  For a bridge it is the smaller of
     the total genera of the two components of the graph minus the edge, the
     cut endpoints counting with weight 0 on their side.  ``side_genera`` is
-    ``None`` for non-bridges.
+    ``(h_u, h_v)``, the total genus of the side holding ``u`` and of the
+    side holding ``v``, read off theta's solve (see :func:`classify_edges`);
+    it is ``None`` for non-bridges.
     """
 
     edge_id: str
@@ -432,56 +436,40 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
 
     An edge between distinct vertices is a bridge exactly when its effective
     resistance equals its length (no alternative path).  Loops are never
-    bridges.  On a graph of total genus ``gbar``, bridge types range over
+    bridges.  The side genera come from the same solve, scaled with the
+    canonical divisor ``K`` as theta's weights: across a bridge of length
+    ``L``, ``Z_vj - Z_uj`` is ``L`` for every ``j`` on the side away from the
+    ground and 0 on the ground's side (Baker and Faber, 2006), so ``x = Z K``
+    changes by ``L`` times the sum of ``K`` over the far side, which is
+    ``2 h - 1`` for a side of total genus ``h``, the bridge's end included.
+    On a graph of total genus ``gbar``, bridge types range over
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    return _classify_edges(g, _scale(g, resistance_matrix(g)).bridges)
+    s = _scale(g, resistance_matrix(g), canonical_divisor(g))
+    return {
+        e.id: EdgeClass(e.id, True, min(sides), sides) if sides else EdgeClass(e.id, False, 0)
+        for e, sides in zip(g.edges, _sides(g, s))
+    }
 
 
-def _classify_edges(g: PmGraph, flags: list) -> dict[str, EdgeClass]:
-    # classify_edges on a graph already validated, given _scale's bridge tests
-    result = {e.id: EdgeClass(e.id, False, 0) for e in g.edges}
-    bridges = [e for e, bridge in zip(g.edges, flags) if bridge]
-    if not bridges:
-        return result
-    # Every bridge is an edge of every spanning tree, and its far side is
-    # the subtree below it.  Sum vertices, edge ends (a loop has two) and q
-    # over each subtree: a subtree hanging off a bridge holds (ends - 1) / 2
-    # edges, the bridge bringing the one odd end, and the two sides' total
-    # genera add up to the graph's.
-    neighbours: dict[str, list[tuple[str, str]]] = {vid: [] for vid in g.vertex_ids}
-    for e in g.edges:
-        if not e.is_loop:
-            neighbours[e.u].append((e.v, e.id))
-            neighbours[e.v].append((e.u, e.id))
-    root = g.vertex_ids[0]
-    parent = {root: root}
-    below: dict[str, str] = {}  # tree edge id -> its endpoint further from root
-    preorder = []
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        preorder.append(x)
-        for y, eid in neighbours[x]:
-            if y not in parent:
-                parent[y] = x
-                below[eid] = y
-                stack.append(y)
-    sums = {v.id: [1, g.valence(v.id), v.q] for v in g.vertices}
-    for x in reversed(preorder[1:]):
-        up = sums[parent[x]]
-        for slot, value in enumerate(sums[x]):
-            up[slot] += value
+def _sides(g: PmGraph, s: _Scaled) -> list:
+    # each edge's side genera (h_u, h_v), None off the bridges, from a solve
+    # scaled with K as theta's weights: x_v - x_u = k l, with k = 2 h - 1 for
+    # the far side's genus h, positive when v's side is the far one
     gbar = genus(g).gbar
-    for e in bridges:
-        n_side, ends_side, q_side = sums[below[e.id]]
-        g_below = q_side + (ends_side - 1) // 2 - n_side + 1
-        genera = (gbar - g_below, g_below) if below[e.id] == e.v else (g_below, gbar - g_below)
-        if min(genera) == 0:
+    index, x = s.index, s.x
+    sides = []
+    for e, bridge, l in zip(g.edges, s.bridges, s.lengths):
+        if not bridge:
+            sides.append(None)
+            continue
+        k, rest = divmod(x.get(index[e.v], 0) - x.get(index[e.u], 0), l)
+        h = (abs(k) + 1) // 2
+        if rest or not k % 2 or not h < gbar:
             raise ArithmeticError(
-                f"bridge {e.id!r} has a side of total genus 0, which cannot "
-                "occur in a valid pm-graph"
+                f"bridge {e.id!r} does not split the total genus into two "
+                "positive sides, which cannot occur in a valid pm-graph"
             )
-        result[e.id] = EdgeClass(e.id, True, min(genera), genera)
-    return result
+        sides.append((gbar - h, h) if k > 0 else (h, gbar - h))
+    return sides

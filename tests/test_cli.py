@@ -102,6 +102,19 @@ def test_graph_failing_validation_exits_2(runner, tmp_path, command):
     assert f"{path}: graph is not connected: components {{a}}, {{b}}" in result.output
 
 
+@pytest.mark.parametrize("command", ["invariants", "resistance"])
+@pytest.mark.parametrize("flags", [[], ["--json"]])
+def test_weight_above_the_cap_exits_2(runner, tmp_path, command, flags):
+    path = tmp_path / "heavy.graph"
+    path.write_text("vertex X q=1001\nedge a X X 1\n")
+    result = runner.invoke(main, [command, str(path), *flags])
+    assert result.exit_code == 2
+    assert f"{path}: vertex 'X' has weight q=1001 above 1000" in result.output
+    path.write_text("vertex X q=1000\nedge a X X 1\n")
+    result = runner.invoke(main, [command, str(path), *flags])
+    assert result.exit_code == 0
+
+
 @pytest.mark.parametrize("token", ["1e1001", "1E-1001"])
 def test_huge_decimal_exponent_exits_2(runner, tmp_path, token):
     path = tmp_path / "huge.graph"

@@ -39,6 +39,7 @@ FILES = {
     "empty.txt": b"",
     "garbled.txt": b"vertex a\nedge e a b 1\n",
     "latin1.txt": b"vertex \xe9 q=3\n",
+    "heavy.txt": b"vertex X q=1001\nedge a X X 1\n",
 }
 LENGTHS = "--lengths a=1,b=2/3,c=3,d=5/7,e=2,f=11/13"
 CLI_CASES = (

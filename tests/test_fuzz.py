@@ -25,7 +25,9 @@ ids = st.sampled_from(["A", "B", "C", "x1"])
 numbers = st.sampled_from(
     ["1", "3", "2/3", "0", "-1", "0.5", "1e3", "1e-3", "1e5000", "1/0", "abc", "nan", "inf", ""]
 )
-weights = st.sampled_from(["", "q=0", "q=1", "q=2", "q=-1", "q=x", "q=1.5", "w=1"])
+weights = st.sampled_from(
+    ["", "q=0", "q=1", "q=2", "q=-1", "q=x", "q=1.5", "w=1", "q=1001", "q=1000000000000"]
+)
 line = st.one_of(
     st.builds(lambda v, w: f"vertex {v} {w}", ids, weights),
     st.builds(lambda e, u, v, n: f"edge {e} {u} {v} {n}", ids, ids, ids, numbers),

@@ -9,15 +9,25 @@ from pmgraph import (
     PmGraph,
     Vertex,
     canonical_divisor,
+    classify_edges,
     connected_components,
+    delta,
     genus,
+    graph_from_json_dict,
+    graph_to_json_dict,
+    invariant_set,
     normalize,
     one_point_union,
     require_valid,
+    resistance_matrix,
     scaled,
     subdivide,
+    tau,
+    theta,
     validate,
+    zhang_invariants,
 )
+from pmgraph.graph import MAX_WEIGHT
 
 from conftest import build_circle, build_k4, build_loop, build_path, build_theta
 
@@ -86,6 +96,26 @@ class TestValidate:
 
     def test_empty_vertex_set_fails(self):
         assert not validate(PmGraph((), ())).passed
+
+    def test_weight_is_capped(self):
+        assert MAX_WEIGHT == 1000
+        assert validate(PmGraph.build([("A", MAX_WEIGHT)], [])).passed
+        for q in (MAX_WEIGHT + 1, 10**12):
+            report = validate(PmGraph((Vertex("A", q),), ()))
+            assert report.problems == (f"vertex 'A' has weight q={q} above 1000",)
+
+    @pytest.mark.parametrize(
+        "entry",
+        [invariant_set, tau, theta, delta, zhang_invariants, classify_edges, resistance_matrix],
+        ids=lambda f: f.__name__,
+    )
+    def test_every_engine_entry_refuses_a_weight_above_the_cap(self, entry):
+        built = PmGraph.build([("X", MAX_WEIGHT + 1)], [("a", "X", "X", 1)])
+        direct = PmGraph((Vertex("X", 10**12),), (Edge("a", "X", "X", Fraction(1)),))
+        parsed = graph_from_json_dict(graph_to_json_dict(built))
+        for g in (built, direct, parsed):
+            with pytest.raises(InvalidGraphError, match="above 1000"):
+                entry(g)
 
 
 class TestGenus:

@@ -9,6 +9,8 @@ from pmgraph import (
     PmGraphError,
     build,
     classify_edges,
+    delta,
+    genus,
     laplacian,
     list_families,
     family,
@@ -24,6 +26,7 @@ from conftest import (
     build_loop_with_bridge,
     build_path,
     build_theta,
+    dense_graph,
     random_pm_graph,
     random_subdivided,
 )
@@ -209,11 +212,26 @@ class TestClassification:
         for g in _subdivided_samples(33, 60):
             self._assert_matches_removal(g)
 
+    def test_types_above_one_match_removal_oracle(self):
+        # the pendant trees of weighted vertices in random_pm_graph give
+        # bridges of types up to 9, which the genus-3 graphs above (type 1
+        # only) never reach
+        types = set()
+        for producer in (random_pm_graph, dense_graph):
+            for n in (2, 3, 4, 5, 6, 9, 13, 18, 24, 30):
+                for k in range(3):
+                    g = producer(n, random.Random(f"types:{n}:{k}"))
+                    types |= self._assert_matches_removal(g)
+        assert max(types) >= 5, types
+
     @staticmethod
     def _assert_matches_removal(g):
+        # the bridge types of g, after checking its classes and delta against
+        # bridge removal
         sides = bridge_sides_by_removal(g)
         classes = classify_edges(g)
         assert set(classes) == {e.id for e in g.edges}
+        expected = dict.fromkeys(range(genus(g).gbar // 2 + 1), Fraction(0))
         for eid, c in classes.items():
             if eid in sides:
                 assert c.is_bridge and c.side_genera == sides[eid], eid
@@ -221,6 +239,9 @@ class TestClassification:
             else:
                 assert not c.is_bridge and c.type_index == 0, eid
                 assert c.side_genera is None, eid
+            expected[min(sides[eid]) if eid in sides else 0] += g.edge(eid).length
+        assert delta(g) == expected
+        return {min(pair) for pair in sides.values()}
 
 
 def test_submodule_import_binds_the_module():

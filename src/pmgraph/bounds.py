@@ -8,7 +8,11 @@ checks accompany each floor:
 * :func:`sample_check` draws length tuples as exact rationals and evaluates
   the invariant through the general engine.  A "pass" is therefore a proof
   for the sampled points, not a float approximation; there is no tolerance
-  anywhere in this module.
+  anywhere in this module.  Each family's topology is validated once, and
+  each sample is only work on its lengths: the engine's solve and scale on
+  that topology, then crossed products of integer numerators against the
+  floor and the running minimum.  A row keeps only that minimum and its
+  first violation, and only they become ``Fraction`` values.
 * :func:`witness_check` confirms equality at the witness.  Witnesses with a
   zero entry mark degenerate limits: the closed form is evaluated at the
   boundary point itself (the graph constructor requires positive lengths),
@@ -234,22 +238,26 @@ def _sample_reports(
     # (row index, family) -> (min ratio, its lengths, first violation)
     found: dict[tuple[int, str], tuple] = {}
     for fid in dict.fromkeys(fid for families in covered for fid in families):
-        # fid has length, so its samples are solved without _require_length
-        draws = catalog._seeded_lengths(fid, samples, seed)
-        points = [(x, _scaled(catalog.build(fid, x))[1]) for x in draws]
-        for i, spec in enumerate(specs):
-            if fid not in covered[i]:
-                continue
-            # each ratio meets the floor and the running minimum as crossed
-            # int products; only the reported ones become Fractions
-            p, q = spec.floor.as_integer_ratio()
-            least = bad = None
-            for x, s in points:
-                num, den = _ratio(s, spec.invariant)
+        # fid has length, so its samples are solved on its validated topology;
+        # each row keeps its running minimum and first violation as int pairs
+        # over the lengths they were found at, and the samples are not kept
+        topology = catalog.family(fid)._topology
+        rows = [
+            (i, spec.invariant, *spec.floor.as_integer_ratio(), spec.exact, [None, None])
+            for i, spec in enumerate(specs) if fid in covered[i]
+        ]
+        for x in catalog._seeded_lengths(fid, samples, seed):
+            s = topology.scaled(x)
+            for _, invariant, p, q, exact, kept in rows:
+                # each ratio meets the floor and the running minimum as
+                # crossed int products; only the reported ones become Fractions
+                num, den = _ratio(s, invariant)
+                least, bad = kept
                 if least is None or num * least[1] < least[0] * den:
-                    least = num, den, x
-                if bad is None and (num * q != p * den if spec.exact else num * q < p * den):
-                    bad = num, den, x
+                    kept[0] = num, den, x
+                if bad is None and (num * q != p * den if exact else num * q < p * den):
+                    kept[1] = num, den, x
+        for i, _, _, _, _, (least, bad) in rows:
             found[i, fid] = (
                 Fraction(*least[:2]), tuple(sorted(least[2].items())),
                 bad and (fid, tuple(sorted(bad[2].items())), Fraction(*bad[:2])),

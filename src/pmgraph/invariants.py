@@ -38,7 +38,7 @@ from .graph import (
     genus,
     require_valid,
 )
-from .resistance import _scale, _Scaled, _sides, _solve, resistance_matrix
+from .resistance import _scale_graph, _Scaled, _sides, _solve, resistance_matrix
 
 
 def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple[PmGraph, _Scaled]:
@@ -55,7 +55,7 @@ def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple
     # the validation of the graph as given computed its divisor; smoothing
     # keeps K on every kept vertex, and _scale skips the removed ones, where
     # K is 0
-    return g, _scale(g, rm, canonical_divisor(given) if theta else None)
+    return g, _scale_graph(g, rm, canonical_divisor(given) if theta else None)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
@@ -94,14 +94,20 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    return _delta(*_scaled(g))
+    g, s = _scaled(g)
+    return _delta(genus(g).gbar, s)
 
 
-def _delta(g: PmGraph, s: _Scaled) -> dict[int, Fraction]:
-    sums = dict.fromkeys(range(genus(g).gbar // 2 + 1), 0)
-    for sides, length in zip(_sides(g, s), s.lengths):
+def _delta(gbar: int, s: _Scaled) -> dict[int, Fraction]:
+    return {i: Fraction(total, s.q) for i, total in _delta_sums(gbar, s).items()}
+
+
+def _delta_sums(gbar: int, s: _Scaled) -> dict[int, int]:
+    # delta's values as numerators over s.q, for a solve of total genus gbar
+    sums = dict.fromkeys(range(gbar // 2 + 1), 0)
+    for sides, length in zip(_sides(gbar, s), s.lengths):
         sums[min(sides) if sides else 0] += length
-    return {i: Fraction(total, s.q) for i, total in sums.items()}
+    return sums
 
 
 # the invariant vocabulary in output order: each conventional name with its
@@ -210,6 +216,6 @@ def invariant_set(g: PmGraph) -> InvariantSet:
         gbar=data.gbar,
         tau=Fraction(s.tau, s.den),
         theta=Fraction(s.theta, s.den),
-        delta=_delta(g, s),
+        delta=_delta(data.gbar, s),
         **{FIELDS[name]: value for name, value in quartet.items()},
     )

@@ -351,38 +351,53 @@ def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
-# tau, theta (0 without weights) and ell as numerators over den = 12 q^3, and
-# theta's solve x = q Z w by vertex index (no ground entry) with that index
-_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den index x")
+# tau, theta (0 without weights) and ell as numerators over den = 12 q^3, each
+# edge's end indices, and theta's solve x = q Z w by vertex index (no ground
+# entry)
+_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x")
 
 
-def _scale(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
-    """Put the solve of ``g`` on one integer denominator ``q``, once.
+def _scale(
+    rm: ResistanceMatrix, ends: list, lengths: list, weights: Optional[dict[int, int]] = None
+) -> _Scaled:
+    """Put the solve ``rm`` on one integer denominator ``q``, once.
 
-    ``q`` is the lcm of the solve's ``T`` and of ``num * den`` of each edge
-    length, so ``z = q Z = N (q / T)``, ``x = q Z w = T x (q / T)`` for
-    theta's one solve with the weights ``w`` (by vertex id; a vertex that is
-    not in ``g`` must weigh 0), ``q L`` and ``q / L`` are all ints.  Tau is
-    read at the vertex ``rm`` is grounded at.
+    ``ends`` holds each edge's end indices ``(i, j)`` in ``rm``'s vertex
+    order and ``lengths`` its length, a loop included; ``weights`` are
+    theta's, by vertex index.  ``q`` is the lcm of the solve's ``T`` and of
+    ``num * den`` of each edge length, so ``z = q Z = N (q / T)``,
+    ``x = q Z w = T x (q / T)`` for theta's one solve, ``q L`` and ``q / L``
+    are all ints.  Tau is read at the vertex ``rm`` is grounded at.  Only
+    the lengths enter here, so a caller that knows a topology is valid
+    solves and scales new lengths on it without building a graph.
     """
-    index, ground, t = rm._index, rm._ground, rm._t
-    w = {index[p]: c for p, c in (weights or {}).items() if c}
-    w.pop(ground, None)
+    ground, t = rm._ground, rm._t
+    weights = weights or {}
+    w = {i: c for i, c in weights.items() if c and i != ground}
     x = rm.solve(w) if w else {}
-    lengths = [e.length for e in g.edges]
     q = lcm(t, *(length.numerator * length.denominator for length in lengths))
     r = q // t
     z = {i: {j: v * r for j, v in row.items()} for i, row in rm._green.items()}
     z[ground] = {}
     scaled = [length.numerator * (q // length.denominator) for length in lengths]
     edges = [
-        (index[e.u], index[e.v], l, q // length.numerator * length.denominator)
-        for e, length, l in zip(g.edges, lengths, scaled)
+        (i, j, l, q // length.numerator * length.denominator)
+        for (i, j), length, l in zip(ends, lengths, scaled)
     ]
     x = {i: v * r for i, v in x.items()}
-    tau, theta, bridges = _core(edges, z, w, x, sum((weights or {}).values()))
+    tau, theta, bridges = _core(edges, z, w, x, sum(weights.values()))
     s = 12 * q * q
-    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, index, x)
+    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x)
+
+
+def _scale_graph(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
+    # _scale on the edges of g, solved as rm, with the weights by vertex id; a
+    # vertex that is not in g must weigh 0
+    index = rm._index
+    return _scale(
+        rm, [(index[e.u], index[e.v]) for e in g.edges], [e.length for e in g.edges],
+        {index[p]: c for p, c in weights.items() if c} if weights else None,
+    )
 
 
 def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
@@ -446,30 +461,30 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    s = _scale(g, resistance_matrix(g), canonical_divisor(g))
+    s = _scale_graph(g, resistance_matrix(g), canonical_divisor(g))
     return {
         e.id: EdgeClass(e.id, True, min(sides), sides) if sides else EdgeClass(e.id, False, 0)
-        for e, sides in zip(g.edges, _sides(g, s))
+        for e, sides in zip(g.edges, _sides(genus(g).gbar, s))
     }
 
 
-def _sides(g: PmGraph, s: _Scaled) -> list:
+def _sides(gbar: int, s: _Scaled) -> list:
     # each edge's side genera (h_u, h_v), None off the bridges, from a solve
-    # scaled with K as theta's weights: x_v - x_u = k l, with k = 2 h - 1 for
-    # the far side's genus h, positive when v's side is the far one
-    gbar = genus(g).gbar
-    index, x = s.index, s.x
+    # of total genus gbar scaled with K as theta's weights: x_v - x_u = k l,
+    # with k = 2 h - 1 for the far side's genus h, positive when v's side is
+    # the far one
+    x = s.x
     sides = []
-    for e, bridge, l in zip(g.edges, s.bridges, s.lengths):
+    for position, ((i, j), bridge, l) in enumerate(zip(s.ends, s.bridges, s.lengths)):
         if not bridge:
             sides.append(None)
             continue
-        k, rest = divmod(x.get(index[e.v], 0) - x.get(index[e.u], 0), l)
+        k, rest = divmod(x.get(j, 0) - x.get(i, 0), l)
         h = (abs(k) + 1) // 2
         if rest or not k % 2 or not h < gbar:
             raise ArithmeticError(
-                f"bridge {e.id!r} does not split the total genus into two "
-                "positive sides, which cannot occur in a valid pm-graph"
+                f"the bridge at edge {position} does not split the total genus "
+                "into two positive sides, which cannot occur in a valid pm-graph"
             )
         sides.append((gbar - h, h) if k > 0 else (h, gbar - h))
     return sides

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -110,6 +111,23 @@ class TestWitnesses:
 
 
 class TestSampling:
+    def test_memory_does_not_grow_with_samples(self):
+        # a row keeps its running minimum and first violation, not its samples
+        spec = _row("g3.XIV", "phi")
+        sample_check(spec, samples=1)  # the family's topology, validated once
+        peaks = []
+        for samples in (200, 2000):
+            tracemalloc.start()
+            try:
+                sample_check(spec, samples=samples)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # keeping every sample's solve costs about 2 KB a sample, 3.6 MB here;
+        # the bound leaves room for the interpreter's free lists, which keep up
+        # to 2000 freed objects of a size for reuse (176 KB of 88-byte blocks)
+        assert peaks[1] < peaks[0] + 256 * 1024, peaks
+
     def test_deterministic(self):
         spec = _row("g3.XIV", "phi")
         a = sample_check(spec, samples=8, seed=3)

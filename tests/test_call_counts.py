@@ -20,12 +20,14 @@ from pmgraph import (
     SampleReport,
     bound_table,
     build,
+    check_family,
     classify_edges,
     cross_check,
     delta,
     engine_ratios,
     family,
     invariant_set,
+    list_families,
     matching_families,
     normalize,
     random_lengths,
@@ -37,6 +39,7 @@ from pmgraph import (
     witness_check,
     zhang_invariants,
 )
+from pmgraph.catalog import FAMILIES
 
 
 @pytest.fixture
@@ -72,7 +75,14 @@ def test_engine_ratios_validates_and_solves_once(counts):
     assert counts == {"validate": 1, "_green": 1}
 
 
-def test_verify_bounds_draws_each_sample_once(counts):
+@pytest.fixture
+def unvalidated(monkeypatch):
+    # every family's topology as before its first use: validated on demand
+    for fid in list_families():
+        monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(FAMILIES[fid]))
+
+
+def test_verify_bounds_draws_each_sample_once(unvalidated, counts):
     results = verify_bounds(family="g3.XIV", samples=4, seed=0)
     assert len(results) == 4
     total = Counter(counts)
@@ -80,11 +90,28 @@ def test_verify_bounds_draws_each_sample_once(counts):
     for report, _ in results:
         if report.spec.witness is not None:
             witness_check(report.spec)
-    # 4 samples shared by the 4 rows, plus the 2 distinct witnesses (g3.XIV
-    # and g3.I at ones), each solved once for all the rows that name it;
-    # witness_check alone still solves each row's witness
-    assert total == {"validate": 4 + 2, "_green": 4 + 2}
+    # 4 samples shared by the 4 rows and solved on g3.XIV's topology, which
+    # is validated once, plus the 2 distinct witnesses (g3.XIV and g3.I at
+    # ones), each built, validated and solved once for all the rows that
+    # name it; witness_check alone still does that for each row's witness
+    assert total == {"validate": 1 + 2, "_green": 4 + 2}
     assert counts == {"validate": 4, "_green": 4}
+
+
+@pytest.mark.parametrize("fid", list_families())
+def test_check_family_validates_once_and_solves_each_sample(fid, unvalidated, counts):
+    assert check_family(fid, 5, 11) == (5, None)
+    assert counts == {"validate": 1, "_green": 5}
+    check_family(fid, 5, 12)
+    assert counts == {"validate": 1, "_green": 10}
+
+
+@pytest.mark.parametrize("entry", [cross_check, engine_ratios], ids=lambda f: f.__name__)
+def test_public_catalog_entries_validate_on_every_call(entry, unvalidated, counts):
+    # their lengths come from users, so the validated topology is not used
+    for _ in range(2):
+        entry("g3.XIV", {name: Fraction(1) for name in "abcdef"})
+    assert counts == {"validate": 2, "_green": 2}
 
 
 @pytest.mark.parametrize("entry", [build, cross_check], ids=lambda f: f.__name__)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -13,6 +14,7 @@ from pmgraph import (
     check_family,
     closed_form,
     cross_check,
+    engine_ratios,
     family,
     genus,
     invariant_set,
@@ -20,7 +22,10 @@ from pmgraph import (
     random_lengths,
     validate,
 )
-from pmgraph.catalog import _TABLE
+from pmgraph.bounds import _RATIOS, _ratio
+from pmgraph.catalog import _TABLE, FAMILIES, CatalogError, _parts, _spec
+from pmgraph.graph import InvalidGraphError
+from pmgraph.invariants import _delta_sums, _scaled, _zhang
 from pmgraph.polynomials import Polynomial
 
 
@@ -275,3 +280,81 @@ class TestCrossCheck:
             assert 0 < value
             assert value.numerator <= 64
             assert value.denominator <= 64
+
+
+def _draws(fid, samples, seed):
+    rng = random.Random(f"{fid}:{seed}")
+    return [random_lengths(family(fid).params, rng) for _ in range(samples)]
+
+
+def _one_report_per_sample(fid, samples, seed):
+    # the reference for check_family: the public cross_check on every sample
+    passed = 0
+    for lengths in _draws(fid, samples, seed):
+        report = cross_check(fid, lengths)
+        if not report.passed:
+            return passed, report
+        passed += 1
+    return passed, None
+
+
+class TestSamplingRoute:
+    """The sampling passes solve each sample on the family's validated
+    topology; that route gives what the public entries give on a graph."""
+
+    @pytest.mark.parametrize("fid", list_families())
+    def test_topology_solve_equals_the_engine_on_the_built_graph(self, fid):
+        for lengths in _draws(fid, 3, 41):
+            s = family(fid)._topology.scaled(lengths)
+            g, expected = _scaled(build(fid, lengths))
+            assert list(s.ends) == list(expected.ends)
+            assert s._replace(ends=None) == expected._replace(ends=None)
+            engine = invariant_set(g)
+            values = {
+                "ell": Fraction(s.ell, s.den),
+                "tau": Fraction(s.tau, s.den),
+                "theta": Fraction(s.theta, s.den),
+                "delta": {i: Fraction(n, s.q) for i, n in _delta_sums(3, s).items()},
+                **_zhang(s, s.den),
+            }
+            named = engine.named_values()
+            assert values == {name: named[name] for name in named if name not in ("g", "gbar")}
+            if not family(fid).degenerate:
+                ratios = {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
+                assert ratios == engine_ratios(fid, lengths)
+
+    @pytest.mark.parametrize(
+        "vertices, edges, error",
+        [
+            ("X:1 Y:1 M", "a:X-M c:M-Y b:X-Y", CatalogError),  # M smooths away
+            ("X Y:1", "a:X-Y", InvalidGraphError),  # K(X) = -1
+        ],
+    )
+    def test_a_topology_is_refused_before_its_first_sample(self, vertices, edges, error):
+        spec = _spec("g1.II", "a row that is not in the table", vertices, edges, lambda p: _parts())
+        with pytest.raises(error):
+            spec._topology
+
+    @pytest.mark.parametrize("fid", list_families())
+    def test_check_family_equals_one_report_per_sample(self, fid):
+        assert check_family(fid, 4, 8) == _one_report_per_sample(fid, 4, 8)
+
+    @pytest.mark.parametrize(
+        "column", range(6), ids=["tau", "theta", "delta1", "phi", "lambda", "epsilon"]
+    )
+    @pytest.mark.parametrize("fid", ["g1.IX", "g2.VIII", "g3.XIV"])
+    def test_a_forged_column_fails_where_cross_check_does(self, fid, column, monkeypatch):
+        # the column is wrong at the third draw only, so two samples pass first
+        spec = family(fid)
+        third = _draws(fid, 5, 8)[2]
+
+        def forged(lengths):
+            row = list(spec.closed(lengths))
+            if lengths == third:
+                row[column] += Fraction(1, 10**9)
+            return tuple(row)
+
+        monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(spec, closed=forged))
+        expected = _one_report_per_sample(fid, 5, 8)
+        assert expected[0] == 2 and expected[1] is not None
+        assert check_family(fid, 5, 8) == expected

@@ -48,6 +48,12 @@ CLI_CASES = (
     "verify bounds --samples 5 --seed 3",
     "verify bounds --samples 5 --seed 3 --json",
     "catalog check --samples 3 --seed 4",
+    # the benchmark's op shape, a boundary witness, the zero-length family
+    "catalog check --family g3.XIV --samples 10 --seed 7",
+    "verify bounds --family g3.XIV --samples 10 --seed 7 --json",
+    "verify bounds --family g3.VIII --samples 10 --seed 7",
+    "catalog check --family g0.I --samples 3",
+    "catalog check --samples 50 --seed 9",
     # every path to exit 2
     "catalog eval g9.X",
     "catalog check --family g9.X",

@@ -77,7 +77,7 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
-    s = solver._scale(g, rm, canonical_divisor(g))
+    s = solver._scale_graph(g, rm, canonical_divisor(g))
     return (
         Fraction(s.tau, s.den), Fraction(s.theta, s.den), Fraction(s.ell, s.den),
         s.bridges, [Fraction(l, s.q) for l in s.lengths], rm.values,

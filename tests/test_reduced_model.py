@@ -24,7 +24,7 @@ from pmgraph import (
     resistance_matrix,
     tau,
 )
-from pmgraph.resistance import _scale
+from pmgraph.resistance import _scale_graph
 
 from conftest import dense_graph, random_pm_graph, random_subdivided
 from oracles import tau_by_formula, theta_by_pairs, zhang_by_formula
@@ -103,7 +103,7 @@ def test_scaled_theta_equals_the_pairwise_sum():
         rm = resistance_matrix(g)
         weights = {vid: rng.randint(-3, 3) for vid in g.vertex_ids}
         weights[g.vertex_ids[0]] = 2  # the ground carries weight too
-        scaled = _scale(g, rm, weights)
+        scaled = _scale_graph(g, rm, weights)
         assert type(scaled.theta) is int
         assert Fraction(scaled.theta, scaled.den) == theta_by_pairs(g, rm, weights)
 

@@ -193,11 +193,18 @@ def _integers(p: Lengths) -> tuple[int, dict[str, int]]:
     return d, {name: v.numerator * (d // v.denominator) for name, v in p.items()}
 
 
+class _Sample(dict):
+    # lengths carrying their ``_integers`` as ``d`` and ``n``, worked out once
+    def __init__(self, p: Lengths):
+        super().__init__(p)
+        self.d, self.n = _integers(p)
+
+
 def _closed(parts: Callable[[dict], tuple]) -> Callable[[Lengths], ClosedRow]:
     # a family's closed forms from its parts function: the lengths are scaled
     # once to ints n = D p, and each column is one Fraction over 252 q D
     def closed(p: Lengths) -> ClosedRow:
-        d, n = _integers(p)
+        d, n = (p.d, p.n) if isinstance(p, _Sample) else _integers(p)
         q, s, *rest = parts(n)
         terms = (q * sum(n.values()), q * s, *rest)
         den = 252 * q * d
@@ -428,9 +435,9 @@ def _build(spec: FamilySpec, p: Lengths) -> PmGraph:
 
 
 def _closed_form(spec: FamilySpec, p: Lengths) -> InvariantSet:
+    p = _Sample(p)
     tau_v, theta_v, delta1, phi_v, lam_v, eps_v = spec.closed(p)
-    d, n = _integers(p)
-    ell = Fraction(sum(n.values()), d)
+    ell = Fraction(sum(p.n.values()), p.d)
     (tn, td), (hn, hd) = tau_v.as_integer_ratio(), theta_v.as_integer_ratio()
     return InvariantSet(
         ell=ell, g=spec.genus, gbar=3, tau=tau_v, theta=theta_v,
@@ -514,19 +521,18 @@ def check_family(
     # total genus 3
     same_genus = (topology.genus.g, topology.genus.gbar) == (spec.genus, 3)
     passed = 0
-    for p in _seeded_lengths(fid, samples, seed):
+    for p in map(_Sample, _seeded_lengths(fid, samples, seed)):
         if not (same_genus and _agrees(topology.scaled(p), spec.closed(p), p)):
             return passed, cross_check(fid, p)
         passed += 1
     return passed, None
 
 
-def _agrees(s: resistance._Scaled, row: ClosedRow, p: Lengths) -> bool:
+def _agrees(s: resistance._Scaled, row: ClosedRow, p: _Sample) -> bool:
     # cross_check's comparison of every value of total genus 3 but g and gbar,
     # as crossed int products: the engine's numerators over s.den (delta's
     # over s.q) against the closed row at p, with Z = (40 tau + theta) / 72
-    d, n = _integers(p)
-    ell = sum(n.values())
+    d, ell = p.d, sum(p.n.values())
     (tn, td), (hn, hd), (an, ad), *quartet = (value.as_integer_ratio() for value in row)
     delta0, delta1 = _delta_sums(3, s).values()
     den, q = s.den, s.q

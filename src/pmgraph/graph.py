@@ -17,7 +17,8 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from math import lcm
+from typing import Iterable, Optional, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -58,6 +59,9 @@ def as_rational(value: RationalLike) -> Fraction:
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise TypeError(f"{value!r} is not an int, str or Fraction")
     if isinstance(value, str):
+        num, slash, den = value.partition("/")  # ASCII digits n or n/d skip both regexes
+        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
         match = _EXPONENT.search(value)
         if match:
             digits = match.group(1).replace("_", "").lstrip("0")
@@ -164,28 +168,26 @@ class PmGraph:
         return self._vertex_map[vid].q
 
     @cached_property
-    def _valences(self) -> dict[str, int]:
-        val = {v.id: 0 for v in self.vertices}
-        for e in self.edges:
-            if e.is_loop:
-                val[e.u] = val.get(e.u, 0) + 2
-            else:
-                val[e.u] = val.get(e.u, 0) + 1
-                val[e.v] = val.get(e.v, 0) + 1
-        return val
+    def _incidence(self) -> dict[str, list[int]]:
+        # each declared vertex id -> the positions of its edges, a loop twice:
+        # the one pass over the edges that valences, components and smoothing read
+        index: dict[str, list[int]] = {v.id: [] for v in self.vertices}
+        for i, e in enumerate(self.edges):
+            if e.u in index:
+                index[e.u].append(i)
+            if e.v in index:
+                index[e.v].append(i)
+        return index
 
     @cached_property
     def _divisor(self) -> dict[str, int]:
         # canonical_divisor, computed once per graph: validate reads it and
         # the engine's theta takes it from the same graph
-        valences = self._valences
-        return {v.id: valences.get(v.id, 0) - 2 + 2 * v.q for v in self.vertices}
+        return {v.id: len(self._incidence[v.id]) - 2 + 2 * v.q for v in self.vertices}
 
     def valence(self, vid: str) -> int:
         """Number of edge ends at ``vid``; a self-loop counts twice."""
-        if vid not in self._vertex_map:
-            raise KeyError(vid)
-        return self._valences.get(vid, 0)
+        return len(self._incidence[vid])
 
     @cached_property
     def total_length(self) -> Fraction:
@@ -211,24 +213,19 @@ def connected_components(g: PmGraph) -> list[set[str]]:
 
     Deterministic: components are reported in order of their first vertex.
     """
-    adjacency: dict[str, list[str]] = {v.id: [] for v in g.vertices}
-    for e in g.edges:
-        if e.is_loop:
-            continue
-        if e.u in adjacency and e.v in adjacency:
-            adjacency[e.u].append(e.v)
-            adjacency[e.v].append(e.u)
+    incidence, edges = g._incidence, g.edges
     seen: set[str] = set()
     components: list[set[str]] = []
     for root in g.vertex_ids:
         if root in seen:
             continue
-        component = {root}
-        stack = [root]
+        component, stack = {root}, [root]
         while stack:
             current = stack.pop()
-            for neighbor in adjacency[current]:
-                if neighbor not in component:
+            for i in incidence[current]:
+                e = edges[i]
+                neighbor = e.v if e.u == current else e.u
+                if neighbor not in component and neighbor in incidence:
                     component.add(neighbor)
                     stack.append(neighbor)
         seen |= component
@@ -343,25 +340,25 @@ def normalize(g: PmGraph) -> PmGraph:
 
     One walk in ``O(n + e)`` goes from each kept vertex through a chain of
     removable vertices to the next kept vertex and replaces the chain by one
-    edge of the exact summed length, named by joining the chain's edge ids
-    with ``+``; a chain that comes back to its start becomes a loop.  The
-    kept vertices and the untouched edges keep their order.  A cycle made
-    only of removable vertices keeps its last vertex, which carries the
-    whole cycle as a loop.  The result represents the same metric graph and
-    has nothing left to smooth; when ``g`` has nothing to smooth it is
-    returned itself.
+    edge of the exact summed length, one ``Fraction`` over the lcm of the
+    chain's denominators, named by joining its edge ids with ``+``; a chain
+    back to its start becomes a loop, and a cycle of removable vertices keeps
+    its last vertex to carry it.  Kept vertices and untouched edges keep their
+    order.  The walk reads the incidence index that validation shares.  The
+    result is the same metric graph with nothing left to smooth, and ``g``
+    itself when it has nothing to smooth.
     """
     return _smooth(g, _removable(g))
 
 
 def _removable(g: PmGraph, keep: Optional[str] = None) -> set[str]:
     # the vertices normalize smooths away, ``keep`` excepted; safe to call on
-    # a graph that has not been validated
-    looped = {e.u for e in g.edges if e.is_loop}
-    valences = g._valences
+    # a graph that has not been validated.  A loop lists its position twice,
+    # so valence 2 without a loop is exactly two distinct positions
     return {
         v.id for v in g.vertices
-        if v.q == 0 and valences.get(v.id) == 2 and v.id not in looped and v.id != keep
+        if v.q == 0 and v.id != keep
+        and len(ends := g._incidence[v.id]) == 2 and ends[0] != ends[1]
     }
 
 
@@ -369,23 +366,18 @@ def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
     # normalize's walk, smoothing away exactly the vertices in ``removable``
     if not removable:
         return g
-    edges = g.edges
-    chain_ends: dict[str, list[int]] = {vid: [] for vid in removable}
-    for i, e in enumerate(edges):
-        for end in e.ends:
-            if end in chain_ends:
-                chain_ends[end].append(i)
+    edges, chain_ends = g.edges, g._incidence
     taken = {e.id for e in edges}
     visited: set[str] = set()
 
     def walk(start: str, first: int) -> Edge:
         # from ``start`` along edge ``first`` through removable vertices to
         # the next vertex that is not removable, or back to ``start``
-        ids, total, here, i = [], Fraction(0), start, first
+        ids, lengths, here, i = [], [], start, first
         while True:
             e = edges[i]
             ids.append(e.id)
-            total += e.length
+            lengths.append(e.length)
             here = e.v if e.u == here else e.u
             if here not in removable or here in visited:
                 break
@@ -394,6 +386,8 @@ def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
             i = b if a == i else a
         name = _fresh_id(taken, "+".join(ids))
         taken.add(name)
+        d = lcm(*(x.denominator for x in lengths))  # one Fraction over the lcm
+        total = Fraction(sum(x.numerator * (d // x.denominator) for x in lengths), d)
         return Edge(name, start, here, total)
 
     kept_edges: list[Edge] = []

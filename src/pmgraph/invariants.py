@@ -8,16 +8,16 @@ refuses any other total genus rather than return something wrong.
 
 Every invariant here is unchanged when a weight-0 vertex of valence 2 is
 smoothed away, so every public function evaluates on the reduced model.  It
-validates the graph it is given once, smooths it with the linear walk of
-:func:`pmgraph.graph.normalize` (``K`` is 0 on every removed vertex, and the
-genus and each bridge's side genera are kept), and solves what is left once.
-The solve comes as one integer ``T`` and ``N = T Z``: on at most 4 vertices,
-the stable bound for total genus 3, from a dense fraction-free elimination
-of the integer Laplacian, and above that from the sparse factor and the
-integer selected inverse (see :mod:`pmgraph.resistance`).  That solve is then
-scaled once to one integer denominator ``q``, a multiple of ``T``, and every
-value is built from int numerators, one ``Fraction`` each.  A subdivided
-genus-3 graph thus costs a dense solve on at most 4 vertices, and a graph
+validates the graph once, smooths it with the linear walk of
+:func:`pmgraph.graph.normalize`, which shares the validation's incidence
+index and sums each chain over one denominator (``K`` is 0 on every removed
+vertex, and the genus and each bridge's side genera are kept), and solves
+what is left once, as one integer ``T`` and ``N = T Z``: densely on at most
+4 vertices (the stable bound for total genus 3), else by the sparse factor
+and the integer selected inverse (see :mod:`pmgraph.resistance`).  That
+solve is scaled once to one integer denominator ``q`` and every value is one
+``Fraction`` of int numerators.  On a subdivided genus-3 graph the linear
+front end (parse, validate, smooth) now costs more than the solve; a graph
 with nothing to smooth, such as every catalog graph, is solved as given.
 :func:`invariant_set` gets every invariant from the one solve, and theta's
 weights are the canonical divisor the validation computed.

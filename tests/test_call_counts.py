@@ -8,6 +8,7 @@ call inside the package is seen.
 """
 
 import dataclasses
+import functools
 import importlib
 import random
 import sys
@@ -104,6 +105,22 @@ def test_check_family_validates_once_and_solves_each_sample(fid, unvalidated, co
     assert counts == {"validate": 1, "_green": 5}
     check_family(fid, 5, 12)
     assert counts == {"validate": 1, "_green": 10}
+
+
+@pytest.mark.parametrize("fid", ["g1.IX", "g2.VIII", "g3.XIV"])
+def test_check_family_scales_each_sample_to_integers_once(fid, monkeypatch):
+    # the closed row and the comparison with the engine share one _integers
+    catalog = importlib.import_module("pmgraph.catalog")
+    original = catalog._integers
+    calls = []
+
+    def counted(p):
+        calls.append(dict(p))
+        return original(p)
+
+    monkeypatch.setattr(catalog, "_integers", counted)
+    assert check_family(fid, 5, 11) == (5, None)
+    assert calls == _draws(fid, 5, 11)
 
 
 @pytest.mark.parametrize("entry", [cross_check, engine_ratios], ids=lambda f: f.__name__)
@@ -292,6 +309,35 @@ def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
     lengths = {name: Fraction(1) for name in "abcdef"}
     engine_ratios("g3.XIV", lengths)
     assert factors == {"validate": 1, "pivots": [len(build("g3.XIV", lengths).vertices) - 1]}
+
+
+def test_one_incidence_index_serves_the_front_end(monkeypatch):
+    # _removable, validation and _smooth all read the given graph's index,
+    # which is built once
+    graph = importlib.import_module("pmgraph.graph")
+    engine = importlib.import_module("pmgraph.invariants")
+    built, seen = [], {}
+    index = graph.PmGraph.__dict__["_incidence"].func
+
+    def counted_index(g):
+        built.append(g)
+        return index(g)
+
+    counted = functools.cached_property(counted_index)
+    counted.__set_name__(graph.PmGraph, "_incidence")
+    monkeypatch.setattr(graph.PmGraph, "_incidence", counted)
+    for module, name in ((engine, "_removable"), (graph, "validate"), (engine, "_smooth")):
+        def recorded(g, *args, _name=name, _original=getattr(module, name)):
+            seen.setdefault(_name, g)
+            return _original(g, *args)
+
+        monkeypatch.setattr(module, name, recorded)
+    given = _subdivided_g3()
+    g = graph.PmGraph(given.vertices, given.edges)  # nothing cached on it yet
+    invariant_set(g)
+    assert list(seen) == ["_removable", "validate", "_smooth"]
+    assert all(h is g for h in seen.values())
+    assert sum(h is g for h in built) == 1
 
 
 # -- the integer tail ---------------------------------------------------------

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -194,3 +195,65 @@ class TestRoundTrip:
     def test_json(self):
         g = parse_graph(SAMPLE)
         assert graph_from_json_dict(graph_to_json_dict(g)) == g
+
+
+def _outcome(function, token):
+    # the value, or the exception's type and message
+    try:
+        return function(token)
+    except Exception as err:
+        return type(err), str(err)
+
+
+def _digit_tokens():
+    # ASCII ``n`` and ``n/d``: zero, leading zeros, and 300-digit runs
+    rng = random.Random("digit-tokens")
+    tokens = ["0", "7", "007", "0/7", "000/0003", "12/18", "1/1", "0" * 300]
+    def run():
+        return str(rng.randrange(10 ** rng.randint(0, 300))).zfill(rng.randint(1, 4))
+
+    for _ in range(40):
+        tokens += [run(), f"{run()}/{rng.randrange(1, 10**rng.randint(1, 300))}"]
+    tokens += ["9" * 300 + "/" + "7" * 300, "1" + "0" * 299 + "/" + "0" * 299 + "3"]
+    return tokens
+
+
+class TestDigitTokens:
+    @pytest.mark.parametrize("token", _digit_tokens())
+    def test_digit_tokens_equal_fraction(self, token):
+        value = as_rational(token)
+        assert type(value) is Fraction
+        assert value.as_integer_ratio() == Fraction(token).as_integer_ratio()
+
+    @pytest.mark.parametrize("token", ["1/0", "00/000", "1" * 4400, "1/" + "2" * 4400])
+    def test_digit_token_errors_equal_fraction(self, token):
+        assert _outcome(as_rational, token) == _outcome(Fraction, token)
+
+    # every token outside the ASCII digit shapes takes the general path, with
+    # its value or its exception as before
+    @pytest.mark.parametrize(
+        "token, outcome",
+        [
+            ("2.5", Fraction(5, 2)),
+            ("1e3", Fraction(1000)),
+            ("+3", Fraction(3)),
+            ("1_000", Fraction(1000)),
+            ("٣", Fraction(3)),  # ARABIC-INDIC DIGIT THREE
+            ("²", (ValueError, "Invalid literal for Fraction: '²'")),  # SUPERSCRIPT TWO
+            ("4/", (ValueError, "Invalid literal for Fraction: '4/'")),
+            ("/4", (ValueError, "Invalid literal for Fraction: '/4'")),
+            ("3/4/5", (ValueError, "Invalid literal for Fraction: '3/4/5'")),
+            ("1e1001", (ValueError, "decimal exponent of '1e1001' exceeds 1000 in magnitude")),
+            ("1/0", (ZeroDivisionError, "Fraction(1, 0)")),
+        ],
+    )
+    def test_other_tokens_keep_their_outcome(self, token, outcome):
+        assert _outcome(as_rational, token) == outcome
+        text = f"vertex a q=2\nedge l a a {token}\n"
+        if isinstance(outcome, Fraction):
+            assert parse_graph(text).edge("l").length == outcome
+        else:
+            with pytest.raises(ParseError) as err:
+                parse_graph(text)
+            assert (err.value.line, err.value.column) == (2, 12)
+            assert str(err.value) == f"line 2, column 12: cannot parse length {token!r} as a rational"

@@ -178,11 +178,6 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
     return {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
 
 
-def closed_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
-    """invariant/ell via the family's closed form; tolerates boundary zeros."""
-    return closed_ratios(fid, lengths)[invariant]
-
-
 def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """The ratios of :func:`engine_ratios` from the family's closed form.
 

@@ -40,9 +40,9 @@ One deliberate deviation from the source tables is documented at
 :func:`_g3_IX`.
 
 :func:`check_family` and the bound suite's sampling work on lengths only.
-Each family validates its topology once, on first use, and keeps the vertex
-index, each edge's ends and the canonical divisor; a sample is solved and
-scaled on it by the engine's own ``_green`` and ``_scale``, with no graph
+Each family validates its topology once, on first use, and keeps it as the
+engine's ``_Topology`` with the canonical divisor; a sample is solved and
+scaled on it by the engine's ``_Topology.solve`` and ``_scale``, with no graph
 built or validated.  ``check_family`` compares the engine's integer
 numerators with the closed row by crossed products and builds a
 :class:`CrossCheckReport`, with its ``Fraction`` values, only for a sample
@@ -117,49 +117,32 @@ class FamilySpec:
         return not self.edges
 
     @cached_property
-    def _topology(self) -> "_Topology":
+    def _topology(self) -> "_Family":
         # validated once, on first use: the sampling passes solve their
         # lengths on it without building or validating a graph per sample
         g = require_valid(_build(self, dict.fromkeys(self.params, Fraction(1))))
         if _removable(g):
             raise CatalogError(f"{self.id}: the topology has a vertex to smooth away")
-        index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+        topology = resistance._Topology.of(g)
         ids = tuple(eid for eid, _, _ in self.edges)
-        ends = tuple((index[u], index[v]) for _, u, v in self.edges)
-        return _Topology(
-            g.vertex_ids, index, ids, ends,
-            tuple((i, j, eid) for eid, (i, j) in zip(ids, ends) if i != j),
-            {index[vid]: k for vid, k in canonical_divisor(g).items()},
-            genus(g),
-        )
+        return _Family(topology, ids, topology.by_index(canonical_divisor(g)), genus(g))
 
 
 @dataclass(frozen=True)
-class _Topology:
-    """A family's validated topology, by vertex index in ``spec.vertices`` order.
+class _Family:
+    """A family's validated topology, grounded at its first vertex, with
+    each edge's parameter in edge order and ``K`` by vertex index."""
 
-    ``ids`` holds each edge's parameter and ``ends`` its ``(i, j)``, in
-    ``spec.edges`` order, ``loopless`` the ``(i, j, param)`` triple of each edge
-    that is not a loop, and ``divisor`` the canonical divisor ``K``.
-    """
-
-    order: tuple[str, ...]
-    index: dict[str, int]
+    topology: resistance._Topology
     ids: tuple[str, ...]
-    ends: tuple[tuple[int, int], ...]
-    loopless: tuple[tuple[int, int, str], ...]
     divisor: dict[int, int]
     genus: GenusData
 
     def scaled(self, p: Lengths) -> resistance._Scaled:
-        """The engine's solve at positive lengths ``p``, grounded at the first
-        vertex and scaled with ``K`` as theta's weights: what ``invariant_set``
-        computes on the family's graph, without building or validating it."""
-        edges = [(i, j, p[eid]) for i, j, eid in self.loopless]
-        rm = resistance.ResistanceMatrix(
-            self.order, self.index, 0, *resistance._green(len(self.order), 0, edges)
-        )
-        return resistance._scale(rm, self.ends, [p[eid] for eid in self.ids], self.divisor)
+        """The engine's solve at positive lengths ``p``, scaled with ``K`` as
+        theta's weights: what ``invariant_set`` computes on the family's
+        graph, without building or validating it."""
+        return resistance._scale(self.topology.solve([p[eid] for eid in self.ids]), self.divisor)
 
 
 # ---------------------------------------------------------------------------

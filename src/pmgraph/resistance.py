@@ -24,11 +24,14 @@ the number of vertices (``DENSE_VERTICES``):
   A pair outside it costs one forward and back solve with the factor, after
   which its whole column is known.
 
-That is all tau and the bridge test read.  For the engine, ``_scale`` puts
-the lengths, ``N`` and theta's one solve on a single integer denominator
-``q``, a multiple of ``T``, so tau, theta and the bridge test run on ints
-after it.  Theta's solve also gives each bridge's side genera (see
-:func:`classify_edges`), so no second pass over the graph finds them.
+That is all tau and the bridge test read.  Every solve, of a graph as
+given, a smoothed one or a catalog family's, is ``_Topology.solve``: a
+validated graph's vertex order, ground and edge ends at one length per
+edge, kept by the matrix it makes.  ``_scale`` puts those lengths, ``N``
+and theta's one solve on a single integer denominator ``q``, a multiple of
+``T``, so tau, theta and the bridge test run on ints after it.  Theta's
+solve also gives each bridge's side genera (see :func:`classify_edges`), so
+no second pass over the graph finds them.
 """
 
 from __future__ import annotations
@@ -256,24 +259,25 @@ class ResistanceMatrix:
     """
 
     def __init__(
-        self, order: tuple[str, ...], index: dict[str, int], ground: int,
+        self, topology: _Topology, lengths: list,
         t: int, green: dict[int, dict[int, int]], factor: Optional[_Factor],
     ) -> None:
-        self.order = order
-        self._index = index
-        self._ground = ground
+        self.order = topology.order
+        self._topology = topology
+        self._lengths = lengths
         self._t = t
         self._green = green
         self._factor = factor
 
     def get(self, p: str, s: str) -> Fraction:
-        i, j = self._index[p], self._index[s]
+        index, ground = self._topology.index, self._topology.ground
+        i, j = index[p], index[s]
         if i == j:
             return Fraction(0)
         green = self._green
-        if i == self._ground:
+        if i == ground:
             return Fraction(green[j][j], self._t)
-        if j == self._ground:
+        if j == ground:
             return Fraction(green[i][i], self._t)
         nij = green[i].get(j)
         if nij is None:
@@ -325,6 +329,38 @@ class ResistanceMatrix:
         return f"ResistanceMatrix(order={self.order!r}, values={self.values!r})"
 
 
+@dataclass(frozen=True)
+class _Topology:
+    """A validated graph without its lengths: ``order`` fixes the vertex
+    index, ``ground`` is the grounded vertex's index and ``ends`` holds each
+    edge's ``(i, j)`` in edge order, loops included."""
+
+    order: tuple[str, ...]
+    index: dict[str, int]
+    ground: int
+    ends: tuple[tuple[int, int], ...]
+
+    @classmethod
+    def of(cls, g: PmGraph, ground: Optional[str] = None) -> _Topology:
+        # g is already validated; the ground defaults to its first vertex
+        order = g.vertex_ids
+        if ground is None:
+            ground = order[0]
+        elif ground not in order:
+            raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
+        index = {vid: i for i, vid in enumerate(order)}
+        return cls(order, index, index[ground], tuple((index[e.u], index[e.v]) for e in g.edges))
+
+    def solve(self, lengths: list) -> ResistanceMatrix:
+        """The one exact solve, at a positive length per edge in edge order."""
+        edges = [(i, j, length) for (i, j), length in zip(self.ends, lengths) if i != j]
+        return ResistanceMatrix(self, lengths, *_green(len(self.order), self.ground, edges))
+
+    def by_index(self, weights: dict[str, int]) -> dict[int, int]:
+        # the nonzero weights by vertex index; one off the topology must be 0
+        return {self.index[p]: c for p, c in weights.items() if c}
+
+
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
     """Effective resistances of a valid graph, from one exact solve.
 
@@ -333,21 +369,7 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
     Laplacian and must not affect the result; it defaults to the first
     vertex.
     """
-    require_valid(g)
-    return _solve(g, ground)
-
-
-def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
-    # resistance_matrix on a graph already validated
-    order = g.vertex_ids
-    if ground is None:
-        ground = order[0]
-    elif ground not in order:
-        raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
-    index = {vid: i for i, vid in enumerate(order)}
-    k = index[ground]
-    edges = [(index[e.u], index[e.v], e.length) for e in g.edges if not e.is_loop]
-    return ResistanceMatrix(order, index, k, *_green(len(order), k, edges))
+    return _Topology.of(require_valid(g), ground).solve([e.length for e in g.edges])
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
@@ -357,21 +379,17 @@ def _solve(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
 _Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x")
 
 
-def _scale(
-    rm: ResistanceMatrix, ends: list, lengths: list, weights: Optional[dict[int, int]] = None
-) -> _Scaled:
+def _scale(rm: ResistanceMatrix, weights: Optional[dict[int, int]] = None) -> _Scaled:
     """Put the solve ``rm`` on one integer denominator ``q``, once.
 
-    ``ends`` holds each edge's end indices ``(i, j)`` in ``rm``'s vertex
-    order and ``lengths`` its length, a loop included; ``weights`` are
+    The edges' ends and lengths are the ones ``rm`` solved; ``weights`` are
     theta's, by vertex index.  ``q`` is the lcm of the solve's ``T`` and of
     ``num * den`` of each edge length, so ``z = q Z = N (q / T)``,
     ``x = q Z w = T x (q / T)`` for theta's one solve, ``q L`` and ``q / L``
-    are all ints.  Tau is read at the vertex ``rm`` is grounded at.  Only
-    the lengths enter here, so a caller that knows a topology is valid
-    solves and scales new lengths on it without building a graph.
+    are all ints.  Tau is read at the vertex ``rm`` is grounded at.
     """
-    ground, t = rm._ground, rm._t
+    ends, lengths, t = rm._topology.ends, rm._lengths, rm._t
+    ground = rm._topology.ground
     weights = weights or {}
     w = {i: c for i, c in weights.items() if c and i != ground}
     x = rm.solve(w) if w else {}
@@ -388,16 +406,6 @@ def _scale(
     tau, theta, bridges = _core(edges, z, w, x, sum(weights.values()))
     s = 12 * q * q
     return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x)
-
-
-def _scale_graph(g: PmGraph, rm: ResistanceMatrix, weights: Optional[dict[str, int]] = None) -> _Scaled:
-    # _scale on the edges of g, solved as rm, with the weights by vertex id; a
-    # vertex that is not in g must weigh 0
-    index = rm._index
-    return _scale(
-        rm, [(index[e.u], index[e.v]) for e in g.edges], [e.length for e in g.edges],
-        {index[p]: c for p, c in weights.items() if c} if weights else None,
-    )
 
 
 def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
@@ -461,7 +469,8 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    s = _scale_graph(g, resistance_matrix(g), canonical_divisor(g))
+    rm = resistance_matrix(g)
+    s = _scale(rm, rm._topology.by_index(canonical_divisor(g)))
     return {
         e.id: EdgeClass(e.id, True, min(sides), sides) if sides else EdgeClass(e.id, False, 0)
         for e, sides in zip(g.edges, _sides(genus(g).gbar, s))

@@ -19,7 +19,7 @@ from pmgraph import (
     verify_bounds,
     witness_check,
 )
-from pmgraph.bounds import closed_ratio, closed_ratios
+from pmgraph.bounds import closed_ratios
 
 
 def _row(selector, invariant):
@@ -164,7 +164,7 @@ class TestSampling:
 
     def test_ratios_of_the_zero_length_family(self):
         with pytest.raises(CatalogError, match="'g0.I' has total length 0"):
-            closed_ratio("g0.I", {}, "phi")
+            closed_ratios("g0.I", {})
         with pytest.raises(CatalogError, match="'g0.I' has total length 0"):
             engine_ratios("g0.I", {})
 
@@ -207,6 +207,32 @@ class TestPolynomialAgreement:
             assert phi_gap == r_val / (288 * c_val)
             assert tau_gap == s_val / (96 * c_val)
 
+    @staticmethod
+    def _engine_phi_points(fid):
+        # 20 seeded points with the engine's phi at each; no closed form enters
+        import random
+
+        rng = random.Random(7)
+        for _ in range(20):
+            lengths = random_lengths(family(fid).params, rng)
+            ell = sum(lengths.values())
+            yield lengths, ell, engine_ratios(fid, lengths)["phi"] * ell
+
+    def test_viii_phi_rewrite_premise_is_the_engine_phi(self):
+        # the premise of the viii.phi_rewrite certificate:
+        # phi = ell/9 - (7bcde + 2Q)/(9D), Q = a(bcd + bce + bde + cde)
+        for p, ell, phi in self._engine_phi_points("g3.VIII"):
+            a, b, c, d, e = (p[name] for name in "abcde")
+            q = a * (b * c * d + b * c * e + b * d * e + c * d * e)
+            assert phi == ell / 9 - (7 * b * c * d * e + 2 * q) / (9 * named("viii.D").evaluate(p))
+
+    def test_xiii_phi_rewrite_premise_is_the_engine_phi(self):
+        # the premise of the xiii.phi_rewrite certificate:
+        # phi = ell/9 - (2A - 6B + 7C)/(9D)
+        for p, ell, phi in self._engine_phi_points("g3.XIII"):
+            a_, b_, c_, d_ = (named(f"xiii.{name}").evaluate(p) for name in "ABCD")
+            assert phi == ell / 9 - (2 * a_ - 6 * b_ + 7 * c_) / (9 * d_)
+
 
 class TestClosedRatios:
     def test_equal_to_the_engine_at_seeded_points(self):
@@ -226,7 +252,6 @@ class TestClosedRatios:
         ratios = closed_ratios(fid, lengths)
         assert ratios["phi"] == Fraction(1, 16)
         assert list(ratios) == ["tau", "phi", "lambda", "epsilon", "Z"]
-        assert ratios["phi"] == closed_ratio(fid, lengths, "phi")
 
     def test_verify_bounds_names_an_unknown_family(self):
         for fid in ("g9.X", "g3.Z"):

@@ -27,6 +27,7 @@ from pmgraph.catalog import _TABLE, FAMILIES, CatalogError, _parts, _spec
 from pmgraph.graph import InvalidGraphError
 from pmgraph.invariants import _delta_sums, _scaled, _zhang
 from pmgraph.polynomials import Polynomial
+from pmgraph.resistance import _Topology
 
 
 def _ones(fid):
@@ -322,6 +323,10 @@ class TestSamplingRoute:
             if not family(fid).degenerate:
                 ratios = {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
                 assert ratios == engine_ratios(fid, lengths)
+
+    @pytest.mark.parametrize("fid", list_families())
+    def test_the_family_topology_is_the_engine_topology_of_its_graph(self, fid):
+        assert family(fid)._topology.topology == _Topology.of(build(fid, _ones(fid)))
 
     @pytest.mark.parametrize(
         "vertices, edges, error",

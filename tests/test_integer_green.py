@@ -10,6 +10,7 @@ on the same small graphs, and cover the dense producer's edge cases.
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 
@@ -48,22 +49,19 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _edges(g: PmGraph) -> list:
-    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    return [(index[e.u], index[e.v], e.length) for e in g.edges if not e.is_loop]
-
-
 def _matrix(g: PmGraph, ground: int, producer) -> solver.ResistanceMatrix:
-    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
-    return solver.ResistanceMatrix(
-        g.vertex_ids, index, ground, *producer(len(index), ground, _edges(g))
-    )
+    # the engine's solve of g grounded at its ground-th vertex, with
+    # ``producer`` in the place of ``_green``
+    topology = solver._Topology.of(g, g.vertex_ids[ground])
+    with mock.patch.object(solver, "_green", producer):
+        return topology.solve([e.length for e in g.edges])
 
 
 @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
     for ground in range(len(g.vertices)):
-        t, green, factor = solver._green(len(g.vertices), ground, _edges(g))
+        rm = _matrix(g, ground, solver._green)
+        t, green, factor = rm._t, rm._green, rm._factor
         assert type(t) is int and t > 0
         assert (factor is None) == (len(g.vertices) <= solver.DENSE_VERTICES)
         expected = green_by_selected_inverse(g, ground)
@@ -77,7 +75,7 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
-    s = solver._scale_graph(g, rm, canonical_divisor(g))
+    s = solver._scale(rm, rm._topology.by_index(canonical_divisor(g)))
     return (
         Fraction(s.tau, s.den), Fraction(s.theta, s.den), Fraction(s.ell, s.den),
         s.bridges, [Fraction(l, s.q) for l in s.lengths], rm.values,
@@ -122,7 +120,8 @@ def test_a_single_vertex_has_no_unknowns():
 
 def test_a_bouquet_of_loops_scales_by_the_lcm_of_nothing():
     g = PmGraph.build(["A"], [("a", "A", "A", Fraction(3, 7)), ("b", "A", "A", 5), ("c", "A", "A", "2/9")])
-    assert solver._dense_green(1, 0, _edges(g)) == (1, {}, None)
+    rm = _matrix(g, 0, solver._dense_green)
+    assert (rm._t, rm._green, rm._factor) == (1, {}, None)
     inv = invariant_set(g)
     assert inv.tau == g.total_length / 12
     assert inv.phi == tau_by_formula(g) * Fraction(13, 3) + inv.theta / 12 - inv.ell / 4

@@ -236,13 +236,13 @@ def _sample_reports(
         # fid has length, so its samples are solved on its validated topology;
         # each row keeps its running minimum and first violation as int pairs
         # over the lengths they were found at, and the samples are not kept
-        topology = catalog.family(fid)._topology
+        scaled = catalog.family(fid)._scaled
         rows = [
             (i, spec.invariant, *spec.floor.as_integer_ratio(), spec.exact, [None, None])
             for i, spec in enumerate(specs) if fid in covered[i]
         ]
         for x in catalog._seeded_lengths(fid, samples, seed):
-            s = topology.scaled(x)
+            s = scaled(x)
             for _, invariant, p, q, exact, kept in rows:
                 # each ratio meets the floor and the running minimum as
                 # crossed int products; only the reported ones become Fractions

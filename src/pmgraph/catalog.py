@@ -41,9 +41,9 @@ One deliberate deviation from the source tables is documented at
 
 :func:`check_family` and the bound suite's sampling work on lengths only.
 Each family validates its topology once, on first use, and keeps it as the
-engine's ``_Topology`` with the canonical divisor; a sample is solved and
-scaled on it by the engine's ``_Topology.solve`` and ``_scale``, with no graph
-built or validated.  ``check_family`` compares the engine's integer
+engine's ``_Topology``, which carries the canonical divisor and the genus; a
+sample is solved and scaled on it by the engine's ``_Topology.scaled``, with
+no graph built or validated.  ``check_family`` compares the engine's integer
 numerators with the closed row by crossed products and builds a
 :class:`CrossCheckReport`, with its ``Fraction`` values, only for a sample
 that disagrees.  :func:`build`, :func:`cross_check` and :func:`closed_form`
@@ -70,8 +70,6 @@ from .graph import (
     Vertex,
     _removable,
     as_rational,
-    canonical_divisor,
-    genus,
     require_valid,
 )
 from .invariants import _QUARTET, InvariantSet, _delta_sums, invariant_set
@@ -117,32 +115,18 @@ class FamilySpec:
         return not self.edges
 
     @cached_property
-    def _topology(self) -> "_Family":
-        # validated once, on first use: the sampling passes solve their
-        # lengths on it without building or validating a graph per sample
+    def _topology(self) -> resistance._Topology:
+        # validated once, on first use, and grounded at the first vertex: the
+        # sampling passes solve their lengths on it without building or
+        # validating a graph per sample
         g = require_valid(_build(self, dict.fromkeys(self.params, Fraction(1))))
         if _removable(g):
             raise CatalogError(f"{self.id}: the topology has a vertex to smooth away")
-        topology = resistance._Topology.of(g)
-        ids = tuple(eid for eid, _, _ in self.edges)
-        return _Family(topology, ids, topology.by_index(canonical_divisor(g)), genus(g))
+        return resistance._Topology.of(g)
 
-
-@dataclass(frozen=True)
-class _Family:
-    """A family's validated topology, grounded at its first vertex, with
-    each edge's parameter in edge order and ``K`` by vertex index."""
-
-    topology: resistance._Topology
-    ids: tuple[str, ...]
-    divisor: dict[int, int]
-    genus: GenusData
-
-    def scaled(self, p: Lengths) -> resistance._Scaled:
-        """The engine's solve at positive lengths ``p``, scaled with ``K`` as
-        theta's weights: what ``invariant_set`` computes on the family's
-        graph, without building or validating it."""
-        return resistance._scale(self.topology.solve([p[eid] for eid in self.ids]), self.divisor)
+    def _scaled(self, p: Lengths) -> resistance._Scaled:
+        # what invariant_set computes on the family's graph at positive lengths p
+        return self._topology.scaled([p[eid] for eid, _, _ in self.edges])
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +483,12 @@ def check_family(
     that disagrees goes through :func:`cross_check` for its report.
     """
     spec = family(fid)
-    topology = spec._topology
     # g and gbar depend on the topology alone, and _agrees reads a solve of
     # total genus 3
-    same_genus = (topology.genus.g, topology.genus.gbar) == (spec.genus, 3)
+    same_genus = spec._topology.genus == GenusData(spec.genus, 3)
     passed = 0
     for p in map(_Sample, _seeded_lengths(fid, samples, seed)):
-        if not (same_genus and _agrees(topology.scaled(p), spec.closed(p), p)):
+        if not (same_genus and _agrees(spec._scaled(p), spec.closed(p), p)):
             return passed, cross_check(fid, p)
         passed += 1
     return passed, None

@@ -19,8 +19,9 @@ the sparse factor and the integer selected inverse (see
 denominator ``q`` and every value is one ``Fraction`` of int numerators.
 On a subdivided genus-3 graph the linear front end (parse, validate,
 smooth) now costs more than the solve.  :func:`invariant_set` gets every
-invariant from the one solve, and theta's weights are the canonical divisor
-the validation computed.
+invariant from the one solve.  Theta's weights and the genus come off the
+topology that solve was made on, which carries the canonical divisor of the
+graph it was taken from.
 """
 
 from __future__ import annotations
@@ -34,30 +35,25 @@ from .graph import (
     UnsupportedGenusError,
     _removable,
     _smooth,
-    canonical_divisor,
-    genus,
     require_valid,
 )
 from .resistance import _scale, _Scaled, _sides, _Topology, resistance_matrix
 
 
-def _scaled(g: PmGraph, keep: Optional[str] = None, theta: bool = True) -> tuple[PmGraph, _Scaled]:
+def _scaled(
+    g: PmGraph, keep: Optional[str] = None, theta: bool = True
+) -> tuple[_Topology, _Scaled]:
     # the prologue of every engine entry: validate g once, smooth it keeping
     # ``keep``, solve the result grounded at ``keep`` and scale that solve once
-    given = g
     removable = _removable(g, keep)
     if removable:
-        require_valid(g)
-        g = _smooth(g, removable)
+        g = _smooth(require_valid(g), removable)
         rm = _Topology.of(g, keep).solve([e.length for e in g.edges])
     else:
         # the public entry validates and solves alike; the benchmark's traced
         # catalog-verify asserts it is called (see ROADMAP item 2)
         rm = resistance_matrix(g, keep)
-    # the validation of the graph as given computed its divisor; smoothing
-    # keeps K on every kept vertex, and the removed ones, where K is 0, drop
-    weights = rm._topology.by_index(canonical_divisor(given)) if theta else None
-    return g, _scale(rm, weights)
+    return rm._topology, _scale(rm, rm._topology.divisor if theta else None)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
@@ -96,8 +92,8 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    g, s = _scaled(g)
-    return _delta(genus(g).gbar, s)
+    topology, s = _scaled(g)
+    return _delta(topology.genus.gbar, s)
 
 
 def _delta(gbar: int, s: _Scaled) -> dict[int, Fraction]:
@@ -185,33 +181,32 @@ def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
 
     Any other total genus raises :class:`UnsupportedGenusError`.
     """
-    g, s = _scaled(g)
-    gbar = genus(g).gbar
+    topology, s = _scaled(g)
+    gbar = topology.genus.gbar
     if gbar != 3:
         raise UnsupportedGenusError(
             f"phi/lambda/epsilon/Z require total genus 3, got {gbar}"
         )
-    return _zhang(s, s.den)
+    return _zhang(s)
 
 
 # the closed forms of zhang_invariants: name -> (a, b, d) in (a tau + theta + b ell) / d
 _QUARTET = {"phi": (52, -3, 12), "lambda": (24, 4, 56), "epsilon": (16, 0, 6), "Z": (40, 0, 72)}
 
 
-def _zhang(s: _Scaled, den: int) -> dict[str, Fraction]:
-    # the quartet from the numerators of s over den: s.den gives the values,
-    # s.ell their ratios to ell
+def _zhang(s: _Scaled) -> dict[str, Fraction]:
+    # the quartet from the numerators of s over s.den
     return {
-        name: Fraction(a * s.tau + s.theta + b * s.ell, d * den)
+        name: Fraction(a * s.tau + s.theta + b * s.ell, d * s.den)
         for name, (a, b, d) in _QUARTET.items()
     }
 
 
 def invariant_set(g: PmGraph) -> InvariantSet:
     """All invariants of a valid graph in one pass (one Laplacian solve)."""
-    g, s = _scaled(g)
-    data = genus(g)
-    quartet = _zhang(s, s.den) if data.gbar == 3 else {}
+    topology, s = _scaled(g)
+    data = topology.genus
+    quartet = _zhang(s) if data.gbar == 3 else {}
     return InvariantSet(
         ell=Fraction(s.ell, s.den),
         g=data.g,

@@ -27,11 +27,14 @@ the number of vertices (``DENSE_VERTICES``):
 That is all tau and the bridge test read.  Every solve, of a graph as
 given, a smoothed one or a catalog family's, is ``_Topology.solve``: a
 validated graph's vertex order, ground and edge ends at one length per
-edge, kept by the matrix it makes.  ``_scale`` puts those lengths, ``N``
-and theta's one solve on a single integer denominator ``q``, a multiple of
-``T``, so tau, theta and the bridge test run on ints after it.  Theta's
-solve also gives each bridge's side genera (see :func:`classify_edges`), so
-no second pass over the graph finds them.
+edge, kept by the matrix it makes.  The topology also carries the
+canonical divisor ``K`` by vertex index, from the validation, and the genus
+that follows from it.  ``_Topology.scaled`` takes lengths to a scaled solve:
+``_scale`` puts those lengths, ``N`` and theta's one solve, with ``K`` as
+its weights, on a single integer denominator ``q``, a multiple of ``T``, so
+tau, theta and the bridge test run on ints after it.  Theta's solve also
+gives each bridge's side genera (see :func:`classify_edges`), so no second
+pass over the graph finds them.
 """
 
 from __future__ import annotations
@@ -44,7 +47,7 @@ from functools import cached_property
 from math import lcm
 from typing import Optional
 
-from .graph import PmGraph, PmGraphError, canonical_divisor, genus, require_valid
+from .graph import GenusData, PmGraph, PmGraphError, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -332,13 +335,15 @@ class ResistanceMatrix:
 @dataclass(frozen=True)
 class _Topology:
     """A validated graph without its lengths: ``order`` fixes the vertex
-    index, ``ground`` is the grounded vertex's index and ``ends`` holds each
-    edge's ``(i, j)`` in edge order, loops included."""
+    index, ``ground`` is the grounded vertex's index, ``ends`` holds each
+    edge's ``(i, j)`` in edge order, loops included, and ``divisor`` the
+    nonzero coefficients of the canonical divisor ``K`` by vertex index."""
 
     order: tuple[str, ...]
     index: dict[str, int]
     ground: int
     ends: tuple[tuple[int, int], ...]
+    divisor: dict[int, int]
 
     @classmethod
     def of(cls, g: PmGraph, ground: Optional[str] = None) -> _Topology:
@@ -349,16 +354,25 @@ class _Topology:
         elif ground not in order:
             raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
         index = {vid: i for i, vid in enumerate(order)}
-        return cls(order, index, index[ground], tuple((index[e.u], index[e.v]) for e in g.edges))
+        ends = tuple((index[e.u], index[e.v]) for e in g.edges)
+        divisor = {index[p]: c for p, c in g._divisor.items() if c}
+        return cls(order, index, index[ground], ends, divisor)
+
+    @property
+    def genus(self) -> GenusData:
+        # of takes only validated, so connected, graphs, on which the Betti
+        # number is e - v + 1 and deg K = 2 gbar - 2
+        betti = len(self.ends) - len(self.order) + 1
+        return GenusData(betti, sum(self.divisor.values()) // 2 + 1)
 
     def solve(self, lengths: list) -> ResistanceMatrix:
         """The one exact solve, at a positive length per edge in edge order."""
         edges = [(i, j, length) for (i, j), length in zip(self.ends, lengths) if i != j]
         return ResistanceMatrix(self, lengths, *_green(len(self.order), self.ground, edges))
 
-    def by_index(self, weights: dict[str, int]) -> dict[int, int]:
-        # the nonzero weights by vertex index; one off the topology must be 0
-        return {self.index[p]: c for p, c in weights.items() if c}
+    def scaled(self, lengths: list) -> _Scaled:
+        """The solve at ``lengths`` scaled once, with ``K`` as theta's weights."""
+        return _scale(self.solve(lengths), self.divisor)
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
@@ -469,11 +483,11 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    rm = resistance_matrix(g)
-    s = _scale(rm, rm._topology.by_index(canonical_divisor(g)))
+    topology = _Topology.of(require_valid(g))
+    s = topology.scaled([e.length for e in g.edges])
     return {
         e.id: EdgeClass(e.id, True, min(sides), sides) if sides else EdgeClass(e.id, False, 0)
-        for e, sides in zip(g.edges, _sides(genus(g).gbar, s))
+        for e, sides in zip(g.edges, _sides(topology.genus.gbar, s))
     }
 
 

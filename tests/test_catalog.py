@@ -306,8 +306,9 @@ class TestSamplingRoute:
     @pytest.mark.parametrize("fid", list_families())
     def test_topology_solve_equals_the_engine_on_the_built_graph(self, fid):
         for lengths in _draws(fid, 3, 41):
-            s = family(fid)._topology.scaled(lengths)
-            g, expected = _scaled(build(fid, lengths))
+            s = family(fid)._scaled(lengths)
+            g = build(fid, lengths)
+            _, expected = _scaled(g)
             assert list(s.ends) == list(expected.ends)
             assert s._replace(ends=None) == expected._replace(ends=None)
             engine = invariant_set(g)
@@ -316,7 +317,7 @@ class TestSamplingRoute:
                 "tau": Fraction(s.tau, s.den),
                 "theta": Fraction(s.theta, s.den),
                 "delta": {i: Fraction(n, s.q) for i, n in _delta_sums(3, s).items()},
-                **_zhang(s, s.den),
+                **_zhang(s),
             }
             named = engine.named_values()
             assert values == {name: named[name] for name in named if name not in ("g", "gbar")}
@@ -326,7 +327,7 @@ class TestSamplingRoute:
 
     @pytest.mark.parametrize("fid", list_families())
     def test_the_family_topology_is_the_engine_topology_of_its_graph(self, fid):
-        assert family(fid)._topology.topology == _Topology.of(build(fid, _ones(fid)))
+        assert family(fid)._topology == _Topology.of(build(fid, _ones(fid)))
 
     @pytest.mark.parametrize(
         "vertices, edges, error",
@@ -363,3 +364,11 @@ class TestSamplingRoute:
         expected = _one_report_per_sample(fid, 5, 8)
         assert expected[0] == 2 and expected[1] is not None
         assert check_family(fid, 5, 8) == expected
+
+    @pytest.mark.parametrize("fid", ["g0.II", "g1.IX", "g2.VIII", "g3.XIV"])
+    def test_a_wrong_genus_fails_the_first_sample(self, fid, monkeypatch):
+        spec = family(fid)
+        monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(spec, genus=spec.genus + 1))
+        passed, report = check_family(fid, 3, 0)
+        assert passed == 0
+        assert report.mismatches == (f"g: engine {spec.genus} != closed form {spec.genus + 1}",)

@@ -17,7 +17,6 @@ import pytest
 from pmgraph import (
     PmGraph,
     build,
-    canonical_divisor,
     family,
     invariant_set,
     list_families,
@@ -75,7 +74,7 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
-    s = solver._scale(rm, rm._topology.by_index(canonical_divisor(g)))
+    s = solver._scale(rm, rm._topology.divisor)
     return (
         Fraction(s.tau, s.den), Fraction(s.theta, s.den), Fraction(s.ell, s.den),
         s.bridges, [Fraction(l, s.q) for l in s.lengths], rm.values,

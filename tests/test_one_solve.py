@@ -1,9 +1,14 @@
-"""Every solve is made in one place.
+"""Every solve is made, and scaled, in one place.
 
 ``_Topology.solve`` is the only caller of the solve producer ``_green`` and
 the only constructor of ``ResistanceMatrix`` in ``src/pmgraph``, so the file
 engine, the catalog sampler, ``resistance_matrix`` and ``classify_edges``
-cannot drift apart in how a graph's lengths become a solve.
+cannot drift apart in how a graph's lengths become a solve.  ``_scale`` is
+called in two places, each with the solve's own canonical divisor as
+theta's weights: ``_Topology.scaled`` and the file engine's
+``invariants._scaled``, which also scales what the public
+``resistance_matrix`` solves.  No engine path scales with weights of its
+own.
 """
 
 import ast
@@ -12,7 +17,7 @@ from pathlib import Path
 import pmgraph
 
 SOURCES = sorted(Path(pmgraph.__file__).parent.glob("*.py"))
-PINNED = ("_green", "ResistanceMatrix")
+PINNED = ("_green", "ResistanceMatrix", "_scale")
 
 
 def _call_sites(path: Path) -> list[tuple[str, str]]:
@@ -42,6 +47,8 @@ def test_only_the_topology_solves():
     assert sites == [
         ("ResistanceMatrix", "resistance.py:_Topology.solve"),
         ("_green", "resistance.py:_Topology.solve"),
+        ("_scale", "invariants.py:_scaled"),
+        ("_scale", "resistance.py:_Topology.scaled"),
     ]
 
 

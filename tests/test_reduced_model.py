@@ -103,7 +103,7 @@ def test_scaled_theta_equals_the_pairwise_sum():
         rm = resistance_matrix(g)
         weights = {vid: rng.randint(-3, 3) for vid in g.vertex_ids}
         weights[g.vertex_ids[0]] = 2  # the ground carries weight too
-        scaled = _scale(rm, rm._topology.by_index(weights))
+        scaled = _scale(rm, {i: weights[vid] for i, vid in enumerate(rm.order)})
         assert type(scaled.theta) is int
         assert Fraction(scaled.theta, scaled.den) == theta_by_pairs(g, rm, weights)
 

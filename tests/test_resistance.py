@@ -8,6 +8,7 @@ from pmgraph import (
     PmGraph,
     PmGraphError,
     build,
+    canonical_divisor,
     classify_edges,
     delta,
     genus,
@@ -18,6 +19,7 @@ from pmgraph import (
     effective_resistance,
     resistance_matrix,
 )
+from pmgraph.resistance import _Topology
 
 from conftest import (
     build_circle,
@@ -242,6 +244,26 @@ class TestClassification:
             expected[min(sides[eid]) if eid in sides else 0] += g.edge(eid).length
         assert delta(g) == expected
         return {min(pair) for pair in sides.values()}
+
+
+class TestTopology:
+    """The topology of a solve carries the canonical divisor and the genus
+    of the graph it was taken from."""
+
+    @staticmethod
+    def _check(g):
+        topology = _Topology.of(g)
+        assert topology.genus == genus(g)
+        index = topology.index
+        assert topology.divisor == {index[p]: c for p, c in canonical_divisor(g).items() if c}
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 9, 30])
+    def test_random_graphs(self, n):
+        self._check(random_pm_graph(n, random.Random(f"topology:{n}")))
+
+    @pytest.mark.parametrize("fid", list_families())
+    def test_families(self, fid):
+        self._check(build(fid, {name: 1 for name in family(fid).params}))
 
 
 def test_submodule_import_binds_the_module():

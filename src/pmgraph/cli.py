@@ -39,7 +39,7 @@ def _on_file(path: str, compute):
     The engine validates the graph when it solves it.
     """
     try:
-        with open(path, "r", encoding="utf-8") as handle:
+        with open(path, "r", encoding="utf-8-sig") as handle:
             return compute(parse_graph(handle.read()))
     except (UnicodeDecodeError, PmGraphError) as exc:
         raise InputError(f"{path}: {exc}") from exc

@@ -17,13 +17,14 @@ point showing the discrepancy.
 
 The registry is one ordered table: ``_CERTIFICATES`` maps each name to a
 function that builds its components, and ``_PROBES`` maps each probe's name
-to a function that returns its components and its witness.  Nothing is
-expanded at import; every call builds its polynomials again.  The names,
-their order and ``PROBE_NAMES`` are read off these two dicts.  The eight sign
-cases of the xiv phi bound are rows of ``_CASES`` holding polynomial data
-only: case i assumes the i-th orientation of the pairs (a, f), (b, e),
-(c, d) in ``itertools.product`` order, and one loop derives from it the
-assumption text, the substitution, ``xiv.T{i}`` and the names
+to a function that returns its components and its witness.  The named
+polynomials, the ``_CASES`` rows and ``_S_DECOMPOSITION`` are expanded once,
+at import; each certificate's two sides are built again on every call.  The
+names, their order and ``PROBE_NAMES`` are read off these two dicts.  The
+eight sign cases of the xiv phi bound are rows of ``_CASES`` holding
+polynomial data only: case i assumes the i-th orientation of the pairs
+(a, f), (b, e), (c, d) in ``itertools.product`` order, and one loop derives
+from it the assumption text, the substitution, ``xiv.T{i}`` and the names
 ``xiv.case_{label}`` and ``xiv.T{i}_sub``.
 
 Names are prefixed by family (``xiv.``, ``viii.``, ``xiii.``) or by the

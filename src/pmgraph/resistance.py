@@ -10,10 +10,10 @@ of the reduced Laplacian ``A``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``,
 one ``Fraction`` per value.  Two producers give ``T`` and ``N``, chosen by
 the number of vertices (``DENSE_VERTICES``):
 
-* up to 4 vertices, the stable bound for total genus 3, a fraction-free
-  Gauss-Jordan elimination (Bareiss, 1968) of the integer Laplacian
-  ``M A``, ``M`` the lcm of the length numerators, gives
-  ``T = det(M A)`` and ``N = M adj(M A)`` on every pair;
+* up to 4 vertices, the stable bound for total genus 3, the cofactors of
+  the integer Laplacian ``M A``, ``M`` the lcm of the length numerators,
+  give ``T = det(M A)`` and ``N = M adj(M A)`` on every pair with ``+``,
+  ``-`` and ``*`` alone;
 * above, ``A = L D L^T`` is factored over ``Fraction``, always eliminating
   the vertex with the fewest remaining neighbours (ties go to the earlier
   vertex, so the work is deterministic); on the graphs pm-graph invariants
@@ -73,14 +73,8 @@ def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
 
 # The largest graph solved by the dense producer.  Every stable graph of
 # total genus 3 has at most 2g - 2 = 4 vertices, so each engine call on a
-# genus-3 input takes this path after smoothing.  The bound stays there
-# because the dense solve's size is not the graph's alone: ``M`` is the lcm of
-# every length numerator, so ``det(M A)`` has up to ``(n - 1) bits(M)`` bits
-# and grows with each edge of a new numerator, while the sparse producer
-# never scales ``A`` as a whole.  Solve plus scale on smoothed random graphs
-# with numerators up to 20, 2 cores: 16 against 41 us at 3.7 vertices, 108
-# against 226 us at 10, 306 against 344 us at 12.7 and 929 against 505 us at
-# 17.2, so even with small numerators the dense solve loses from about 13.
+# genus-3 input takes this path after smoothing.  Grounded, such a graph
+# leaves at most 3 unknowns, the largest matrix ``_adjugate`` takes.
 DENSE_VERTICES = 4
 
 
@@ -157,47 +151,39 @@ def _green(n: int, ground: int, edges: list) -> tuple:
 
 
 def _dense_green(n: int, ground: int, edges: list) -> tuple:
-    """``T = det(M A)`` and ``N = M adj(M A)`` on every pair, by fraction-free
-    Gauss-Jordan elimination (Bareiss, 1968) of the integer Laplacian ``M A``.
+    """``T = det(M A)`` and ``N = M adj(M A)`` on every pair, from the
+    cofactors of the integer Laplacian ``M A`` grounded at ``ground``.
 
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
-    The elimination runs in place and keeps the matrix symmetric, as the
-    sweep operator does: pivot ``k`` turns each entry ``b_ij`` off row and
-    column ``k`` into ``(p b_ij - b_ik b_kj) / p'``, with ``p`` the pivot and
-    ``p'`` the one before, and the pivot itself into ``-p'``.  Every
-    division is exact by Sylvester's identity: after pivot ``k`` each entry
-    is ``p`` times the swept value.  At the end the last pivot is
-    ``det(M A)`` and the matrix is ``-adj(M A)``.  A grounded Laplacian is
-    positive definite, so no pivot is 0 and no rows swap.
     """
     m = lcm(*(length.numerator for _, _, length in edges))
-    unknowns = [v for v in range(n) if v != ground]
-    size = len(unknowns)
-    row_of = {v: r for r, v in enumerate(unknowns)}
-    rows = [[0] * size for _ in unknowns]
+    lap = [[0] * n for _ in range(n)]
     for i, j, length in edges:
         w = m // length.numerator * length.denominator
-        ri, rj = row_of.get(i), row_of.get(j)
-        if ri is not None:
-            rows[ri][ri] += w
-        if rj is not None:
-            rows[rj][rj] += w
-            if ri is not None:
-                rows[ri][rj] -= w
-                rows[rj][ri] -= w
-    previous = 1
-    for k, pivot_row in enumerate(rows):
-        p = pivot_row[k]
-        for i, row in enumerate(rows):
-            if i != k:
-                f = row[k]
-                for j in range(i, size):
-                    if j != k:
-                        row[j] = rows[j][i] = (p * row[j] - f * pivot_row[j]) // previous
-        pivot_row[k] = -previous
-        previous = p
-    green = {v: {unknowns[c]: -m * b for c, b in enumerate(row)} for v, row in zip(unknowns, rows)}
-    return previous, green, None
+        lap[i][i] += w
+        lap[j][j] += w
+        lap[i][j] -= w
+        lap[j][i] -= w
+    unknowns = [v for v in range(n) if v != ground]
+    t, adj = _adjugate([[lap[i][j] for j in unknowns] for i in unknowns])
+    return t, {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}, None
+
+
+def _adjugate(a: list) -> tuple:
+    """``(det a, adj a)`` of a symmetric matrix of size 0 to 3, with ``+``,
+    ``-`` and ``*`` alone, so over any commutative ring."""
+    size = len(a)
+    if size == 3:
+        (p, r, s), (_, u, v), (_, _, w) = a
+        c00, c01, c02 = u * w - v * v, s * v - r * w, r * v - s * u
+        c11, c12, c22 = p * w - s * s, r * s - p * v, p * u - r * r
+        return p * c00 + r * c01 + s * c02, ((c00, c01, c02), (c01, c11, c12), (c02, c12, c22))
+    if size == 2:
+        (p, r), (_, s) = a
+        return p * s - r * r, ((s, -r), (-r, p))
+    if size == 1:
+        return a[0][0], ((1,),)
+    return 1, ()
 
 
 def _sparse_green(n: int, ground: int, edges: list) -> tuple:

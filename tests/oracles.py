@@ -9,6 +9,9 @@ the package implementation uses:
 * the grounded Green's function ``Z`` on the filled pattern by the
   ``Fraction`` selected inversion the engine ran before it held each solve
   as one integer ``T`` and ``N = T Z``;
+* the integer ``T`` and ``N = T Z`` of a graph of at most 4 vertices by the
+  fraction-free Gauss-Jordan elimination (Bareiss, 1968) the engine ran
+  before it took them from cofactors;
 * bridges and the total genus of their sides via a combinatorial
   connectivity scan instead of the exact resistance identity and subtree
   sums;
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
+from math import lcm
 
 from pmgraph import PmGraph, canonical_divisor, resistance_matrix, subdivide
 from pmgraph.polynomials import VARIABLES
@@ -177,6 +181,52 @@ def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fr
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + 1 / e.length
     return selected_inverse(_factor(adj, diag))
+
+
+def green_by_bareiss(n: int, ground: int, edges: list) -> tuple:
+    """``(T, N, None)`` with ``T = det(M A)`` and ``N = M adj(M A)`` on every
+    pair, by fraction-free Gauss-Jordan elimination of the integer Laplacian
+    ``M A``; the arguments and the result are those of
+    ``resistance._dense_green``.
+
+    ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
+    The elimination runs in place and keeps the matrix symmetric, as the
+    sweep operator does: pivot ``k`` turns each entry ``b_ij`` off row and
+    column ``k`` into ``(p b_ij - b_ik b_kj) / p'``, with ``p`` the pivot and
+    ``p'`` the one before, and the pivot itself into ``-p'``.  Every
+    division is exact by Sylvester's identity: after pivot ``k`` each entry
+    is ``p`` times the swept value.  At the end the last pivot is
+    ``det(M A)`` and the matrix is ``-adj(M A)``.  A grounded Laplacian is
+    positive definite, so no pivot is 0 and no rows swap.
+    """
+    m = lcm(*(length.numerator for _, _, length in edges))
+    unknowns = [v for v in range(n) if v != ground]
+    size = len(unknowns)
+    row_of = {v: r for r, v in enumerate(unknowns)}
+    rows = [[0] * size for _ in unknowns]
+    for i, j, length in edges:
+        w = m // length.numerator * length.denominator
+        ri, rj = row_of.get(i), row_of.get(j)
+        if ri is not None:
+            rows[ri][ri] += w
+        if rj is not None:
+            rows[rj][rj] += w
+            if ri is not None:
+                rows[ri][rj] -= w
+                rows[rj][ri] -= w
+    previous = 1
+    for k, pivot_row in enumerate(rows):
+        p = pivot_row[k]
+        for i, row in enumerate(rows):
+            if i != k:
+                f = row[k]
+                for j in range(i, size):
+                    if j != k:
+                        row[j] = rows[j][i] = (p * row[j] - f * pivot_row[j]) // previous
+        pivot_row[k] = -previous
+        previous = p
+    green = {v: {unknowns[c]: -m * b for c, b in enumerate(row)} for v, row in zip(unknowns, rows)}
+    return previous, green, None
 
 
 def _reachable(g: PmGraph, start: str, removed: str) -> set[str]:

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -20,6 +21,8 @@ from pmgraph import (
     witness_check,
 )
 from pmgraph.bounds import closed_ratios
+from pmgraph.polynomials import Polynomial
+from pmgraph.resistance import _adjugate
 
 
 def _row(selector, invariant):
@@ -187,6 +190,28 @@ class TestSampling:
 
 
 class TestPolynomialAgreement:
+    @pytest.mark.parametrize(
+        "fid, name, power", [("g3.XIV", "xiv.C", 2), ("g3.VIII", "viii.D", 1), ("g3.XIII", "xiii.D", 2)],
+    )
+    def test_certificate_denominator_is_the_engine_determinant(self, fid, name, power):
+        # the engine's cofactor solve on the weights w_e = M / x_e, M the
+        # product of every edge variable, has det(M A) = M^power times the
+        # certificates' complement spanning-tree polynomial, as polynomials
+        spec = family(fid)
+        topology = spec._topology
+        x = {eid: Polynomial.variable(eid) for eid, _, _ in spec.edges}
+        n = len(topology.order)
+        lap = [[0] * n for _ in range(n)]
+        for (eid, _, _), (i, j) in zip(spec.edges, topology.ends):
+            w = prod(x[other] for other in x if other != eid)
+            lap[i][i] += w
+            lap[j][j] += w
+            lap[i][j] -= w
+            lap[j][i] -= w
+        unknowns = [v for v in range(n) if v != topology.ground]
+        det, _ = _adjugate([[lap[i][j] for j in unknowns] for i in unknowns])
+        assert det == prod(x.values()) ** power * named(name)
+
     def test_xiv_gaps_match_cleared_identities(self):
         # phi - 17 ell/288 = R/(288 C) and tau - 5 ell/96 = S/(96 C),
         # evaluated exactly at sampled points through the engine

@@ -1,6 +1,8 @@
 import dataclasses
+import itertools
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from oracles import stable_type, stable_types
@@ -23,7 +25,7 @@ from pmgraph import (
     validate,
 )
 from pmgraph.bounds import _RATIOS, _ratio
-from pmgraph.catalog import _TABLE, FAMILIES, CatalogError, _parts, _spec
+from pmgraph.catalog import _COLUMNS, _TABLE, FAMILIES, CatalogError, _parts, _spec
 from pmgraph.graph import InvalidGraphError
 from pmgraph.invariants import _delta_sums, _scaled, _zhang
 from pmgraph.polynomials import Polynomial
@@ -92,6 +94,35 @@ class TestRegistry:
             data = genus(g)
             assert data.gbar == 3, fid
             assert data.g == spec.genus, fid
+
+
+def _automorphisms(spec) -> list[dict[str, str]]:
+    # the edge-id permutations that the weight-preserving vertex permutations
+    # induce, with every bijection among the edges that join the same pair of
+    # vertices, loops included
+    joining = {}
+    for eid, u, v in spec.edges:
+        joining.setdefault(frozenset((u, v)), []).append(eid)
+    weights = {vertex.id: vertex.q for vertex in spec.vertices}
+    sigmas = set()
+    for image in itertools.permutations(weights):
+        pi = dict(zip(weights, image))
+        if any(weights[v] != weights[pi[v]] for v in weights):
+            continue
+        targets = [joining.get(frozenset(map(pi.get, pair)), []) for pair in joining]
+        if list(map(len, targets)) != list(map(len, joining.values())):
+            continue
+        for choice in itertools.product(*map(itertools.permutations, targets)):
+            sigmas.add(tuple(zip(itertools.chain(*joining.values()), itertools.chain(*choice))))
+    return [dict(sigma) for sigma in sorted(sigmas)]
+
+
+def _columns(parts, x) -> tuple:
+    # a parts function's denominator q and each column's numerator over
+    # 252 q, at the edge variables x
+    q, s, *rest = parts(x)
+    terms = (q * sum(x.values()), q * s, *rest)
+    return q, [sum(map(mul, column, terms)) for column in _COLUMNS]
 
 
 class TestClosedForms:
@@ -173,6 +204,25 @@ class TestClosedForms:
             assert len(symbolic) == 5, fid
             for poly, value in zip(symbolic, parts(point)):
                 assert (Polynomial.constant(0) + poly).substitute(point) == value, fid
+
+    def test_rows_are_invariant_under_the_topology_automorphisms(self):
+        # each column num / q is the same rational function of the edge
+        # variables after any automorphism of the family's topology
+        orders = {}
+        for fid, *_, parts in _TABLE:
+            spec = family(fid)
+            if spec.degenerate:
+                continue
+            sigmas = _automorphisms(spec)
+            assert dict(zip(spec.params, spec.params)) in sigmas, fid
+            orders[fid] = len(sigmas)
+            q, nums = _columns(parts, {eid: Polynomial.variable(eid) for eid in spec.params})
+            for sigma in sigmas:
+                x = {eid: Polynomial.variable(sigma[eid]) for eid in spec.params}
+                q_sigma, nums_sigma = _columns(parts, x)
+                for num, num_sigma in zip(nums, nums_sigma):
+                    assert num_sigma * q == num * q_sigma, (fid, sigma)
+        assert (orders["g3.XIV"], orders["g3.II"], orders["g3.I"], orders["g2.II"]) == (24, 24, 6, 2)
 
     def test_delta_partition(self):
         rng = random.Random(3)

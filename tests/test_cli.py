@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from click.testing import CliRunner
 
+from pmgraph import build, graph_to_text
 from pmgraph.cli import main
 
 
@@ -113,6 +114,25 @@ def test_weight_above_the_cap_exits_2(runner, tmp_path, command, flags):
     path.write_text("vertex X q=1000\nedge a X X 1\n")
     result = runner.invoke(main, [command, str(path), *flags])
     assert result.exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("invariants", []), ("invariants", ["--json"]), ("resistance", [])]
+)
+def test_a_leading_byte_order_mark_is_ignored(runner, tmp_path, command, flags):
+    text = graph_to_text(build("g3.XIV", EVAL_LENGTHS))
+    plain, marked = tmp_path / "plain.graph", tmp_path / "marked.graph"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    expected = runner.invoke(main, [command, str(plain), *flags])
+    result = runner.invoke(main, [command, str(marked), *flags])
+    assert (expected.exit_code, result.exit_code) == (0, 0)
+    assert result.stdout_bytes == expected.stdout_bytes
+    first, rest = text.split("\n", 1)
+    marked.write_text(f"{first}\n\ufeff{rest}", encoding="utf-8")
+    result = runner.invoke(main, [command, str(marked), *flags])
+    assert result.exit_code == 2
+    assert f"{marked}: line 2, column 1: unknown record" in result.output
 
 
 @pytest.mark.parametrize("token", ["1e1001", "1E-1001"])

@@ -1,11 +1,13 @@
-"""The solve's two integer producers against the Fraction references.
+"""The solve's two integer producers against the references.
 
 Every solve is held as one integer ``T`` and ``N = T Z`` on the pattern.
-Graphs of at most ``DENSE_VERTICES`` vertices get them from a fraction-free
-Gauss-Jordan elimination of ``M A``, larger ones from the minimum-degree
-factor and the integer Takahashi recurrence.  These tests compare ``N / T``
-with the ``Fraction`` selected inversion at every ground, run both producers
-on the same small graphs, and cover the dense producer's edge cases.
+Graphs of at most ``DENSE_VERTICES`` vertices get them from the cofactors of
+``M A``, larger ones from the minimum-degree factor and the integer
+Takahashi recurrence.  These tests compare ``N / T`` with the ``Fraction``
+selected inversion at every ground, the dense producer's ``T`` and ``N``
+with the same ints from the fraction-free elimination it replaced, run both
+producers on the same small graphs, and cover the dense producer's edge
+cases.
 """
 
 import random
@@ -29,6 +31,7 @@ from pmgraph import resistance as solver
 
 from conftest import build_theta, random_pm_graph
 from oracles import (
+    green_by_bareiss,
     green_by_selected_inverse,
     resistance_by_dense_inverse,
     tau_by_formula,
@@ -63,6 +66,7 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
         t, green, factor = rm._t, rm._green, rm._factor
         assert type(t) is int and t > 0
         assert (factor is None) == (len(g.vertices) <= solver.DENSE_VERTICES)
+        assert factor is not None or _equals_bareiss(rm), ground
         expected = green_by_selected_inverse(g, ground)
         assert set(green) == set(expected)
         for i, row in expected.items():
@@ -71,6 +75,13 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
             for j, z in row.items():
                 assert type(green[i][j]) is int
                 assert Fraction(green[i][j], t) == z, (ground, i, j)
+
+
+def _equals_bareiss(rm: solver.ResistanceMatrix) -> bool:
+    # the dense solve rm holds the elimination's ints at its ground
+    topology = rm._topology
+    edges = [(i, j, length) for (i, j), length in zip(topology.ends, rm._lengths) if i != j]
+    return (rm._t, rm._green, rm._factor) == green_by_bareiss(len(topology.order), topology.ground, edges)
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
@@ -97,6 +108,7 @@ def test_both_producers_give_the_same_scaled_solve(name, g):
         dense = _matrix(g, ground, solver._dense_green)
         sparse = _matrix(g, ground, solver._sparse_green)
         assert _scaled_fractions(g, dense) == _scaled_fractions(g, sparse)
+        assert _equals_bareiss(dense), ground
 
 
 # -- the dense producer's edge cases -----------------------------------------
@@ -153,11 +165,13 @@ def test_extreme_lengths(lengths):
         dense = _matrix(g, ground, solver._dense_green)
         sparse = _matrix(g, ground, solver._sparse_green)
         assert _scaled_fractions(g, dense) == _scaled_fractions(g, sparse)
+        assert _equals_bareiss(dense), ground
     k4 = PmGraph.build(
         [str(i) for i in range(4)],
         [(f"e{i}{j}", str(i), str(j), lengths[(i + j) % 3]) for i in range(4) for j in range(i + 1, 4)],
     )
     _engine_equals_references(k4)
+    assert all(_equals_bareiss(_matrix(k4, ground, solver._dense_green)) for ground in range(4))
 
 
 def test_tau_at_a_removable_base_takes_the_dense_producer(monkeypatch):

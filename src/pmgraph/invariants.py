@@ -14,7 +14,8 @@ index and sums each chain over one denominator (``K`` is 0 on every removed
 vertex, and the genus and each bridge's side genera are kept), and solves
 the topology of what is left once, as one integer ``T`` and ``N = T Z``:
 densely on at most 4 vertices (the stable bound for total genus 3), else by
-the sparse factor and the integer selected inverse (see
+the sparse factor and the integer Takahashi recurrence, which gives ``N``
+on the edges and on the columns of ``K`` that theta reads (see
 :mod:`pmgraph.resistance`).  That solve is scaled once to one integer
 denominator ``q`` and every value is one ``Fraction`` of int numerators.
 On a subdivided genus-3 graph the linear front end (parse, validate,
@@ -37,21 +38,24 @@ from .graph import (
     _smooth,
     require_valid,
 )
-from .resistance import _scale, _Scaled, _sides, _Topology, resistance_matrix
+from .resistance import DENSE_VERTICES, _scale, _Scaled, _sides, _Topology, resistance_matrix
 
 
 def _scaled(
     g: PmGraph, keep: Optional[str] = None, theta: bool = True
 ) -> tuple[_Topology, _Scaled]:
     # the prologue of every engine entry: validate g once, smooth it keeping
-    # ``keep``, solve the result grounded at ``keep`` and scale that solve once
+    # ``keep``, solve the result grounded at ``keep`` on the columns theta
+    # reads (none for tau alone) and scale that solve once
     removable = _removable(g, keep)
-    if removable:
+    if removable or len(g.vertices) > DENSE_VERTICES:
         g = _smooth(require_valid(g), removable)
-        rm = _Topology.of(g, keep).solve([e.length for e in g.edges])
+        topology = _Topology.of(g, keep)
+        rm = topology.solve([e.length for e in g.edges], topology.divisor if theta else ())
     else:
-        # the public entry validates and solves alike; the benchmark's traced
-        # catalog-verify asserts it is called (see ROADMAP item 2)
+        # the public entry validates alike and solves every pair, which on
+        # at most DENSE_VERTICES vertices is the whole solve; the benchmark's
+        # traced catalog-verify asserts it is called (see ROADMAP item 2)
         rm = resistance_matrix(g, keep)
     return rm._topology, _scale(rm, rm._topology.divisor if theta else None)
 

@@ -5,34 +5,34 @@ resistor of ``L`` ohms.  Self-loops carry no current between distinct
 vertices and are skipped; parallel edges add their conductances.
 
 One vertex is grounded, and the solve is held as ints: one integer ``T`` and
-``N = T Z`` on a pattern, with ``Z = A^{-1}`` the grounded Green's function
-of the reduced Laplacian ``A``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``,
-one ``Fraction`` per value.  Two producers give ``T`` and ``N``, chosen by
-the number of vertices (``DENSE_VERTICES``):
+``N = T Z``, with ``Z = A^{-1}`` the grounded Green's function of the
+reduced Laplacian ``A``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``, one
+``Fraction`` per value.  Two producers give ``T`` and ``N``, chosen by the
+number of vertices (``DENSE_VERTICES``):
 
 * up to 4 vertices, the stable bound for total genus 3, the cofactors of
   the integer Laplacian ``M A``, ``M`` the lcm of the length numerators,
-  give ``T = det(M A)`` and ``N = M adj(M A)`` on every pair with ``+``,
-  ``-`` and ``*`` alone;
+  give ``T = det(M A)`` and ``N = M adj(M A)`` with ``+``, ``-`` and ``*``
+  alone;
 * above, ``A = L D L^T`` is factored over ``Fraction``, always eliminating
   the vertex with the fewest remaining neighbours (ties go to the earlier
   vertex, so the work is deterministic); on the graphs pm-graph invariants
   live on, mostly series paths, pendant trees and bridges, this order makes
-  almost no fill.  With ``T = det(A) prod_e num(L_e)``, the selected
-  inversion of Takahashi, Fagan and Chin (1973) runs on ints and gives
-  ``N`` on the filled pattern, which holds the diagonal and every edge.
-  A pair outside it costs one forward and back solve with the factor, after
-  which its whole column is known.
+  almost no fill.  With ``T = det(A) prod_e num(L_e)``, the recurrence of
+  Takahashi, Fagan and Chin (1973) runs on ints and gives ``N`` on the
+  diagonal, on each edge and on every pair with a vertex of a chosen set of
+  columns, which are eliminated last.  ``resistance_matrix`` chooses every
+  vertex, ``effective_resistance`` one, tau alone none, and theta and
+  :func:`classify_edges` the support of ``K``, all that ``x = N K`` reads.
 
-That is all tau and the bridge test read.  Every solve, of a graph as
-given, a smoothed one or a catalog family's, is ``_Topology.solve``: a
-validated graph's vertex order, ground and edge ends at one length per
-edge, kept by the matrix it makes.  The topology also carries the
-canonical divisor ``K`` by vertex index, from the validation, and the genus
-that follows from it.  ``_Topology.scaled`` takes lengths to a scaled solve:
-``_scale`` puts those lengths, ``N`` and theta's one solve, with ``K`` as
-its weights, on a single integer denominator ``q``, a multiple of ``T``, so
-tau, theta and the bridge test run on ints after it.  Theta's solve also
+Every solve, of a graph as given, a smoothed one or a catalog family's, is
+``_Topology.solve``: a validated graph's vertex order, ground and edge ends
+at one length per edge, kept by the matrix it makes.  The topology also
+carries the canonical divisor ``K`` by vertex index, from the validation,
+and the genus that follows from it.  ``_Topology.scaled`` takes lengths to
+a scaled solve: ``_scale`` puts those lengths, ``N`` and theta's
+``x = N K`` on a single integer denominator ``q``, a multiple of ``T``, so
+tau, theta and the bridge test run on ints after it.  Theta's ``x`` also
 gives each bridge's side genera (see :func:`classify_edges`), so no second
 pass over the graph finds them.
 """
@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Optional
+from typing import Iterable, Optional
 
 from .graph import GenusData, PmGraph, PmGraphError, require_valid
 
@@ -78,40 +78,28 @@ def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
 DENSE_VERTICES = 4
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """``A = L D L^T`` of a grounded Laplacian, by vertex index.
+def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], last: set) -> tuple:
+    """``(elim, pivots, cols)``: the minimum-degree ``A = L D L^T`` of the
+    matrix with diagonal ``diag`` and off-diagonal entries ``-adj[i][j]``,
+    by vertex index, with the vertices of ``last`` eliminated after all
+    others; consumes ``adj`` and ``diag``.
 
-    ``elim`` is the elimination order.  ``cols[v]`` maps each neighbour
-    ``a`` eliminated after ``v`` to ``l_av = -L[a][v]``, which is positive
-    because every off-diagonal entry of a Laplacian is a negated
-    conductance.  ``scaled[v]`` is the same column on one integer
-    denominator: ``(delta_v, {a: delta_v l_av})``, with ``delta_v`` the lcm
-    of the column's denominators.
+    ``elim`` is the elimination order and ``pivots[v]`` is ``d_v``.
+    ``cols[v]`` is ``(delta_v, {a: delta_v l_av})`` over the neighbours
+    ``a`` eliminated after ``v``, with ``l_av = -L[a][v]`` (positive, because
+    every off-diagonal entry of a Laplacian is a negated conductance) and
+    ``delta_v`` the lcm of the column's denominators, so every entry is an
+    int.  Eliminating ``v`` joins its remaining neighbours into a clique
+    whose conductances grow by ``w_av * w_bv / d_v``; no entry cancels, so
+    the numeric pattern is the symbolic one.
     """
-
-    elim: tuple[int, ...]
-    cols: dict[int, dict[int, Fraction]]
-    pivots: dict[int, Fraction]
-    scaled: dict[int, tuple[int, dict[int, int]]]
-
-
-def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _Factor:
-    """Minimum-degree ``L D L^T`` of the matrix with diagonal ``diag`` and
-    off-diagonal entries ``-adj[i][j]``; consumes both arguments.
-
-    Eliminating ``v`` joins its remaining neighbours into a clique whose
-    conductances grow by ``w_av * w_bv / d_v``; no entry cancels, so the
-    numeric pattern is the symbolic one.
-    """
-    heap = [(len(row), v) for v, row in adj.items()]
+    heap = [(v in last, len(row), v) for v, row in adj.items()]
     heapq.heapify(heap)
     elim: list[int] = []
-    cols: dict[int, dict[int, Fraction]] = {}
     pivots: dict[int, Fraction] = {}
-    scaled: dict[int, tuple[int, dict[int, int]]] = {}
+    cols: dict[int, tuple[int, dict[int, int]]] = {}
     while heap:
-        degree, v = heapq.heappop(heap)
+        _, degree, v = heapq.heappop(heap)
         if v in pivots or degree != len(adj[v]):
             continue  # eliminated, or its degree changed since this entry
         d = diag.pop(v)
@@ -126,28 +114,27 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction]) -> _
             for b, wb in neighbours[i + 1:]:
                 row[b] = adj[b][a] = row.get(b, 0) + la * wb
         for a in col:
-            heapq.heappush(heap, (len(adj[a]), a))
+            heapq.heappush(heap, (a in last, len(adj[a]), a))
         elim.append(v)
-        cols[v] = col
         pivots[v] = d
         delta = lcm(*(la.denominator for la in col.values()))
-        scaled[v] = delta, {a: la.numerator * (delta // la.denominator) for a, la in col.items()}
-    return _Factor(tuple(elim), cols, pivots, scaled)
+        cols[v] = delta, {a: la.numerator * (delta // la.denominator) for a, la in col.items()}
+    return elim, pivots, cols
 
 
-def _green(n: int, ground: int, edges: list) -> tuple:
-    """``(T, N, factor)`` for the Laplacian of ``n`` vertices grounded at
-    ``ground``: one integer ``T`` and ``N = T Z`` on the pattern, with ``Z``
-    the grounded Green's function.
+def _green(n: int, ground: int, edges: list, columns: Optional[Iterable[int]]) -> tuple:
+    """``(T, N)`` for the Laplacian of ``n`` vertices grounded at
+    ``ground``: one integer ``T`` and ``N = T Z``, with ``Z`` the grounded
+    Green's function, on the diagonal, on each edge and on every pair that
+    holds a vertex of ``columns`` (``None``: every pair).
 
     ``edges`` holds ``(i, j, length)`` for every edge that is not a loop.
-    Graphs of at most ``DENSE_VERTICES`` vertices take the dense producer
-    (``factor`` is ``None`` and ``N`` holds every pair), larger ones the
-    sparse one.
+    Graphs of at most ``DENSE_VERTICES`` vertices take the dense producer,
+    which gives every pair, larger ones the sparse one.
     """
     if n <= DENSE_VERTICES:
         return _dense_green(n, ground, edges)
-    return _sparse_green(n, ground, edges)
+    return _sparse_green(n, ground, edges, columns)
 
 
 def _dense_green(n: int, ground: int, edges: list) -> tuple:
@@ -166,7 +153,7 @@ def _dense_green(n: int, ground: int, edges: list) -> tuple:
         lap[j][i] -= w
     unknowns = [v for v in range(n) if v != ground]
     t, adj = _adjugate([[lap[i][j] for j in unknowns] for i in unknowns])
-    return t, {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}, None
+    return t, {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
 
 
 def _adjugate(a: list) -> tuple:
@@ -186,17 +173,20 @@ def _adjugate(a: list) -> tuple:
     return 1, ()
 
 
-def _sparse_green(n: int, ground: int, edges: list) -> tuple:
-    """``T = det(A) prod_e num(L_e)`` and ``N = T Z`` on the filled pattern,
-    by the minimum-degree factor and the Takahashi recurrence on ints.
+def _sparse_green(n: int, ground: int, edges: list, columns: Optional[Iterable[int]]) -> tuple:
+    """``T = det(A) prod_e num(L_e)`` and ``N = T Z`` on the filled pattern
+    and on every pair that holds a vertex of ``columns`` (``None``: every
+    pair), by the minimum-degree factor and the Takahashi recurrence on ints.
 
     ``T`` is an integer, a weighted count of spanning trees, and so is every
     ``T Z_ij``, a weighted count of 2-forests (the all-minors matrix-tree
-    theorem).  In reverse elimination order, ``N_vj = sum_a l_av N_aj`` for
-    each ``j`` in ``col(v)`` and ``N_vv = T / d_v + sum_a l_av N_av``
-    (Takahashi, Fagan and Chin, 1973); ``col(v)`` is a clique of later
-    vertices, so every ``N_aj`` read is already known.  With ``l`` on the
-    column's denominator ``delta_v``, each sum is an int divided exactly by
+    theorem).  In reverse elimination order (Takahashi, Fagan and Chin,
+    1973), ``N_vj = sum_a l_av N_aj`` for each later ``j`` in ``col(v)`` or
+    in ``columns``, and ``N_vv = T / d_v + sum_a l_av N_av``.  ``col(v)`` is a
+    clique of later vertices and ``columns`` is eliminated last, so every
+    ``N_aj`` read is already known: the cost is the pattern's plus about
+    ``n`` sums per vertex of ``columns``.  With ``l`` on the column's
+    denominator ``delta_v``, each sum is an int divided exactly by
     ``delta_v``.
     """
     adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(n) if i != ground}
@@ -210,28 +200,28 @@ def _sparse_green(n: int, ground: int, edges: list) -> tuple:
                 diag[a] += c
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + c
-    factor = _factor(adj, diag)
+    columns = set(adj) if columns is None else set(columns)
+    elim, pivots, cols = _factor(adj, diag, columns)
     t, den = numerators, 1
-    for d in factor.pivots.values():
+    for d in pivots.values():
         t *= d.numerator
         den *= d.denominator
     t //= den
     green: dict[int, dict[int, int]] = {}
-    for v in reversed(factor.elim):
-        delta, col = factor.scaled[v]
-        gv = green[v] = {}
-        for j in col:
+    done: set[int] = set()  # the vertices of columns already reached
+    for v in reversed(elim):
+        delta, col = cols[v]
+        gv = {}
+        for j in col.keys() | done:
             gj = green[j]
             gv[j] = gj[v] = sum(l * gj[a] for a, l in col.items()) // delta
-        gv[v] = _back(t, factor.pivots[v], 1, delta, sum(l * gv[a] for a, l in col.items()))
-    return t, green, factor
-
-
-def _back(t: int, d: Fraction, y: Fraction | int, delta: int, s: int) -> int:
-    # the int T y / d + s / delta, exact: the back substitution's step
-    return (t * y.numerator * d.denominator * delta + s * y.denominator * d.numerator) // (
-        y.denominator * d.numerator * delta
-    )
+        d = pivots[v]
+        s = sum(l * gv[a] for a, l in col.items())
+        gv[v] = (t * d.denominator * delta + s * d.numerator) // (d.numerator * delta)
+        green[v] = gv
+        if v in columns:
+            done.add(v)
+    return t, green
 
 
 class ResistanceMatrix:
@@ -242,21 +232,20 @@ class ResistanceMatrix:
     equal when their orders and values are; neither depends on which vertex
     was grounded during the solve.
 
-    The solve is held as ints: ``T`` and ``N = T Z``, by vertex index, the
-    ground's row left out.  ``N`` grows by whole columns as pairs outside
-    the filled pattern are asked for; the dense producer leaves none.
+    The solve is held as ints: ``T`` and ``N = T Z`` by vertex index, the
+    ground's row left out.  ``resistance_matrix`` holds ``N`` on every pair;
+    an engine solve holds only the pairs it reads (see ``_Topology.solve``),
+    and ``get`` raises ``KeyError`` on any other.
     """
 
     def __init__(
-        self, topology: _Topology, lengths: list,
-        t: int, green: dict[int, dict[int, int]], factor: Optional[_Factor],
+        self, topology: _Topology, lengths: list, t: int, green: dict[int, dict[int, int]]
     ) -> None:
         self.order = topology.order
         self._topology = topology
         self._lengths = lengths
         self._t = t
         self._green = green
-        self._factor = factor
 
     def get(self, p: str, s: str) -> Fraction:
         index, ground = self._topology.index, self._topology.ground
@@ -268,39 +257,7 @@ class ResistanceMatrix:
             return Fraction(green[j][j], self._t)
         if j == ground:
             return Fraction(green[i][i], self._t)
-        nij = green[i].get(j)
-        if nij is None:
-            for v, x in self.solve({j: 1}).items():
-                green[v][j] = green[j][v] = x
-            nij = green[i][j]
-        return Fraction(green[i][i] + green[j][j] - 2 * nij, self._t)
-
-    def solve(self, rhs: dict[int, int]) -> dict[int, int]:
-        """``T x`` with ``A x = rhs`` for an int ``rhs``, as ints.
-
-        Both are keyed by vertex index; the ground is not an unknown, so a
-        ground entry of ``rhs`` is ignored and ``x`` has none.  ``T x`` is
-        an int because every ``T Z_ij`` is.  On the dense producer's ``N``
-        it is ``N rhs``; otherwise one forward and one back solve with the
-        factor, the back solve on ints.
-        """
-        f, t = self._factor, self._t
-        if f is None:
-            return {i: sum(row[j] * c for j, c in rhs.items() if j in row)
-                    for i, row in self._green.items()}
-        y = dict(rhs)
-        for v in f.elim:  # forward: only rhs entries and their ancestors fill
-            yv = y.get(v)
-            if yv:
-                for a, l in f.cols[v].items():
-                    y[a] = y.get(a, 0) + l * yv
-        x: dict[int, int] = {}
-        for v in reversed(f.elim):  # back: T x_v = T y_v / d_v + sum_a l_av T x_a
-            delta, col = f.scaled[v]
-            s = sum(l * x[a] for a, l in col.items())
-            yv = y.get(v)
-            x[v] = _back(t, f.pivots[v], yv, delta, s) if yv else s // delta
-        return x
+        return Fraction(green[i][i] + green[j][j] - 2 * green[i][j], self._t)
 
     @cached_property
     def values(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -351,14 +308,19 @@ class _Topology:
         betti = len(self.ends) - len(self.order) + 1
         return GenusData(betti, sum(self.divisor.values()) // 2 + 1)
 
-    def solve(self, lengths: list) -> ResistanceMatrix:
-        """The one exact solve, at a positive length per edge in edge order."""
+    def solve(self, lengths: list, columns: Optional[Iterable[int]] = None) -> ResistanceMatrix:
+        """The one exact solve, at a positive length per edge in edge order.
+
+        ``N`` holds the diagonal, each edge and every pair with a vertex in
+        ``columns``, by index; ``None``, the default, gives every pair.
+        """
         edges = [(i, j, length) for (i, j), length in zip(self.ends, lengths) if i != j]
-        return ResistanceMatrix(self, lengths, *_green(len(self.order), self.ground, edges))
+        return ResistanceMatrix(self, lengths, *_green(len(self.order), self.ground, edges, columns))
 
     def scaled(self, lengths: list) -> _Scaled:
-        """The solve at ``lengths`` scaled once, with ``K`` as theta's weights."""
-        return _scale(self.solve(lengths), self.divisor)
+        """The solve at ``lengths`` scaled once, with ``K`` as theta's weights:
+        ``N`` on the edges and on the columns of ``K``, all that is read."""
+        return _scale(self.solve(lengths, self.divisor), self.divisor)
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
@@ -374,8 +336,7 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
 # tau, theta (0 without weights) and ell as numerators over den = 12 q^3, each
-# edge's end indices, and theta's solve x = q Z w by vertex index (no ground
-# entry)
+# edge's end indices, and theta's x = q Z w by vertex index (no ground entry)
 _Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x")
 
 
@@ -384,38 +345,39 @@ def _scale(rm: ResistanceMatrix, weights: Optional[dict[int, int]] = None) -> _S
 
     The edges' ends and lengths are the ones ``rm`` solved; ``weights`` are
     theta's, by vertex index.  ``q`` is the lcm of the solve's ``T`` and of
-    ``num * den`` of each edge length, so ``z = q Z = N (q / T)``,
-    ``x = q Z w = T x (q / T)`` for theta's one solve, ``q L`` and ``q / L``
-    are all ints.  Tau is read at the vertex ``rm`` is grounded at.
+    ``num * den`` of each edge length, so ``r = q / T``, ``q Z = r N``,
+    theta's ``x = q Z w = r (N w)``, ``q L`` and ``q / L`` are all ints.
+    ``N`` is read on the diagonal, on each edge and on the columns of ``w``;
+    only the entries read are multiplied by ``r``.  Tau is read at the vertex
+    ``rm`` is grounded at.
     """
     ends, lengths, t = rm._topology.ends, rm._lengths, rm._t
     ground = rm._topology.ground
     weights = weights or {}
     w = {i: c for i, c in weights.items() if c and i != ground}
-    x = rm.solve(w) if w else {}
     q = lcm(t, *(length.numerator * length.denominator for length in lengths))
     r = q // t
-    z = {i: {j: v * r for j, v in row.items()} for i, row in rm._green.items()}
-    z[ground] = {}
+    green = {**rm._green, ground: {}}
+    x = {i: r * sum(row[j] * c for j, c in w.items()) for i, row in rm._green.items()} if w else {}
     scaled = [length.numerator * (q // length.denominator) for length in lengths]
     edges = [
         (i, j, l, q // length.numerator * length.denominator)
         for (i, j), length, l in zip(ends, lengths, scaled)
     ]
-    x = {i: v * r for i, v in x.items()}
-    tau, theta, bridges = _core(edges, z, w, x, sum(weights.values()))
+    tau, theta, bridges = _core(edges, green, r, w, x, sum(weights.values()))
     s = 12 * q * q
     return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x)
 
 
-def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
+def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
     """``12 q^3 tau``, ``q theta`` and each edge's bridge test from a solve
     scaled by ``q``, with ``+``, ``-`` and ``*`` alone.
 
     ``edges`` holds ``(i, j, l = q L, c = q / L)`` with end indices ``i, j``,
-    ``z = q Z`` has a row per vertex (the ground's empty: the ground is tau's
-    base, ``r(v, base) = Z_vv``) and ``x = q Z w`` for the weights ``w`` off
-    the ground, which with the ground's sum to ``total``.  With ``rho = z_uu + z_vv - 2 z_uv`` (0 on a
+    ``green`` holds ``N`` with a row per vertex (the ground's empty: the
+    ground is tau's base, ``r(v, base) = Z_vv``), ``z = r N = q Z``, and
+    ``x = q Z w`` for the weights ``w`` off the ground, which with the
+    ground's sum to ``total``.  With ``rho = z_uu + z_vv - 2 z_uv`` (0 on a
     loop), ``12 q^3 tau = sum_e ((l - rho)^2 + 3 (z_vv - z_uu)^2) c`` (Cinkir,
     2011), a bridge is an edge with ``rho == l``, and
     ``q theta = sum_p 2 w_p (total z_pp - x_p)``.
@@ -423,17 +385,20 @@ def _core(edges: list, z: dict, w: dict, x: dict, total) -> tuple:
     tau = 0
     bridges = []
     for i, j, l, c in edges:
-        zi = z[i]
-        zii, zjj = zi.get(i, 0), z[j].get(j, 0)
-        rho = zii + zjj - 2 * zi.get(j, 0)
-        tau += ((l - rho) * (l - rho) + 3 * (zjj - zii) * (zjj - zii)) * c
+        ni = green[i]
+        nii, njj = ni.get(i, 0), green[j].get(j, 0)
+        rho = r * (nii + njj - 2 * ni.get(j, 0))
+        slope, gap = r * (njj - nii), l - rho
+        tau += (gap * gap + 3 * slope * slope) * c
         bridges.append(rho == l)
-    return tau, sum(2 * c * (total * z[i][i] - x[i]) for i, c in w.items()), bridges
+    return tau, sum(2 * c * (total * r * green[i][i] - x[i]) for i, c in w.items()), bridges
 
 
 def effective_resistance(g: PmGraph, p: str, s: str) -> Fraction:
-    """Effective resistance between two vertices."""
-    return resistance_matrix(g).get(p, s)
+    """Effective resistance between two vertices, from a solve of ``s``'s
+    column alone."""
+    topology = _Topology.of(require_valid(g))
+    return topology.solve([e.length for e in g.edges], {topology.index[s]}).get(p, s)
 
 
 @dataclass(frozen=True)

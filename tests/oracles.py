@@ -4,11 +4,12 @@ Everything here is deliberately written against different mathematics than
 the package implementation uses:
 
 * resistance via weighted spanning-tree / 2-forest enumeration instead of a
-  Laplacian solve, and via a dense Gauss-Jordan inverse of the reduced
-  Laplacian instead of a sparse factorization;
-* the grounded Green's function ``Z`` on the filled pattern by the
-  ``Fraction`` selected inversion the engine ran before it held each solve
-  as one integer ``T`` and ``N = T Z``;
+  Laplacian solve, and resistance and the grounded Green's function ``Z`` on
+  every pair via a dense Gauss-Jordan inverse of the reduced Laplacian
+  instead of a sparse factorization;
+* ``Z`` on the filled pattern by the ``Fraction`` selected inversion the
+  engine ran before it held each solve as one integer ``T`` and
+  ``N = T Z``, on the engine's factor;
 * the integer ``T`` and ``N = T Z`` of a graph of at most 4 vertices by the
   fraction-free Gauss-Jordan elimination (Bareiss, 1968) the engine ran
   before it took them from cofactors;
@@ -117,12 +118,11 @@ def _dense_inverse(matrix: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[n:] for row in work]
 
 
-def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
-    """All pairwise resistances, in vertex order, from the dense inverse of
-    the Laplacian grounded at the first vertex."""
-    order = g.vertex_ids
-    index = {vid: i for i, vid in enumerate(order)}
-    n = len(order)
+def green_by_dense_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fraction]]:
+    """``Z`` of ``g`` grounded at vertex index ``ground`` on every pair of
+    the other vertices, from the dense inverse of the reduced Laplacian."""
+    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    n = len(index)
     lap = [[Fraction(0)] * n for _ in range(n)]
     for e in g.edges:
         if e.is_loop:
@@ -133,11 +133,20 @@ def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
         lap[j][j] += c
         lap[i][j] -= c
         lap[j][i] -= c
-    green = _dense_inverse([row[1:] for row in lap[1:]])
+    unknowns = [i for i in range(n) if i != ground]
+    inverse = _dense_inverse([[lap[i][j] for j in unknowns] for i in unknowns])
+    return {i: dict(zip(unknowns, row)) for i, row in zip(unknowns, inverse)}
+
+
+def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
+    """All pairwise resistances, in vertex order, from the dense inverse of
+    the Laplacian grounded at the first vertex."""
+    green = green_by_dense_inverse(g, 0)
 
     def z(i: int, j: int) -> Fraction:
-        return Fraction(0) if i == 0 or j == 0 else green[i - 1][j - 1]
+        return Fraction(0) if i == 0 or j == 0 else green[i][j]
 
+    n = len(g.vertices)
     return tuple(
         tuple(z(i, i) + z(j, j) - 2 * z(i, j) for j in range(n)) for i in range(n)
     )
@@ -145,27 +154,32 @@ def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
 
 def selected_inverse(factor) -> dict[int, dict[int, Fraction]]:
     """Entries of ``A^{-1}`` on the filled pattern (Takahashi recurrence),
-    in ``Fraction``, from a ``resistance._Factor``.
+    in ``Fraction``, from the ``(elim, pivots, cols)`` of
+    ``resistance._factor``.
 
     In reverse elimination order, ``Z_vj = sum_a l_av Z_aj`` for each ``j``
     in ``col(v)`` and ``Z_vv = 1/d_v + sum_a l_av Z_av``, with
-    ``l_av = -L_av``.  ``col(v)`` is a clique of later vertices, so every
-    ``Z_aj`` read is already known.  The result is symmetric.
+    ``l_av = -L_av``, read off ``cols[v] = (delta_v, {a: delta_v l_av})``.
+    ``col(v)`` is a clique of later vertices, so every ``Z_aj`` read is
+    already known.  The result is symmetric.
     """
+    elim, pivots, cols = factor
     z: dict[int, dict[int, Fraction]] = {}
-    for v in reversed(factor.elim):
-        col = factor.cols[v]
+    for v in reversed(elim):
+        delta, scaled = cols[v]
+        col = {a: Fraction(l, delta) for a, l in scaled.items()}
         zv = z[v] = {}
         for j in col:
             zj = z[j]
             zv[j] = zj[v] = sum(l * zj[a] for a, l in col.items())
-        zv[v] = 1 / factor.pivots[v] + sum(l * zv[a] for a, l in col.items())
+        zv[v] = 1 / pivots[v] + sum(l * zv[a] for a, l in col.items())
     return z
 
 
 def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fraction]]:
     """``Z`` of ``g`` grounded at vertex index ``ground`` on the pattern of
-    the engine's minimum-degree factor, by :func:`selected_inverse`."""
+    the engine's minimum-degree factor, no vertex held back to be
+    eliminated last, by :func:`selected_inverse`."""
     from pmgraph.resistance import _factor
 
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
@@ -180,11 +194,11 @@ def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fr
                 diag[a] += 1 / e.length
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + 1 / e.length
-    return selected_inverse(_factor(adj, diag))
+    return selected_inverse(_factor(adj, diag, set()))
 
 
 def green_by_bareiss(n: int, ground: int, edges: list) -> tuple:
-    """``(T, N, None)`` with ``T = det(M A)`` and ``N = M adj(M A)`` on every
+    """``(T, N)`` with ``T = det(M A)`` and ``N = M adj(M A)`` on every
     pair, by fraction-free Gauss-Jordan elimination of the integer Laplacian
     ``M A``; the arguments and the result are those of
     ``resistance._dense_green``.
@@ -226,7 +240,7 @@ def green_by_bareiss(n: int, ground: int, edges: list) -> tuple:
         pivot_row[k] = -previous
         previous = p
     green = {v: {unknowns[c]: -m * b for c, b in enumerate(row)} for v, row in zip(unknowns, rows)}
-    return previous, green, None
+    return previous, green
 
 
 def _reachable(g: PmGraph, start: str, removed: str) -> set[str]:

@@ -147,6 +147,10 @@ class TestSampling:
         report = sample_check(_row("g0.*", "phi"), samples=10, seed=2)
         assert report.min_ratio == Fraction(4, 3)
 
+    def test_samples_must_be_positive(self):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            sample_check(_row("g1.*", "phi"), samples=0)
+
     def test_only_restriction(self):
         spec = _row("g3.*", "lambda")
         report = sample_check(spec, samples=4, seed=1, only="g3.XIV")

@@ -263,8 +263,8 @@ def factors(monkeypatch):
         seen["validate"] += 1
         return validate(g)
 
-    def counted_green(n, ground, edges):
-        result = green(n, ground, edges)
+    def counted_green(n, ground, edges, columns):
+        result = green(n, ground, edges, columns)
         seen["pivots"].append(len(result[1]))
         return result
 

@@ -381,3 +381,33 @@ class TestVerify:
         assert result.exit_code == 2
         assert result.stdout_bytes == b""
         assert "no bound row covers family 'g0.I'" in result.output
+
+    def test_bounds_reports_a_violated_row(self, runner, monkeypatch):
+        # a g1.* phi floor of 1/8 lies above g1.I's constant 1/9, so the
+        # sampled row and both witness checks fail
+        bounds = importlib.import_module("pmgraph.bounds")
+        table = [
+            dataclasses.replace(spec, floor=Fraction(1, 8))
+            if (spec.selector, spec.invariant) == ("g1.*", "phi") else spec
+            for spec in bounds._TABLE
+        ]
+        monkeypatch.setattr(bounds, "_TABLE", table)
+        args = ["verify", "bounds", "--family", "g1.I", "--samples", "3"]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert type(result.exception) is SystemExit
+        assert result.output.splitlines()[:4] == [
+            "FAIL  phi/ell >= 1/8  [g1.*]  min 1/9 (~ 0.111111) at g1.I",
+            "      violated at g1.I with a=3/5: ratio 1/9",
+            "      witness check failed: engine phi/ell at g1.I witness (1/9 vs floor 1/8)",
+            "      witness check failed: closed-form phi/ell at g1.I witness (1/9 vs floor 1/8)",
+        ]
+        assert result.output.count("PASS") == 2
+        result = runner.invoke(main, args + ["--json"])
+        assert result.exit_code == 1
+        assert type(result.exception) is SystemExit
+        rows = json.loads(result.output)
+        assert [(row["invariant"], row["passed"], row["witness_passed"]) for row in rows] == [
+            ("phi", False, False), ("lambda", True, True), ("epsilon", True, True),
+        ]
+        assert (rows[0]["floor"], rows[0]["min_ratio"]) == ("1/8", "1/9")

@@ -42,6 +42,12 @@ class TestConstruction:
         assert g.q("A") == 2
         assert g.q("B") == 0
 
+    def test_build_keeps_vertex_and_edge_instances(self):
+        a, e = Vertex("A", 2), Edge("e", "A", "B", Fraction(1, 3))
+        g = PmGraph.build([a, "B"], [e])
+        assert g.vertices[0] is a and g.edges[0] is e
+        assert g == PmGraph.build([("A", 2), "B"], [("e", "A", "B", "1/3")])
+
     def test_loop_valence_counts_twice(self):
         g = build_loop(length=5, q=2)
         assert g.valence("X") == 2

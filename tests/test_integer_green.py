@@ -1,13 +1,17 @@
 """The solve's two integer producers against the references.
 
-Every solve is held as one integer ``T`` and ``N = T Z`` on the pattern.
-Graphs of at most ``DENSE_VERTICES`` vertices get them from the cofactors of
-``M A``, larger ones from the minimum-degree factor and the integer
-Takahashi recurrence.  These tests compare ``N / T`` with the ``Fraction``
-selected inversion at every ground, the dense producer's ``T`` and ``N``
-with the same ints from the fraction-free elimination it replaced, run both
-producers on the same small graphs, and cover the dense producer's edge
-cases.
+Every solve is held as one integer ``T`` and ``N = T Z``.  Graphs of at
+most ``DENSE_VERTICES`` vertices get them on every pair from the cofactors
+of ``M A``, larger ones from the minimum-degree factor and the integer
+Takahashi recurrence, on every pair or only on the diagonal, the edges and
+the chosen columns.  These tests compare ``N / T`` on every pair with a
+dense ``Fraction`` inverse at every ground (and the ``Fraction`` selected
+inversion with it on the factor's pattern), check that a solve on some
+columns holds the same ints on what it holds and no more than about ``n``
+per column on a subdivided graph, compare the dense producer's ``T`` and
+``N`` with the same ints from the fraction-free elimination it replaced,
+run both producers on the same small graphs, and cover the dense
+producer's edge cases.
 """
 
 import random
@@ -29,9 +33,10 @@ from pmgraph import (
 )
 from pmgraph import resistance as solver
 
-from conftest import build_theta, random_pm_graph
+from conftest import build_theta, random_pm_graph, random_subdivided
 from oracles import (
     green_by_bareiss,
+    green_by_dense_inverse,
     green_by_selected_inverse,
     resistance_by_dense_inverse,
     tau_by_formula,
@@ -51,37 +56,87 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _matrix(g: PmGraph, ground: int, producer) -> solver.ResistanceMatrix:
-    # the engine's solve of g grounded at its ground-th vertex, with
-    # ``producer`` in the place of ``_green``
+def _matrix(g: PmGraph, ground: int, producer, columns=None) -> solver.ResistanceMatrix:
+    # the engine's solve of g on ``columns`` (every pair by default),
+    # grounded at its ground-th vertex, with ``producer`` in the place of
+    # ``_green``; the dense producer gives every pair and takes no columns
     topology = solver._Topology.of(g, g.vertex_ids[ground])
-    with mock.patch.object(solver, "_green", producer):
-        return topology.solve([e.length for e in g.edges])
+
+    def green(n, ground, edges, columns):
+        if producer is solver._dense_green:
+            return producer(n, ground, edges)
+        return producer(n, ground, edges, columns)
+
+    with mock.patch.object(solver, "_green", green):
+        return topology.solve([e.length for e in g.edges], columns)
 
 
 @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
 def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
     for ground in range(len(g.vertices)):
         rm = _matrix(g, ground, solver._green)
-        t, green, factor = rm._t, rm._green, rm._factor
+        t, green = rm._t, rm._green
         assert type(t) is int and t > 0
-        assert (factor is None) == (len(g.vertices) <= solver.DENSE_VERTICES)
-        assert factor is not None or _equals_bareiss(rm), ground
-        expected = green_by_selected_inverse(g, ground)
-        assert set(green) == set(expected)
+        assert len(g.vertices) > solver.DENSE_VERTICES or _equals_bareiss(rm), ground
+        unknowns = set(range(len(g.vertices))) - {ground}
+        assert set(green) == unknowns
+        assert all(set(row) == unknowns for row in green.values())
+        expected = green_by_dense_inverse(g, ground)
         for i, row in expected.items():
-            if factor is not None:
-                assert set(green[i]) == set(row)
             for j, z in row.items():
                 assert type(green[i][j]) is int
                 assert Fraction(green[i][j], t) == z, (ground, i, j)
+        for i, row in green_by_selected_inverse(g, ground).items():
+            for j, z in row.items():
+                assert expected[i][j] == z, (ground, i, j)
+
+
+@pytest.mark.parametrize("name, g", GRAPHS[::2], ids=[name for name, _ in GRAPHS[::2]])
+def test_a_solve_on_some_columns_holds_the_ints_of_every_pair(name, g):
+    rng = random.Random(name)
+    n = len(g.vertices)
+    for ground in range(n):
+        full = _matrix(g, ground, solver._sparse_green)
+        topology = full._topology
+        unknowns = set(range(n)) - {ground}
+        picks = [(), topology.divisor, {rng.randrange(n)}, set(rng.sample(range(n), n // 2))]
+        for columns in picks:
+            part = _matrix(g, ground, solver._sparse_green, columns)
+            green = part._green
+            assert part._t == full._t and set(green) == unknowns
+            for i, row in green.items():
+                assert all(full._green[i][j] == v == green[j][i] for j, v in row.items())
+                assert i in row
+                assert all(i in green[c] for c in columns if c != ground)
+            assert all(
+                j in green[i] for i, j in topology.ends if ground not in (i, j)
+            )
+
+
+def test_the_engine_solves_few_columns_on_a_subdivided_graph(monkeypatch):
+    # classify_edges reads N on the edges and the columns of K, and
+    # effective_resistance one column: about n entries each, not n * n
+    g = random_subdivided("g3.XI", 400, random.Random("few-columns"))
+    sizes = []
+    green = solver._green
+
+    def counted(n, ground, edges, columns):
+        t, n_matrix = green(n, ground, edges, columns)
+        sizes.append(sum(map(len, n_matrix.values())))
+        return t, n_matrix
+
+    monkeypatch.setattr(solver, "_green", counted)
+    ids = g.vertex_ids
+    assert len(solver.classify_edges(g)) == len(g.edges)
+    assert solver.effective_resistance(g, ids[-1], ids[len(ids) // 2]) > 0
+    assert len(sizes) == 2 and max(sizes) < 20 * len(ids), sizes
 
 
 def _equals_bareiss(rm: solver.ResistanceMatrix) -> bool:
     # the dense solve rm holds the elimination's ints at its ground
     topology = rm._topology
     edges = [(i, j, length) for (i, j), length in zip(topology.ends, rm._lengths) if i != j]
-    return (rm._t, rm._green, rm._factor) == green_by_bareiss(len(topology.order), topology.ground, edges)
+    return (rm._t, rm._green) == green_by_bareiss(len(topology.order), topology.ground, edges)
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
@@ -123,7 +178,7 @@ def _engine_equals_references(g: PmGraph) -> None:
 
 def test_a_single_vertex_has_no_unknowns():
     g = PmGraph.build([("A", 2)], [])
-    assert solver._dense_green(1, 0, []) == (1, {}, None)
+    assert solver._dense_green(1, 0, []) == (1, {})
     inv = invariant_set(g)
     assert (inv.ell, inv.tau, inv.theta, inv.gbar) == (0, 0, 0, 2)
     assert solver.resistance_matrix(g).values == ((Fraction(0),),)
@@ -132,7 +187,7 @@ def test_a_single_vertex_has_no_unknowns():
 def test_a_bouquet_of_loops_scales_by_the_lcm_of_nothing():
     g = PmGraph.build(["A"], [("a", "A", "A", Fraction(3, 7)), ("b", "A", "A", 5), ("c", "A", "A", "2/9")])
     rm = _matrix(g, 0, solver._dense_green)
-    assert (rm._t, rm._green, rm._factor) == (1, {}, None)
+    assert (rm._t, rm._green) == (1, {})
     inv = invariant_set(g)
     assert inv.tau == g.total_length / 12
     assert inv.phi == tau_by_formula(g) * Fraction(13, 3) + inv.theta / 12 - inv.ell / 4

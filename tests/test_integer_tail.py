@@ -117,12 +117,13 @@ def test_core_runs_on_polynomial_constants(name, g, monkeypatch):
 
     monkeypatch.setattr(solver, "_core", recorded)
     invariant_set(g)
-    (edges, z, w, x, total), (tau_num, theta_num, bridges) = seen[0]
+    (edges, green, r, w, x, total), (tau_num, theta_num, bridges) = seen[0]
     assert type(tau_num) is int and type(theta_num) is int
     p = Polynomial.constant
     lifted = core(
         [(i, j, p(l), p(c)) for i, j, l, c in edges],
-        {i: {j: p(v) for j, v in row.items()} for i, row in z.items()},
+        {i: {j: p(v) for j, v in row.items()} for i, row in green.items()},
+        p(r),
         {i: p(c) for i, c in w.items()},
         {i: p(v) for i, v in x.items()},
         p(total),

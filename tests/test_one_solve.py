@@ -3,7 +3,9 @@
 ``_Topology.solve`` is the only caller of the solve producer ``_green`` and
 the only constructor of ``ResistanceMatrix`` in ``src/pmgraph``, so the file
 engine, the catalog sampler, ``resistance_matrix`` and ``classify_edges``
-cannot drift apart in how a graph's lengths become a solve.  ``_scale`` is
+cannot drift apart in how a graph's lengths become a solve.  The sparse
+producer ``_sparse_green`` is the only caller of the factor ``_factor``, so
+no second path reads the factor.  ``_scale`` is
 called in two places, each with the solve's own canonical divisor as
 theta's weights: ``_Topology.scaled`` and the file engine's
 ``invariants._scaled``, which also scales what the public
@@ -17,7 +19,7 @@ from pathlib import Path
 import pmgraph
 
 SOURCES = sorted(Path(pmgraph.__file__).parent.glob("*.py"))
-PINNED = ("_green", "ResistanceMatrix", "_scale")
+PINNED = ("_green", "_factor", "ResistanceMatrix", "_scale")
 
 
 def _call_sites(path: Path) -> list[tuple[str, str]]:
@@ -46,6 +48,7 @@ def test_only_the_topology_solves():
     sites = sorted(site for path in SOURCES for site in _call_sites(path))
     assert sites == [
         ("ResistanceMatrix", "resistance.py:_Topology.solve"),
+        ("_factor", "resistance.py:_sparse_green"),
         ("_green", "resistance.py:_Topology.solve"),
         ("_scale", "invariants.py:_scaled"),
         ("_scale", "resistance.py:_Topology.scaled"),

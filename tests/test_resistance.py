@@ -100,6 +100,22 @@ class TestResistance:
         ]
         assert all(rm == rms[0] for rm in rms[1:])
 
+    @pytest.mark.parametrize(
+        "g",
+        [build_k4({"a": Fraction(2, 3)}), dense_graph(9, random.Random(9))],
+        ids=["k4", "dense9"],
+    )
+    def test_solves_at_two_grounds_are_equal_hash_and_print_alike(self, g):
+        first, last = (resistance_matrix(g, ground=v) for v in (g.vertex_ids[0], g.vertex_ids[-1]))
+        assert first == last and hash(first) == hash(last)
+        assert repr(first) == repr(last)
+        assert repr(first) == f"ResistanceMatrix(order={g.vertex_ids!r}, values={first.values!r})"
+
+    def test_a_matrix_never_equals_another_type(self, k4_unit):
+        rm = resistance_matrix(k4_unit)
+        assert rm.__eq__(0) is NotImplemented
+        assert (rm == 0) is False
+
     def test_unknown_ground_is_rejected(self, k4_unit):
         with pytest.raises(PmGraphError, match="'nope'"):
             resistance_matrix(k4_unit, ground="nope")
@@ -142,6 +158,16 @@ class TestSparseSolve:
                 for j, s in enumerate(g.vertex_ids)
             ), v
             assert rm.values == expected, v
+
+    @pytest.mark.parametrize("n", (5, 9, 14))
+    def test_effective_resistance_solves_one_column_alike(self, n):
+        g = random_pm_graph(n, random.Random(f"solve:{n}"))
+        expected = resistance_by_dense_inverse(g)
+        assert all(
+            effective_resistance(g, p, s) == expected[i][j]
+            for i, p in enumerate(g.vertex_ids)
+            for j, s in enumerate(g.vertex_ids)
+        )
 
     def test_random_graphs_have_every_feature(self):
         graphs = [random_pm_graph(n, random.Random(f"solve:{n}")) for n in range(2, 25)]

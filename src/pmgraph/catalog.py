@@ -42,7 +42,7 @@ One deliberate deviation from the source tables is documented at
 :func:`check_family` and the bound suite's sampling work on lengths only.
 Each family validates its topology once, on first use, and keeps it as the
 engine's ``_Topology``, which carries the canonical divisor and the genus; a
-sample is solved and scaled on it by the engine's ``_Topology.scaled``, with
+sample is solved on it by ``_Topology.solve`` and scaled by ``_scale``, with
 no graph built or validated.  ``check_family`` compares the engine's integer
 numerators with the closed row by crossed products and builds a
 :class:`CrossCheckReport`, with its ``Fraction`` values, only for a sample
@@ -126,7 +126,7 @@ class FamilySpec:
 
     def _scaled(self, p: Lengths) -> resistance._Scaled:
         # what invariant_set computes on the family's graph at positive lengths p
-        return self._topology.scaled([p[eid] for eid, _, _ in self.edges])
+        return resistance._scale(self._topology.solve([p[eid] for eid, _, _ in self.edges]))
 
 
 # ---------------------------------------------------------------------------

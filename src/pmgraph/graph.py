@@ -348,37 +348,41 @@ def normalize(g: PmGraph) -> PmGraph:
     result is the same metric graph with nothing left to smooth, and ``g``
     itself when it has nothing to smooth.
     """
-    return _smooth(g, _removable(g))
+    return _smooth(g, _removable(g))[0]
 
 
-def _removable(g: PmGraph, keep: Optional[str] = None) -> set[str]:
-    # the vertices normalize smooths away, ``keep`` excepted; safe to call on
-    # a graph that has not been validated.  A loop lists its position twice,
-    # so valence 2 without a loop is exactly two distinct positions
+def _removable(g: PmGraph, keep: tuple[str, ...] = ()) -> set[str]:
+    # the vertices normalize smooths away, those of ``keep`` excepted; safe to
+    # call on a graph that has not been validated.  A loop lists its position
+    # twice, so valence 2 without a loop is exactly two distinct positions
     return {
         v.id for v in g.vertices
-        if v.q == 0 and v.id != keep
+        if v.q == 0 and v.id not in keep
         and len(ends := g._incidence[v.id]) == 2 and ends[0] != ends[1]
     }
 
 
-def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
-    # normalize's walk, smoothing away exactly the vertices in ``removable``
+def _smooth(g: PmGraph, removable: set[str]) -> tuple[PmGraph, Optional[list]]:
+    # normalize's walk, smoothing away exactly the vertices in ``removable``,
+    # and each g edge's (position, same direction) in the result, or None
     if not removable:
-        return g
+        return g, None
     edges, chain_ends = g.edges, g._incidence
     taken = {e.id for e in edges}
     visited: set[str] = set()
+    kept_edges: list[Edge] = []
+    where: list = [None] * len(edges)
 
     def walk(start: str, first: int) -> Edge:
         # from ``start`` along edge ``first`` through removable vertices to
         # the next vertex that is not removable, or back to ``start``
-        ids, lengths, here, i = [], [], start, first
+        ids, lengths, here, i, position = [], [], start, first, len(kept_edges)
         while True:
             e = edges[i]
             ids.append(e.id)
             lengths.append(e.length)
-            here = e.v if e.u == here else e.u
+            where[i] = position, (same := e.u == here)
+            here = e.v if same else e.u
             if here not in removable or here in visited:
                 break
             visited.add(here)
@@ -390,13 +394,13 @@ def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
         total = Fraction(sum(x.numerator * (d // x.denominator) for x in lengths), d)
         return Edge(name, start, here, total)
 
-    kept_edges: list[Edge] = []
     for i, e in enumerate(edges):
-        inner = [end for end in e.ends if end in removable]
-        if not inner:
+        inner_u, inner_v = e.u in removable, e.v in removable
+        if not (inner_u or inner_v):
+            where[i] = len(kept_edges), True
             kept_edges.append(e)
-        elif len(inner) == 1 and inner[0] not in visited:
-            kept_edges.append(walk(e.u if inner[0] == e.v else e.v, i))
+        elif inner_u != inner_v and (e.u if inner_u else e.v) not in visited:
+            kept_edges.append(walk(e.v if inner_u else e.u, i))
     survivors = set()
     for v in reversed(g.vertices):  # what is left are cycles of removable vertices
         if v.id in removable and v.id not in visited:
@@ -404,7 +408,7 @@ def _smooth(g: PmGraph, removable: set[str]) -> PmGraph:
             survivors.add(v.id)
             kept_edges.append(walk(v.id, chain_ends[v.id][0]))
     vertices = tuple(v for v in g.vertices if v.id not in removable or v.id in survivors)
-    return PmGraph(vertices, tuple(kept_edges))
+    return PmGraph(vertices, tuple(kept_edges)), where
 
 
 def scaled(g: PmGraph, factor: RationalLike) -> PmGraph:

@@ -7,22 +7,17 @@ and the total length that hold on total genus 3, so :func:`zhang_invariants`
 refuses any other total genus rather than return something wrong.
 
 Every invariant here is unchanged when a weight-0 vertex of valence 2 is
-smoothed away, so every public function evaluates on the reduced model.  It
-validates the graph once, smooths it with the linear walk of
-:func:`pmgraph.graph.normalize`, which shares the validation's incidence
-index and sums each chain over one denominator (``K`` is 0 on every removed
-vertex, and the genus and each bridge's side genera are kept), and solves
-the topology of what is left once, as one integer ``T`` and ``N = T Z``:
-densely on at most 4 vertices (the stable bound for total genus 3), else by
-the sparse factor and the integer Takahashi recurrence, which gives ``N``
-on the edges and on the columns of ``K`` that theta reads (see
-:mod:`pmgraph.resistance`).  That solve is scaled once to one integer
-denominator ``q`` and every value is one ``Fraction`` of int numerators.
-On a subdivided genus-3 graph the linear front end (parse, validate,
-smooth) now costs more than the solve.  :func:`invariant_set` gets every
-invariant from the one solve.  Theta's weights and the genus come off the
-topology that solve was made on, which carries the canonical divisor of the
-graph it was taken from.
+smoothed away, so every public function evaluates on the reduced model
+through the engine prologue of :mod:`pmgraph.resistance`: validate once,
+smooth with the linear walk of :func:`pmgraph.graph.normalize` (``K`` is 0
+on every removed vertex, and the genus and each bridge's side genera are
+kept), and solve what is left once, as one integer ``T``, ``N = T Z`` on
+the diagonal and the edges, and theta's ``X = N K``.  That solve is scaled
+once to one integer denominator ``q`` and every value is one ``Fraction``
+of int numerators; :func:`invariant_set` gets every invariant from it.  On
+a subdivided genus-3 graph the linear front end (parse, validate, smooth)
+costs more than the solve.  Theta's weights and the genus come off the
+topology that solve was made on.
 """
 
 from __future__ import annotations
@@ -31,33 +26,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .graph import (
-    PmGraph,
-    UnsupportedGenusError,
-    _removable,
-    _smooth,
-    require_valid,
-)
-from .resistance import DENSE_VERTICES, _scale, _Scaled, _sides, _Topology, resistance_matrix
+from .graph import PmGraph, UnsupportedGenusError
+from .resistance import _reduced, _scale, _Scaled, _sides, _Topology
 
 
-def _scaled(
-    g: PmGraph, keep: Optional[str] = None, theta: bool = True
-) -> tuple[_Topology, _Scaled]:
-    # the prologue of every engine entry: validate g once, smooth it keeping
-    # ``keep``, solve the result grounded at ``keep`` on the columns theta
-    # reads (none for tau alone) and scale that solve once
-    removable = _removable(g, keep)
-    if removable or len(g.vertices) > DENSE_VERTICES:
-        g = _smooth(require_valid(g), removable)
-        topology = _Topology.of(g, keep)
-        rm = topology.solve([e.length for e in g.edges], topology.divisor if theta else ())
-    else:
-        # the public entry validates alike and solves every pair, which on
-        # at most DENSE_VERTICES vertices is the whole solve; the benchmark's
-        # traced catalog-verify asserts it is called (see ROADMAP item 2)
-        rm = resistance_matrix(g, keep)
-    return rm._topology, _scale(rm, rm._topology.divisor if theta else None)
+def _scaled(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[_Topology, _Scaled]:
+    # the engine prologue (one validation, one solve of the reduced model
+    # keeping ``keep``, grounded at it) and that solve scaled once
+    rm = _reduced(g, keep)[0]
+    return rm._topology, _scale(rm)
 
 
 def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
@@ -73,7 +50,7 @@ def tau(g: PmGraph, base: Optional[str] = None) -> Fraction:
     at ``y``; the value is independent of it (checked property, not
     assumed), and ``base`` defaults to the first vertex.
     """
-    _, s = _scaled(g, base, theta=False)
+    _, s = _scaled(g, () if base is None else (base,))
     return Fraction(s.tau, s.den)
 
 

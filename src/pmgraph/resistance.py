@@ -4,37 +4,35 @@ The graph is viewed as a resistor network: an edge of length ``L`` is a
 resistor of ``L`` ohms.  Self-loops carry no current between distinct
 vertices and are skipped; parallel edges add their conductances.
 
-One vertex is grounded, and the solve is held as ints: one integer ``T`` and
+One vertex is grounded, and the solve is held as ints: one integer ``T``,
 ``N = T Z``, with ``Z = A^{-1}`` the grounded Green's function of the
-reduced Laplacian ``A``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``, one
-``Fraction`` per value.  Two producers give ``T`` and ``N``, chosen by the
-number of vertices (``DENSE_VERTICES``):
+reduced Laplacian ``A``, and theta's ``X = N K`` for the canonical divisor
+``K``.  ``r(p, s) = (N_pp + N_ss - 2 N_ps) / T``, one ``Fraction`` per
+value.  Two producers give them, chosen by the number of vertices
+(``DENSE_VERTICES``):
 
 * up to 4 vertices, the stable bound for total genus 3, the cofactors of
   the integer Laplacian ``M A``, ``M`` the lcm of the length numerators,
-  give ``T = det(M A)`` and ``N = M adj(M A)`` with ``+``, ``-`` and ``*``
-  alone;
+  give ``T = det(M A)``, ``N = M adj(M A)`` and ``X`` with ``+``, ``-``
+  and ``*`` alone;
 * above, ``A = L D L^T`` is factored over ``Fraction``, always eliminating
   the vertex with the fewest remaining neighbours (ties go to the earlier
   vertex, so the work is deterministic); on the graphs pm-graph invariants
   live on, mostly series paths, pendant trees and bridges, this order makes
   almost no fill.  With ``T = det(A) prod_e num(L_e)``, the recurrence of
   Takahashi, Fagan and Chin (1973) runs on ints and gives ``N`` on the
-  diagonal, on each edge and on every pair with a vertex of a chosen set of
-  columns, which are eliminated last.  ``resistance_matrix`` chooses every
-  vertex, ``effective_resistance`` one, tau alone none, and theta and
-  :func:`classify_edges` the support of ``K``, all that ``x = N K`` reads.
+  diagonal and each edge (every pair for ``resistance_matrix`` alone), and
+  ``X`` from ``K`` carried through the factor as one right-hand side.
 
-Every solve, of a graph as given, a smoothed one or a catalog family's, is
-``_Topology.solve``: a validated graph's vertex order, ground and edge ends
-at one length per edge, kept by the matrix it makes.  The topology also
-carries the canonical divisor ``K`` by vertex index, from the validation,
-and the genus that follows from it.  ``_Topology.scaled`` takes lengths to
-a scaled solve: ``_scale`` puts those lengths, ``N`` and theta's
-``x = N K`` on a single integer denominator ``q``, a multiple of ``T``, so
-tau, theta and the bridge test run on ints after it.  Theta's ``x`` also
-gives each bridge's side genera (see :func:`classify_edges`), so no second
-pass over the graph finds them.
+Every engine entry, in :mod:`pmgraph.invariants` and here, runs one
+prologue, ``_reduced``: validate once, smooth away the weight-0 valence-2
+vertices the caller does not name (resistances in series add, so ``K``,
+the genus, each bridge's side genera and the resistance between kept
+vertices stay), and solve what is left once by ``_Topology.solve``, a
+validated graph's vertex order, ground, edge ends and ``K`` at one length
+per edge.  ``_scale`` puts a solve's lengths, ``N`` and ``X`` on one integer
+denominator ``q``, a multiple of ``T``, so tau, theta, the bridge test and
+each bridge's side genera (see :func:`classify_edges`) run on ints after it.
 """
 
 from __future__ import annotations
@@ -45,9 +43,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional
+from typing import Optional
 
-from .graph import GenusData, PmGraph, PmGraphError, require_valid
+from .graph import GenusData, PmGraph, PmGraphError, _removable, _smooth, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -78,11 +76,12 @@ def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
 DENSE_VERTICES = 4
 
 
-def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], last: set) -> tuple:
+def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], y: dict) -> tuple:
     """``(elim, pivots, cols)``: the minimum-degree ``A = L D L^T`` of the
     matrix with diagonal ``diag`` and off-diagonal entries ``-adj[i][j]``,
-    by vertex index, with the vertices of ``last`` eliminated after all
-    others; consumes ``adj`` and ``diag``.
+    by vertex index; consumes ``adj`` and ``diag``, and carries the
+    right-hand side ``y`` forward in place, ``y_a += l_av y_v``, so that it
+    ends as the solution of ``L u = y``.
 
     ``elim`` is the elimination order and ``pivots[v]`` is ``d_v``.
     ``cols[v]`` is ``(delta_v, {a: delta_v l_av})`` over the neighbours
@@ -93,17 +92,18 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], last
     whose conductances grow by ``w_av * w_bv / d_v``; no entry cancels, so
     the numeric pattern is the symbolic one.
     """
-    heap = [(v in last, len(row), v) for v, row in adj.items()]
+    heap = [(len(row), v) for v, row in adj.items()]
     heapq.heapify(heap)
     elim: list[int] = []
     pivots: dict[int, Fraction] = {}
     cols: dict[int, tuple[int, dict[int, int]]] = {}
     while heap:
-        _, degree, v = heapq.heappop(heap)
+        degree, v = heapq.heappop(heap)
         if v in pivots or degree != len(adj[v]):
             continue  # eliminated, or its degree changed since this entry
         d = diag.pop(v)
         neighbours = list(adj.pop(v).items())
+        yv = y.get(v, 0)
         col = {}
         for i, (a, w) in enumerate(neighbours):
             row = adj[a]
@@ -111,10 +111,12 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], last
             la = w / d
             col[a] = la
             diag[a] -= w * la
+            if yv:
+                y[a] = y.get(a, 0) + la * yv
             for b, wb in neighbours[i + 1:]:
                 row[b] = adj[b][a] = row.get(b, 0) + la * wb
         for a in col:
-            heapq.heappush(heap, (a in last, len(adj[a]), a))
+            heapq.heappush(heap, (len(adj[a]), a))
         elim.append(v)
         pivots[v] = d
         delta = lcm(*(la.denominator for la in col.values()))
@@ -122,24 +124,24 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], last
     return elim, pivots, cols
 
 
-def _green(n: int, ground: int, edges: list, columns: Optional[Iterable[int]]) -> tuple:
-    """``(T, N)`` for the Laplacian of ``n`` vertices grounded at
-    ``ground``: one integer ``T`` and ``N = T Z``, with ``Z`` the grounded
-    Green's function, on the diagonal, on each edge and on every pair that
-    holds a vertex of ``columns`` (``None``: every pair).
+def _green(n: int, ground: int, edges: list, weights: dict[int, int], every: bool) -> tuple:
+    """``(T, N, X)`` for the Laplacian of ``n`` vertices grounded at
+    ``ground``: one integer ``T``, ``N = T Z`` with ``Z`` the grounded
+    Green's function, on the diagonal and on each edge (``every``: on every
+    pair), and ``X = N w`` for ``weights`` off the ground, by vertex index.
 
     ``edges`` holds ``(i, j, length)`` for every edge that is not a loop.
     Graphs of at most ``DENSE_VERTICES`` vertices take the dense producer,
     which gives every pair, larger ones the sparse one.
     """
     if n <= DENSE_VERTICES:
-        return _dense_green(n, ground, edges)
-    return _sparse_green(n, ground, edges, columns)
+        return _dense_green(n, ground, edges, weights)
+    return _sparse_green(n, ground, edges, weights, every)
 
 
-def _dense_green(n: int, ground: int, edges: list) -> tuple:
-    """``T = det(M A)`` and ``N = M adj(M A)`` on every pair, from the
-    cofactors of the integer Laplacian ``M A`` grounded at ``ground``.
+def _dense_green(n: int, ground: int, edges: list, weights: dict[int, int]) -> tuple:
+    """``T = det(M A)``, ``N = M adj(M A)`` on every pair and ``X = N w``
+    from the cofactors of the integer Laplacian ``M A`` grounded at ``ground``.
 
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
     """
@@ -153,7 +155,8 @@ def _dense_green(n: int, ground: int, edges: list) -> tuple:
         lap[j][i] -= w
     unknowns = [v for v in range(n) if v != ground]
     t, adj = _adjugate([[lap[i][j] for j in unknowns] for i in unknowns])
-    return t, {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
+    green = {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
+    return t, green, {v: sum(row[j] * c for j, c in weights.items()) for v, row in green.items()}
 
 
 def _adjugate(a: list) -> tuple:
@@ -173,21 +176,22 @@ def _adjugate(a: list) -> tuple:
     return 1, ()
 
 
-def _sparse_green(n: int, ground: int, edges: list, columns: Optional[Iterable[int]]) -> tuple:
-    """``T = det(A) prod_e num(L_e)`` and ``N = T Z`` on the filled pattern
-    and on every pair that holds a vertex of ``columns`` (``None``: every
-    pair), by the minimum-degree factor and the Takahashi recurrence on ints.
+def _sparse_green(n: int, ground: int, edges: list, weights: dict[int, int], every: bool) -> tuple:
+    """``T = det(A) prod_e num(L_e)``, ``N = T Z`` on the filled pattern
+    (``every``: on every pair) and ``X = N w``, by the minimum-degree factor
+    and the Takahashi recurrence on ints.
 
     ``T`` is an integer, a weighted count of spanning trees, and so is every
     ``T Z_ij``, a weighted count of 2-forests (the all-minors matrix-tree
-    theorem).  In reverse elimination order (Takahashi, Fagan and Chin,
-    1973), ``N_vj = sum_a l_av N_aj`` for each later ``j`` in ``col(v)`` or
-    in ``columns``, and ``N_vv = T / d_v + sum_a l_av N_av``.  ``col(v)`` is a
-    clique of later vertices and ``columns`` is eliminated last, so every
-    ``N_aj`` read is already known: the cost is the pattern's plus about
-    ``n`` sums per vertex of ``columns``.  With ``l`` on the column's
-    denominator ``delta_v``, each sum is an int divided exactly by
-    ``delta_v``.
+    theorem), and so every ``X_v``.  In reverse elimination order (Takahashi,
+    Fagan and Chin, 1973), ``N_vj = sum_a l_av N_aj`` for each later ``j``
+    in ``col(v)`` (``every``: each later ``j``) and
+    ``N_vv = T / d_v + sum_a l_av N_av``; ``col(v)`` is a clique of later
+    vertices, so every ``N_aj`` read is known.  ``X_v = T u_v / d_v +
+    sum_a l_av X_a`` with ``u`` the forward solve of ``w`` from ``_factor``.
+    With ``l`` on the column's denominator ``delta_v``, each sum is an int
+    divided exactly by ``delta_v``; ``T delta_v u_v / d_v`` is an int, being
+    ``delta_v X_v - sum_a delta_v l_av X_a``, though ``T u_v`` need not be.
     """
     adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(n) if i != ground}
     diag = dict.fromkeys(adj, Fraction(0))
@@ -200,28 +204,28 @@ def _sparse_green(n: int, ground: int, edges: list, columns: Optional[Iterable[i
                 diag[a] += c
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + c
-    columns = set(adj) if columns is None else set(columns)
-    elim, pivots, cols = _factor(adj, diag, columns)
+    u = dict(weights)
+    elim, pivots, cols = _factor(adj, diag, u)
     t, den = numerators, 1
     for d in pivots.values():
         t *= d.numerator
         den *= d.denominator
     t //= den
     green: dict[int, dict[int, int]] = {}
-    done: set[int] = set()  # the vertices of columns already reached
+    x: dict[int, int] = {}
     for v in reversed(elim):
         delta, col = cols[v]
         gv = {}
-        for j in col.keys() | done:
+        for j in green if every else col:
             gj = green[j]
             gv[j] = gj[v] = sum(l * gj[a] for a, l in col.items()) // delta
-        d = pivots[v]
+        d, uv = pivots[v], u.get(v, 0)
         s = sum(l * gv[a] for a, l in col.items())
         gv[v] = (t * d.denominator * delta + s * d.numerator) // (d.numerator * delta)
         green[v] = gv
-        if v in columns:
-            done.add(v)
-    return t, green
+        tu = t * delta * uv.numerator * d.denominator // (uv.denominator * d.numerator)
+        x[v] = (tu + sum(l * x[a] for a, l in col.items())) // delta
+    return t, green, x
 
 
 class ResistanceMatrix:
@@ -232,20 +236,19 @@ class ResistanceMatrix:
     equal when their orders and values are; neither depends on which vertex
     was grounded during the solve.
 
-    The solve is held as ints: ``T`` and ``N = T Z`` by vertex index, the
-    ground's row left out.  ``resistance_matrix`` holds ``N`` on every pair;
-    an engine solve holds only the pairs it reads (see ``_Topology.solve``),
-    and ``get`` raises ``KeyError`` on any other.
+    The solve is held as ints: ``T``, ``N = T Z`` and ``X = N K`` by vertex
+    index, the ground's row left out.  ``resistance_matrix`` holds ``N`` on
+    every pair; an engine solve holds only the diagonal and the edges (see
+    ``_Topology.solve``), and ``get`` raises ``KeyError`` on any other pair.
     """
 
-    def __init__(
-        self, topology: _Topology, lengths: list, t: int, green: dict[int, dict[int, int]]
-    ) -> None:
+    def __init__(self, topology: _Topology, lengths: list, t: int, green: dict, x: dict) -> None:
         self.order = topology.order
         self._topology = topology
         self._lengths = lengths
         self._t = t
         self._green = green
+        self._x = x
 
     def get(self, p: str, s: str) -> Fraction:
         index, ground = self._topology.index, self._topology.ground
@@ -279,14 +282,16 @@ class ResistanceMatrix:
 class _Topology:
     """A validated graph without its lengths: ``order`` fixes the vertex
     index, ``ground`` is the grounded vertex's index, ``ends`` holds each
-    edge's ``(i, j)`` in edge order, loops included, and ``divisor`` the
-    nonzero coefficients of the canonical divisor ``K`` by vertex index."""
+    edge's ``(i, j)`` in edge order, loops included, ``divisor`` the nonzero
+    coefficients of the canonical divisor ``K`` by vertex index, and
+    ``weights`` those off the ground, theta's weights."""
 
     order: tuple[str, ...]
     index: dict[str, int]
     ground: int
     ends: tuple[tuple[int, int], ...]
     divisor: dict[int, int]
+    weights: dict[int, int]
 
     @classmethod
     def of(cls, g: PmGraph, ground: Optional[str] = None) -> _Topology:
@@ -299,7 +304,8 @@ class _Topology:
         index = {vid: i for i, vid in enumerate(order)}
         ends = tuple((index[e.u], index[e.v]) for e in g.edges)
         divisor = {index[p]: c for p, c in g._divisor.items() if c}
-        return cls(order, index, index[ground], ends, divisor)
+        weights = {i: c for i, c in divisor.items() if i != index[ground]}
+        return cls(order, index, index[ground], ends, divisor, weights)
 
     @property
     def genus(self) -> GenusData:
@@ -308,19 +314,13 @@ class _Topology:
         betti = len(self.ends) - len(self.order) + 1
         return GenusData(betti, sum(self.divisor.values()) // 2 + 1)
 
-    def solve(self, lengths: list, columns: Optional[Iterable[int]] = None) -> ResistanceMatrix:
-        """The one exact solve, at a positive length per edge in edge order.
-
-        ``N`` holds the diagonal, each edge and every pair with a vertex in
-        ``columns``, by index; ``None``, the default, gives every pair.
-        """
+    def solve(self, lengths: list, every: bool = False) -> ResistanceMatrix:
+        """The one exact solve, at a positive length per edge in edge order:
+        ``N`` on the diagonal and each edge by index (``every``: on every
+        pair), and ``X = N K`` over ``weights``."""
         edges = [(i, j, length) for (i, j), length in zip(self.ends, lengths) if i != j]
-        return ResistanceMatrix(self, lengths, *_green(len(self.order), self.ground, edges, columns))
-
-    def scaled(self, lengths: list) -> _Scaled:
-        """The solve at ``lengths`` scaled once, with ``K`` as theta's weights:
-        ``N`` on the edges and on the columns of ``K``, all that is read."""
-        return _scale(self.solve(lengths, self.divisor), self.divisor)
+        t, green, x = _green(len(self.order), self.ground, edges, self.weights, every)
+        return ResistanceMatrix(self, lengths, t, green, x)
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
@@ -331,42 +331,55 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
     Laplacian and must not affect the result; it defaults to the first
     vertex.
     """
-    return _Topology.of(require_valid(g), ground).solve([e.length for e in g.edges])
+    return _Topology.of(require_valid(g), ground).solve([e.length for e in g.edges], every=True)
+
+
+def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, Optional[list]]:
+    # every engine entry's prologue: validate g once, smooth it keeping the
+    # vertices of ``keep``, solve the rest once grounded at the first of them;
+    # also _smooth's map of g's edges onto the edges solved (None: the same)
+    ground = keep[0] if keep else None
+    removable = _removable(g, keep)
+    if removable or len(g.vertices) > DENSE_VERTICES:
+        g, where = _smooth(require_valid(g), removable)
+        return _Topology.of(g, ground).solve([e.length for e in g.edges]), where
+    # the public entry validates alike and solves every pair, which on at
+    # most DENSE_VERTICES vertices is the whole solve; the benchmark's traced
+    # catalog-verify asserts it is called (see ROADMAP item 2)
+    return resistance_matrix(g, ground), None
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
-# tau, theta (0 without weights) and ell as numerators over den = 12 q^3, each
-# edge's end indices, and theta's x = q Z w by vertex index (no ground entry)
-_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x")
+# tau, theta and ell as numerators over den = 12 q^3, each edge's end indices,
+# and theta's X = N K by vertex index (no ground entry) with r = q / T, so
+# that q Z K = r X
+_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x r")
 
 
-def _scale(rm: ResistanceMatrix, weights: Optional[dict[int, int]] = None) -> _Scaled:
+def _scale(rm: ResistanceMatrix) -> _Scaled:
     """Put the solve ``rm`` on one integer denominator ``q``, once.
 
-    The edges' ends and lengths are the ones ``rm`` solved; ``weights`` are
-    theta's, by vertex index.  ``q`` is the lcm of the solve's ``T`` and of
-    ``num * den`` of each edge length, so ``r = q / T``, ``q Z = r N``,
-    theta's ``x = q Z w = r (N w)``, ``q L`` and ``q / L`` are all ints.
-    ``N`` is read on the diagonal, on each edge and on the columns of ``w``;
-    only the entries read are multiplied by ``r``.  Tau is read at the vertex
-    ``rm`` is grounded at.
+    The edges' ends and lengths are the ones ``rm`` solved, and theta's
+    weights are its topology's ``K``.  ``q`` is the lcm of the solve's ``T``
+    and of ``num * den`` of each edge length, so ``r = q / T``,
+    ``q Z = r N``, theta's ``q Z K = r X``, ``q L`` and ``q / L`` are all
+    ints.  ``N`` is read on the diagonal and on each edge; only the entries
+    read are multiplied by ``r``.  Tau is read at the vertex ``rm`` is
+    grounded at.
     """
-    ends, lengths, t = rm._topology.ends, rm._lengths, rm._t
-    ground = rm._topology.ground
-    weights = weights or {}
-    w = {i: c for i, c in weights.items() if c and i != ground}
+    topology, lengths, t = rm._topology, rm._lengths, rm._t
+    ends, weights, x = topology.ends, topology.divisor, rm._x
     q = lcm(t, *(length.numerator * length.denominator for length in lengths))
     r = q // t
-    green = {**rm._green, ground: {}}
-    x = {i: r * sum(row[j] * c for j, c in w.items()) for i, row in rm._green.items()} if w else {}
+    green = {**rm._green, topology.ground: {}}
     scaled = [length.numerator * (q // length.denominator) for length in lengths]
     edges = [
         (i, j, l, q // length.numerator * length.denominator)
         for (i, j), length, l in zip(ends, lengths, scaled)
     ]
-    tau, theta, bridges = _core(edges, green, r, w, x, sum(weights.values()))
+    tau, theta, bridges = _core(edges, green, r, topology.weights, x, sum(weights.values()))
     s = 12 * q * q
-    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x)
+    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x, r)
 
 
 def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
@@ -376,11 +389,11 @@ def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
     ``edges`` holds ``(i, j, l = q L, c = q / L)`` with end indices ``i, j``,
     ``green`` holds ``N`` with a row per vertex (the ground's empty: the
     ground is tau's base, ``r(v, base) = Z_vv``), ``z = r N = q Z``, and
-    ``x = q Z w`` for the weights ``w`` off the ground, which with the
+    ``x = N w`` for the weights ``w`` off the ground, which with the
     ground's sum to ``total``.  With ``rho = z_uu + z_vv - 2 z_uv`` (0 on a
     loop), ``12 q^3 tau = sum_e ((l - rho)^2 + 3 (z_vv - z_uu)^2) c`` (Cinkir,
     2011), a bridge is an edge with ``rho == l``, and
-    ``q theta = sum_p 2 w_p (total z_pp - x_p)``.
+    ``q theta = 2 r sum_p w_p (total N_pp - x_p)``.
     """
     tau = 0
     bridges = []
@@ -391,14 +404,16 @@ def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
         slope, gap = r * (njj - nii), l - rho
         tau += (gap * gap + 3 * slope * slope) * c
         bridges.append(rho == l)
-    return tau, sum(2 * c * (total * r * green[i][i] - x[i]) for i, c in w.items()), bridges
+    return tau, 2 * r * sum(c * (total * green[i][i] - x[i]) for i, c in w.items()), bridges
 
 
 def effective_resistance(g: PmGraph, p: str, s: str) -> Fraction:
-    """Effective resistance between two vertices, from a solve of ``s``'s
-    column alone."""
-    topology = _Topology.of(require_valid(g))
-    return topology.solve([e.length for e in g.edges], {topology.index[s]}).get(p, s)
+    """Effective resistance between two vertices: ``N_ss / T`` of one solve
+    of the reduced model that keeps both, grounded at ``p``."""
+    rm = _reduced(g, (p, s))[0]
+    if s not in rm._topology.index:
+        raise PmGraphError(f"{s!r} is not a vertex of the graph")
+    return rm.get(p, s)
 
 
 @dataclass(frozen=True)
@@ -424,36 +439,38 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
 
     An edge between distinct vertices is a bridge exactly when its effective
     resistance equals its length (no alternative path).  Loops are never
-    bridges.  The side genera come from the same solve, scaled with the
-    canonical divisor ``K`` as theta's weights: across a bridge of length
-    ``L``, ``Z_vj - Z_uj`` is ``L`` for every ``j`` on the side away from the
-    ground and 0 on the ground's side (Baker and Faber, 2006), so ``x = Z K``
-    changes by ``L`` times the sum of ``K`` over the far side, which is
-    ``2 h - 1`` for a side of total genus ``h``, the bridge's end included.
+    bridges.  The solve is of the reduced model: an edge of a smoothed chain
+    takes its chain's class, the side genera turned to the edge's direction.
+    Across a bridge of length ``L``, ``Z_vj - Z_uj`` is ``L`` for every ``j``
+    on the side away from the ground and 0 on the ground's side (Baker and
+    Faber, 2006), so theta's ``x = Z K`` changes by ``L`` times the sum of
+    ``K`` over the far side, which is ``2 h - 1`` for a side of total genus
+    ``h``, the bridge's end included.
     On a graph of total genus ``gbar``, bridge types range over
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
-    topology = _Topology.of(require_valid(g))
-    s = topology.scaled([e.length for e in g.edges])
+    rm, where = _reduced(g)
+    sides = _sides(rm._topology.genus.gbar, _scale(rm))
+    if where is not None:
+        sides = [sides[k] if same or not sides[k] else sides[k][::-1] for k, same in where]
     return {
-        e.id: EdgeClass(e.id, True, min(sides), sides) if sides else EdgeClass(e.id, False, 0)
-        for e, sides in zip(g.edges, _sides(topology.genus.gbar, s))
+        e.id: EdgeClass(e.id, True, min(side), side) if side else EdgeClass(e.id, False, 0)
+        for e, side in zip(g.edges, sides)
     }
 
 
 def _sides(gbar: int, s: _Scaled) -> list:
-    # each edge's side genera (h_u, h_v), None off the bridges, from a solve
-    # of total genus gbar scaled with K as theta's weights: x_v - x_u = k l,
-    # with k = 2 h - 1 for the far side's genus h, positive when v's side is
-    # the far one
-    x = s.x
+    # each edge's side genera (h_u, h_v), None off the bridges, from a scaled
+    # solve of total genus gbar: r (x_v - x_u) = k l, with k = 2 h - 1 for
+    # the far side's genus h, positive when v's side is the far one
+    x, r = s.x, s.r
     sides = []
     for position, ((i, j), bridge, l) in enumerate(zip(s.ends, s.bridges, s.lengths)):
         if not bridge:
             sides.append(None)
             continue
-        k, rest = divmod(x.get(j, 0) - x.get(i, 0), l)
+        k, rest = divmod(r * (x.get(j, 0) - x.get(i, 0)), l)
         h = (abs(k) + 1) // 2
         if rest or not k % 2 or not h < gbar:
             raise ArithmeticError(

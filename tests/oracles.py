@@ -22,7 +22,8 @@ the package implementation uses:
   used before it put each solve on one integer denominator: tau per edge
   from any resistance matrix at any base, theta over every ordered pair of
   vertices, and phi, lambda, epsilon and Z from their closed forms in tau,
-  theta and ell;
+  theta and ell.  Tau and theta read the dense inverse's resistances and
+  the canonical divisor written out here unless given others;
 * polynomials as dicts from exponent tuples to ``Fraction`` instead of
   packed integer monomials with ``int`` coefficients;
 * the stable weighted graphs of a given total genus by brute force over
@@ -30,7 +31,9 @@ the package implementation uses:
   of the catalog's hand-written topology table.
 
 They are only meant for small graphs; enumeration is exponential in the edge
-count and the dense inverse is cubic in the vertex count.
+count and the dense inverse is cubic in the vertex count.  From the package
+they take the data model alone (``tests/test_oracle_imports.py`` pins it),
+except the selected inversion, which runs on the engine's factor.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
-from pmgraph import PmGraph, canonical_divisor, resistance_matrix, subdivide
+from pmgraph import PmGraph, subdivide
 from pmgraph.polynomials import VARIABLES
 
 
@@ -152,6 +155,27 @@ def resistance_by_dense_inverse(g: PmGraph) -> tuple[tuple[Fraction, ...], ...]:
     )
 
 
+class DenseResistances:
+    """:func:`resistance_by_dense_inverse` looked up by vertex id, as
+    ``get(p, s)``, the lookup the tau and theta oracles read."""
+
+    def __init__(self, g: PmGraph) -> None:
+        self._index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+        self._values = resistance_by_dense_inverse(g)
+
+    def get(self, p: str, s: str) -> Fraction:
+        return self._values[self._index[p]][self._index[s]]
+
+
+def canonical_divisor_by_valence(g: PmGraph) -> dict[str, int]:
+    """``K(p) = 2 q(p) - 2 + valence(p)``, a loop counting twice at its vertex."""
+    valence = dict.fromkeys(g.vertex_ids, 0)
+    for e in g.edges:
+        valence[e.u] += 1
+        valence[e.v] += 1
+    return {v.id: 2 * v.q - 2 + valence[v.id] for v in g.vertices}
+
+
 def selected_inverse(factor) -> dict[int, dict[int, Fraction]]:
     """Entries of ``A^{-1}`` on the filled pattern (Takahashi recurrence),
     in ``Fraction``, from the ``(elim, pivots, cols)`` of
@@ -178,8 +202,8 @@ def selected_inverse(factor) -> dict[int, dict[int, Fraction]]:
 
 def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fraction]]:
     """``Z`` of ``g`` grounded at vertex index ``ground`` on the pattern of
-    the engine's minimum-degree factor, no vertex held back to be
-    eliminated last, by :func:`selected_inverse`."""
+    the engine's minimum-degree factor, with no right-hand side, by
+    :func:`selected_inverse`."""
     from pmgraph.resistance import _factor
 
     index = {vid: i for i, vid in enumerate(g.vertex_ids)}
@@ -194,7 +218,7 @@ def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fr
                 diag[a] += 1 / e.length
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + 1 / e.length
-    return selected_inverse(_factor(adj, diag, set()))
+    return selected_inverse(_factor(adj, diag, {}))
 
 
 def green_by_bareiss(n: int, ground: int, edges: list) -> tuple:
@@ -299,7 +323,7 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
         raise ValueError("intervals must be even and >= 4")
     if base is None:
         base = g.vertex_ids[0]
-    base_matrix = resistance_matrix(g)
+    base_matrix = DenseResistances(g)
     total = 0.0
     for e in g.edges:
         length = float(e.length)
@@ -314,7 +338,7 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
             else:
                 cut = subdivide(g, e.id, t)
                 midpoint = (set(cut.vertex_ids) - set(g.vertex_ids)).pop()
-                values.append(float(resistance_matrix(cut).get(midpoint, base)))
+                values.append(float(DenseResistances(cut).get(midpoint, base)))
         derivatives = []
         for i in range(intervals + 1):
             if i == 0:
@@ -336,10 +360,10 @@ def tau_by_quadrature(g: PmGraph, base: str | None = None, intervals: int = 8) -
 def tau_by_formula(g: PmGraph, matrix=None, base: str | None = None) -> Fraction:
     """tau = sum_e ((L - R_e)^2 / 3 + (r(v, y) - r(u, y))^2) / (4 L), in Fractions.
 
-    ``matrix`` is any resistance matrix of ``g`` (``get(p, s)``); the base
-    ``y`` defaults to the first vertex.
+    ``matrix`` is any resistance matrix of ``g`` (``get(p, s)``), by default
+    :class:`DenseResistances`; the base ``y`` defaults to the first vertex.
     """
-    matrix = matrix or resistance_matrix(g)
+    matrix = matrix or DenseResistances(g)
     base = base or g.vertex_ids[0]
     total = Fraction(0)
     for e in g.edges:
@@ -350,9 +374,10 @@ def tau_by_formula(g: PmGraph, matrix=None, base: str | None = None) -> Fraction
 
 
 def theta_by_pairs(g: PmGraph, matrix=None, weights=None) -> Fraction:
-    """sum over ordered vertex pairs of w_p w_s r(p, s); w defaults to K."""
-    matrix = matrix or resistance_matrix(g)
-    weights = weights or canonical_divisor(g)
+    """sum over ordered vertex pairs of w_p w_s r(p, s); ``matrix`` defaults
+    to :class:`DenseResistances` and w to K."""
+    matrix = matrix or DenseResistances(g)
+    weights = weights or canonical_divisor_by_valence(g)
     return sum(
         (weights[p] * weights[s] * matrix.get(p, s) for p in g.vertex_ids for s in g.vertex_ids),
         Fraction(0),

@@ -25,6 +25,7 @@ from pmgraph import (
     classify_edges,
     cross_check,
     delta,
+    effective_resistance,
     engine_ratios,
     family,
     invariant_set,
@@ -68,6 +69,11 @@ def counts(monkeypatch):
 )
 def test_engine_entry_validates_and_solves_once(entry, counts, k4_unit):
     entry(k4_unit)
+    assert counts == {"validate": 1, "_green": 1}
+
+
+def test_effective_resistance_validates_and_solves_once(counts, k4_unit):
+    effective_resistance(k4_unit, "2", "4")
     assert counts == {"validate": 1, "_green": 1}
 
 
@@ -263,8 +269,8 @@ def factors(monkeypatch):
         seen["validate"] += 1
         return validate(g)
 
-    def counted_green(n, ground, edges, columns):
-        result = green(n, ground, edges, columns)
+    def counted_green(*args):
+        result = green(*args)
         seen["pivots"].append(len(result[1]))
         return result
 
@@ -299,10 +305,18 @@ def test_tau_at_a_removable_base_keeps_it_in_the_solve(factors):
     assert factors == {"validate": 1, "pivots": [len(normalize(g).vertices)]}
 
 
-def test_classify_edges_solves_the_graph_as_given(factors):
+def test_classify_edges_solves_the_reduced_model_once(factors):
     g = _subdivided_g3()
     classify_edges(g)
-    assert factors == {"validate": 1, "pivots": [len(g.vertices) - 1]}
+    assert factors == {"validate": 1, "pivots": [len(normalize(g).vertices) - 1]}
+
+
+def test_effective_resistance_keeps_both_vertices_in_one_solve(factors):
+    g = _subdivided_g3()
+    kept = set(normalize(g).vertex_ids)
+    p, s = [vid for vid in g.vertex_ids if vid not in kept][:2]
+    effective_resistance(g, p, s)
+    assert factors == {"validate": 1, "pivots": [len(kept) + 1]}
 
 
 def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
@@ -315,7 +329,7 @@ def test_one_incidence_index_serves_the_front_end(monkeypatch):
     # _removable, validation and _smooth all read the given graph's index,
     # which is built once
     graph = importlib.import_module("pmgraph.graph")
-    engine = importlib.import_module("pmgraph.invariants")
+    engine = importlib.import_module("pmgraph.resistance")
     built, seen = [], {}
     index = graph.PmGraph.__dict__["_incidence"].func
 

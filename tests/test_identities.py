@@ -178,3 +178,18 @@ class TestFailureBranches:
     def test_zero_polynomial_is_nonnegative(self):
         result = identities_mod._nonnegative("zero", Polynomial())
         assert result == identities_mod.ComponentResult("zero", True)
+
+
+# -- the registry's parser and a failing value check ----------------------------
+
+
+def test_compact_monomials_read_signs_and_reject_bad_tokens():
+    a, b = Polynomial.variable("a"), Polynomial.variable("b")
+    assert identities_mod._poly("-ab +a 3b2") == -a * b + a + 3 * b * b
+    with pytest.raises(ValueError, match="'a\\?'"):
+        identities_mod._poly("ab a?")
+
+
+def test_a_wrong_value_fails_with_both_values():
+    result = identities_mod._value("probe", Polynomial.variable("a"), {"a": 2}, Fraction(3))
+    assert result == identities_mod.ComponentResult("probe", False, "value 2 != 3")

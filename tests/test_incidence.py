@@ -174,7 +174,7 @@ def test_removable_equals_the_loop_set_definition(name):
     g = GRAPHS[name]
     assert _removable(g) == _loop_set_removable(g)
     for vid in g.vertex_ids[:3]:
-        assert _removable(g, vid) == _loop_set_removable(g, vid)
+        assert _removable(g, (vid,)) == _loop_set_removable(g, vid)
 
 
 @pytest.mark.parametrize("name", RANDOM)

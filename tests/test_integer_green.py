@@ -1,17 +1,18 @@
 """The solve's two integer producers against the references.
 
-Every solve is held as one integer ``T`` and ``N = T Z``.  Graphs of at
-most ``DENSE_VERTICES`` vertices get them on every pair from the cofactors
-of ``M A``, larger ones from the minimum-degree factor and the integer
-Takahashi recurrence, on every pair or only on the diagonal, the edges and
-the chosen columns.  These tests compare ``N / T`` on every pair with a
-dense ``Fraction`` inverse at every ground (and the ``Fraction`` selected
-inversion with it on the factor's pattern), check that a solve on some
-columns holds the same ints on what it holds and no more than about ``n``
-per column on a subdivided graph, compare the dense producer's ``T`` and
-``N`` with the same ints from the fraction-free elimination it replaced,
-run both producers on the same small graphs, and cover the dense
-producer's edge cases.
+Every solve is held as one integer ``T``, ``N = T Z`` and theta's
+``X = N K``.  Graphs of at most ``DENSE_VERTICES`` vertices get ``N`` on
+every pair from the cofactors of ``M A``, larger ones from the
+minimum-degree factor and the integer Takahashi recurrence, on every pair
+or only on the filled pattern, with ``X`` carried through the same
+recurrence as one more right-hand side.  These tests compare ``N / T`` on
+every pair and ``X / T`` with a dense ``Fraction`` inverse at every ground
+(and the ``Fraction`` selected inversion with it on the factor's pattern),
+check that a solve on the pattern holds the same ints as the every-pair
+solve on what it holds, compare the dense producer's ``T`` and ``N`` with
+the same ints from the fraction-free elimination it replaced, run both
+producers on the same small graphs, and cover the dense producer's edge
+cases.
 """
 
 import random
@@ -23,6 +24,7 @@ import pytest
 from pmgraph import (
     PmGraph,
     build,
+    canonical_divisor,
     family,
     invariant_set,
     list_families,
@@ -33,7 +35,7 @@ from pmgraph import (
 )
 from pmgraph import resistance as solver
 
-from conftest import build_theta, random_pm_graph, random_subdivided
+from conftest import build_theta, random_pm_graph
 from oracles import (
     green_by_bareiss,
     green_by_dense_inverse,
@@ -56,19 +58,26 @@ def _graphs():
 GRAPHS = _graphs()
 
 
-def _matrix(g: PmGraph, ground: int, producer, columns=None) -> solver.ResistanceMatrix:
-    # the engine's solve of g on ``columns`` (every pair by default),
-    # grounded at its ground-th vertex, with ``producer`` in the place of
-    # ``_green``; the dense producer gives every pair and takes no columns
+def _matrix(g: PmGraph, ground: int, producer, every=True) -> solver.ResistanceMatrix:
+    # the engine's solve of g on every pair (``every=False``: on the
+    # pattern), grounded at its ground-th vertex, with ``producer`` in the
+    # place of ``_green``; the dense producer always gives every pair
     topology = solver._Topology.of(g, g.vertex_ids[ground])
 
-    def green(n, ground, edges, columns):
+    def green(n, ground, edges, weights, every):
         if producer is solver._dense_green:
-            return producer(n, ground, edges)
-        return producer(n, ground, edges, columns)
+            return producer(n, ground, edges, weights)
+        return producer(n, ground, edges, weights, every)
 
     with mock.patch.object(solver, "_green", green):
-        return topology.solve([e.length for e in g.edges], columns)
+        return topology.solve([e.length for e in g.edges], every)
+
+
+def _x_by_dense_inverse(g: PmGraph, ground: int) -> dict:
+    # theta's x = Z K off the ground, from the dense inverse
+    k = [canonical_divisor(g)[vid] for vid in g.vertex_ids]
+    green = green_by_dense_inverse(g, ground)
+    return {i: sum(z * k[j] for j, z in row.items()) for i, row in green.items()}
 
 
 @pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
@@ -89,47 +98,23 @@ def test_n_over_t_equals_the_selected_inverse_at_every_ground(name, g):
         for i, row in green_by_selected_inverse(g, ground).items():
             for j, z in row.items():
                 assert expected[i][j] == z, (ground, i, j)
+        assert set(rm._x) == unknowns and all(type(x) is int for x in rm._x.values())
+        assert {i: Fraction(x, t) for i, x in rm._x.items()} == _x_by_dense_inverse(g, ground)
 
 
-@pytest.mark.parametrize("name, g", GRAPHS[::2], ids=[name for name, _ in GRAPHS[::2]])
-def test_a_solve_on_some_columns_holds_the_ints_of_every_pair(name, g):
-    rng = random.Random(name)
+@pytest.mark.parametrize("name, g", GRAPHS, ids=[name for name, _ in GRAPHS])
+def test_a_solve_on_the_pattern_holds_the_ints_of_every_pair(name, g):
     n = len(g.vertices)
     for ground in range(n):
         full = _matrix(g, ground, solver._sparse_green)
-        topology = full._topology
-        unknowns = set(range(n)) - {ground}
-        picks = [(), topology.divisor, {rng.randrange(n)}, set(rng.sample(range(n), n // 2))]
-        for columns in picks:
-            part = _matrix(g, ground, solver._sparse_green, columns)
-            green = part._green
-            assert part._t == full._t and set(green) == unknowns
-            for i, row in green.items():
-                assert all(full._green[i][j] == v == green[j][i] for j, v in row.items())
-                assert i in row
-                assert all(i in green[c] for c in columns if c != ground)
-            assert all(
-                j in green[i] for i, j in topology.ends if ground not in (i, j)
-            )
-
-
-def test_the_engine_solves_few_columns_on_a_subdivided_graph(monkeypatch):
-    # classify_edges reads N on the edges and the columns of K, and
-    # effective_resistance one column: about n entries each, not n * n
-    g = random_subdivided("g3.XI", 400, random.Random("few-columns"))
-    sizes = []
-    green = solver._green
-
-    def counted(n, ground, edges, columns):
-        t, n_matrix = green(n, ground, edges, columns)
-        sizes.append(sum(map(len, n_matrix.values())))
-        return t, n_matrix
-
-    monkeypatch.setattr(solver, "_green", counted)
-    ids = g.vertex_ids
-    assert len(solver.classify_edges(g)) == len(g.edges)
-    assert solver.effective_resistance(g, ids[-1], ids[len(ids) // 2]) > 0
-    assert len(sizes) == 2 and max(sizes) < 20 * len(ids), sizes
+        part = _matrix(g, ground, solver._sparse_green, every=False)
+        green = part._green
+        assert (part._t, part._x) == (full._t, full._x)
+        assert set(green) == set(range(n)) - {ground}
+        for i, row in green.items():
+            assert all(full._green[i][j] == v == green[j][i] for j, v in row.items())
+            assert i in row
+        assert all(j in green[i] for i, j in full._topology.ends if ground not in (i, j))
 
 
 def _equals_bareiss(rm: solver.ResistanceMatrix) -> bool:
@@ -140,7 +125,7 @@ def _equals_bareiss(rm: solver.ResistanceMatrix) -> bool:
 
 
 def _scaled_fractions(g: PmGraph, rm) -> tuple:
-    s = solver._scale(rm, rm._topology.divisor)
+    s = solver._scale(rm)
     return (
         Fraction(s.tau, s.den), Fraction(s.theta, s.den), Fraction(s.ell, s.den),
         s.bridges, [Fraction(l, s.q) for l in s.lengths], rm.values,
@@ -178,7 +163,7 @@ def _engine_equals_references(g: PmGraph) -> None:
 
 def test_a_single_vertex_has_no_unknowns():
     g = PmGraph.build([("A", 2)], [])
-    assert solver._dense_green(1, 0, []) == (1, {})
+    assert solver._dense_green(1, 0, [], {}) == (1, {}, {})
     inv = invariant_set(g)
     assert (inv.ell, inv.tau, inv.theta, inv.gbar) == (0, 0, 0, 2)
     assert solver.resistance_matrix(g).values == ((Fraction(0),),)
@@ -187,7 +172,7 @@ def test_a_single_vertex_has_no_unknowns():
 def test_a_bouquet_of_loops_scales_by_the_lcm_of_nothing():
     g = PmGraph.build(["A"], [("a", "A", "A", Fraction(3, 7)), ("b", "A", "A", 5), ("c", "A", "A", "2/9")])
     rm = _matrix(g, 0, solver._dense_green)
-    assert (rm._t, rm._green) == (1, {})
+    assert (rm._t, rm._green, rm._x) == (1, {}, {})
     inv = invariant_set(g)
     assert inv.tau == g.total_length / 12
     assert inv.phi == tau_by_formula(g) * Fraction(13, 3) + inv.theta / 12 - inv.ell / 4
@@ -236,9 +221,9 @@ def test_tau_at_a_removable_base_takes_the_dense_producer(monkeypatch):
     sizes = []
     dense = solver._dense_green
 
-    def counted(n, ground, edges):
+    def counted(n, *args):
         sizes.append(n)
-        return dense(n, ground, edges)
+        return dense(n, *args)
 
     monkeypatch.setattr(solver, "_dense_green", counted)
     assert tau(g, base=base) == expected

@@ -257,3 +257,10 @@ class TestDigitTokens:
                 parse_graph(text)
             assert (err.value.line, err.value.column) == (2, 12)
             assert str(err.value) == f"line 2, column 12: cannot parse length {token!r} as a rational"
+
+
+def test_a_column_past_the_last_token_is_the_end_of_the_line():
+    from pmgraph.io import _column_of
+
+    assert _column_of("edge  e1 A", 2) == 10
+    assert _column_of("edge  e1 A", 4) == len("edge  e1 A") + 1

@@ -5,12 +5,12 @@ the only constructor of ``ResistanceMatrix`` in ``src/pmgraph``, so the file
 engine, the catalog sampler, ``resistance_matrix`` and ``classify_edges``
 cannot drift apart in how a graph's lengths become a solve.  The sparse
 producer ``_sparse_green`` is the only caller of the factor ``_factor``, so
-no second path reads the factor.  ``_scale`` is
-called in two places, each with the solve's own canonical divisor as
-theta's weights: ``_Topology.scaled`` and the file engine's
-``invariants._scaled``, which also scales what the public
-``resistance_matrix`` solves.  No engine path scales with weights of its
-own.
+no second path reads the factor.  Every solve carries theta's ``X = N K``
+for its own topology's canonical divisor, so ``_scale`` takes the solve
+alone.  It is called in three places: the catalog sampler's
+``FamilySpec._scaled`` on a family's validated topology, and the file
+engine's ``invariants._scaled`` and ``classify_edges`` on a solve of the
+engine prologue ``_reduced``.
 """
 
 import ast
@@ -50,8 +50,9 @@ def test_only_the_topology_solves():
         ("ResistanceMatrix", "resistance.py:_Topology.solve"),
         ("_factor", "resistance.py:_sparse_green"),
         ("_green", "resistance.py:_Topology.solve"),
+        ("_scale", "catalog.py:FamilySpec._scaled"),
         ("_scale", "invariants.py:_scaled"),
-        ("_scale", "resistance.py:_Topology.scaled"),
+        ("_scale", "resistance.py:classify_edges"),
     ]
 
 

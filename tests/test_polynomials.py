@@ -305,3 +305,38 @@ class TestAgainstReference:
         assert p._terms == a._terms and type(next(iter(p._terms.values()))) is int
         assert Polynomial({(1,) + (0,) * 8: Fraction(4, 2)}) == 2 * a
         assert hash(Polynomial.constant(Fraction(6, 3))) == hash(Polynomial.constant(2))
+
+
+# -- the kernel's guard and display branches ------------------------------------
+
+
+def test_an_exponent_that_is_not_an_int_is_rejected():
+    with pytest.raises(TypeError, match="not an int"):
+        Polynomial({(Fraction(1, 2),) + (0,) * (len(VARIABLES) - 1): 1})
+
+
+def test_an_integral_fraction_sum_is_stored_as_an_int():
+    half = Polynomial.variable("a") * Fraction(1, 2)
+    total = half + half
+    assert total == Polynomial.variable("a")
+    assert [type(c) for c in total._terms.values()] == [int]
+
+
+def test_unknown_variables_are_rejected():
+    with pytest.raises(KeyError, match="'z'"):
+        Polynomial.variable("z")
+    with pytest.raises(KeyError, match="'z'"):
+        Polynomial.variable("a").substitute({"z": 1})
+
+
+def test_foreign_operands_are_not_implemented():
+    a = Polynomial.variable("a")
+    assert a.__pow__("2") is NotImplemented
+    with pytest.raises(TypeError):
+        a ** "2"
+    assert a.__eq__("a") is NotImplemented
+    assert a != "a"
+
+
+def test_repr_shows_the_text():
+    assert repr(Polynomial.variable("a") * 2 + 1) == "Polynomial(2*a + 1)"

@@ -8,6 +8,7 @@ the Fraction reference formulas of ``oracles``, pairwise theta and per-edge
 delta.
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -103,7 +104,12 @@ def test_scaled_theta_equals_the_pairwise_sum():
         rm = resistance_matrix(g)
         weights = {vid: rng.randint(-3, 3) for vid in g.vertex_ids}
         weights[g.vertex_ids[0]] = 2  # the ground carries weight too
-        scaled = _scale(rm, {i: weights[vid] for i, vid in enumerate(rm.order)})
+        # theta's weights are the topology's divisor off the ground, so
+        # replace both
+        divisor = {i: weights[vid] for i, vid in enumerate(rm.order)}
+        off_ground = {i: c for i, c in divisor.items() if i != rm._topology.ground}
+        topology = dataclasses.replace(rm._topology, divisor=divisor, weights=off_ground)
+        scaled = _scale(topology.solve([e.length for e in g.edges]))
         assert type(scaled.theta) is int
         assert Fraction(scaled.theta, scaled.den) == theta_by_pairs(g, rm, weights)
 

@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from pmgraph import (
+    Edge,
     PmGraph,
     PmGraphError,
     build,
@@ -270,6 +271,71 @@ class TestClassification:
             expected[min(sides[eid]) if eid in sides else 0] += g.edge(eid).length
         assert delta(g) == expected
         return {min(pair) for pair in sides.values()}
+
+
+def _flipped(g: PmGraph, rng: random.Random) -> PmGraph:
+    # g with a random half of its edges running the other way
+    edges = [Edge(e.id, e.v, e.u, e.length) if rng.random() < 0.5 else e for e in g.edges]
+    return PmGraph(g.vertices, tuple(edges))
+
+
+class TestReducedModel:
+    """``classify_edges`` and ``effective_resistance`` solve the reduced
+    model and map the answer back onto the given graph's edges and vertices;
+    the references solve or cut the graph as given."""
+
+    def test_a_chain_that_closes_into_a_loop(self):
+        g = PmGraph.build(
+            [("A", 1), "r1", "r2", "s1", ("B", 1)],
+            [
+                ("a1", "A", "r1", 2), ("a2", "r2", "r1", Fraction(1, 3)), ("a3", "r2", "A", 5),
+                ("b1", "A", "s1", Fraction(3, 2)), ("b2", "B", "s1", 4),
+            ],
+        )
+        TestClassification._assert_matches_removal(g)
+        classes = classify_edges(g)
+        assert [classes[eid].side_genera for eid in ("b1", "b2")] == [(2, 1), (1, 2)]
+        assert all(not classes[eid].is_bridge for eid in ("a1", "a2", "a3"))
+        self._assert_resistances(g)
+
+    def test_a_cycle_of_removable_vertices(self):
+        g = build_circle((4, Fraction(5, 2), 3, Fraction(1, 7)))
+        classes = classify_edges(g)
+        assert all(not c.is_bridge for c in classes.values())
+        self._assert_resistances(g)
+
+    def test_bridges_of_chains_running_both_ways(self):
+        rng = random.Random("both-ways")
+        graphs = [_flipped(g, rng) for g in _subdivided_samples(34, 30)]
+        graphs += [_flipped(dense_graph(n, random.Random(f"both-ways:{n}")), rng) for n in (8, 16)]
+        for g in graphs:
+            TestClassification._assert_matches_removal(g)
+
+    def test_resistances_with_removable_and_adjacent_vertices(self):
+        for g in _subdivided_samples(35, 8):
+            self._assert_resistances(g)
+
+    @staticmethod
+    def _assert_resistances(g: PmGraph) -> None:
+        # every pair holding a removable vertex, every adjacent pair and p == s
+        expected = resistance_by_dense_inverse(g)
+        ids = g.vertex_ids
+        index = {vid: i for i, vid in enumerate(ids)}
+        removable = {vid for vid in ids if g.q(vid) == 0 and g.valence(vid) == 2}
+        pairs = [(p, s) for p in ids for s in ids if p in removable or s in removable]
+        pairs += [e.ends for e in g.edges] + [(e.v, e.u) for e in g.edges]
+        assert pairs and any(e.u in removable and e.v in removable for e in g.edges)
+        for p, s in pairs:
+            assert effective_resistance(g, p, s) == expected[index[p]][index[s]], (p, s)
+
+    @pytest.mark.parametrize("size", [4, 30])
+    def test_an_unknown_vertex_is_named(self, size):
+        g = random_subdivided("g3.XIV", size, random.Random("unknown"))
+        known = g.vertex_ids[-1]
+        for p, s in ((known, "nope"), ("nope", known), ("nope", "nope")):
+            with pytest.raises(PmGraphError, match="'nope'"):
+                effective_resistance(g, p, s)
+        assert all(effective_resistance(g, vid, vid) == 0 for vid in g.vertex_ids)
 
 
 class TestTopology:

@@ -238,7 +238,10 @@ def validate(g: PmGraph) -> ValidationReport:
 
     Checks, in order: unique vertex ids, unique edge ids, edge endpoints
     declared, positive lengths, ``0 <= q <= MAX_WEIGHT``, nonempty vertex set,
-    connectedness, and effectivity of the canonical divisor.
+    connectedness, and effectivity of the canonical divisor.  A length must
+    be an ``int`` or ``Fraction`` and a weight an ``int`` (``bool`` is
+    neither); a value of another type is reported, and no check that
+    compares it or computes with it runs.
     """
     problems: list[str] = []
     seen_v: set[str] = set()
@@ -256,10 +259,16 @@ def validate(g: PmGraph) -> ValidationReport:
             if end not in seen_v:
                 problems.append(f"edge {e.id!r} references unknown vertex {end!r}")
                 structural_ok = False
-        if e.length <= 0:
+        if isinstance(e.length, bool) or not isinstance(e.length, (int, Fraction)):
+            problems.append(f"edge {e.id!r} has length {e.length!r}, not an int or Fraction")
+        elif e.length.numerator <= 0:  # a Fraction's denominator is positive
             problems.append(f"edge {e.id!r} has nonpositive length {e.length}")
+    weights_ok = True
     for v in g.vertices:
-        if v.q < 0:
+        if isinstance(v.q, bool) or not isinstance(v.q, int):
+            problems.append(f"vertex {v.id!r} has weight q={v.q!r}, not an int")
+            weights_ok = False
+        elif v.q < 0:
             problems.append(f"vertex {v.id!r} has negative weight q={v.q}")
         elif v.q > MAX_WEIGHT:
             problems.append(f"vertex {v.id!r} has weight q={v.q} above {MAX_WEIGHT}")
@@ -273,6 +282,7 @@ def validate(g: PmGraph) -> ValidationReport:
                 "{" + ", ".join(sorted(c)) + "}" for c in components
             )
             problems.append(f"graph is not connected: components {labels}")
+    if structural_ok and weights_ok:
         divisor = g._divisor
         for vid in g.vertex_ids:
             if divisor[vid] < 0:

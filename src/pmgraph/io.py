@@ -15,7 +15,7 @@ back exactly as written.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 from typing import Mapping
 
 from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational, as_weight
@@ -32,36 +32,14 @@ class ParseError(PmGraphError):
 
 def _column_of(line: str, token_index: int) -> int:
     # 1-based starting column of the token at token_index, for error messages
-    pos = 0
-    seen = 0
-    while pos < len(line):
-        if line[pos].isspace():
-            pos += 1
-            continue
-        end = pos
-        while end < len(line) and not line[end].isspace():
-            end += 1
-        if seen == token_index:
-            return pos + 1
-        seen += 1
-        pos = end
-    return len(line) + 1
+    starts = [m.start() + 1 for m in re.finditer(r"\S+", line)]
+    return starts[token_index] if token_index < len(starts) else len(line) + 1
 
 
-def _parse_length(token: str, lineno: int, line: str) -> Fraction:
-    # the length is the fifth token of ``line``; its column is only worked
-    # out for an error message
-    try:
-        value = as_rational(token)
-    except (ValueError, ZeroDivisionError):
-        raise ParseError(
-            f"cannot parse length {token!r} as a rational", lineno, _column_of(line, 4)
-        )
-    if value <= 0:
-        raise ParseError(
-            f"edge length must be positive, got {token}", lineno, _column_of(line, 4)
-        )
-    return value
+def _error(message: str, lineno: int, line: str, token_index: int) -> ParseError:
+    # every parse error names the token at token_index of the comment-stripped
+    # line; its column is only worked out here, for the message
+    return ParseError(message, lineno, _column_of(line, token_index))
 
 
 def parse_graph(text: str) -> PmGraph:
@@ -83,65 +61,46 @@ def parse_graph(text: str) -> PmGraph:
         kind = tokens[0]
         if kind == "vertex":
             if len(tokens) < 2 or len(tokens) > 3:
-                raise ParseError(
-                    "expected 'vertex <id> [q=<int>]'", lineno, _column_of(line, 0)
-                )
+                raise _error("expected 'vertex <id> [q=<int>]'", lineno, line, 0)
             vid = tokens[1]
             if vid in vertex_ids:
-                raise ParseError(
-                    f"duplicate vertex id {vid!r}", lineno, _column_of(line, 1)
-                )
+                raise _error(f"duplicate vertex id {vid!r}", lineno, line, 1)
             q = 0
             if len(tokens) == 3:
                 if not tokens[2].startswith("q="):
-                    raise ParseError(
-                        f"expected 'q=<int>', got {tokens[2]!r}",
-                        lineno,
-                        _column_of(line, 2),
-                    )
+                    raise _error(f"expected 'q=<int>', got {tokens[2]!r}", lineno, line, 2)
                 try:
                     q = int(tokens[2][2:])
                 except ValueError:
-                    raise ParseError(
-                        f"cannot parse weight {tokens[2][2:]!r} as an integer",
-                        lineno,
-                        _column_of(line, 2),
+                    raise _error(
+                        f"cannot parse weight {tokens[2][2:]!r} as an integer", lineno, line, 2
                     )
                 if q < 0:
-                    raise ParseError(
-                        f"vertex weight must be nonnegative, got {q}",
-                        lineno,
-                        _column_of(line, 2),
-                    )
+                    raise _error(f"vertex weight must be nonnegative, got {q}", lineno, line, 2)
             vertices.append(Vertex(vid, q))
             vertex_ids.add(vid)
         elif kind == "edge":
             if len(tokens) != 5:
-                raise ParseError(
-                    "expected 'edge <id> <vertex> <vertex> <length>'",
-                    lineno,
-                    _column_of(line, 0),
-                )
-            eid, u, v, length_token = tokens[1:]
+                raise _error("expected 'edge <id> <vertex> <vertex> <length>'", lineno, line, 0)
+            eid, u, v, token = tokens[1:]
             if eid in edge_ids:
-                raise ParseError(
-                    f"duplicate edge id {eid!r}", lineno, _column_of(line, 1)
-                )
+                raise _error(f"duplicate edge id {eid!r}", lineno, line, 1)
             for index, end in ((2, u), (3, v)):
                 if end not in vertex_ids:
-                    raise ParseError(
-                        f"edge {eid!r} references undeclared vertex {end!r}",
-                        lineno,
-                        _column_of(line, index),
+                    raise _error(
+                        f"edge {eid!r} references undeclared vertex {end!r}", lineno, line, index
                     )
-            length = _parse_length(length_token, lineno, line)
+            try:
+                length = as_rational(token)
+            except (ValueError, ZeroDivisionError):
+                raise _error(f"cannot parse length {token!r} as a rational", lineno, line, 4)
+            if length.numerator <= 0:
+                raise _error(f"edge length must be positive, got {token}", lineno, line, 4)
             edges.append(Edge(eid, u, v, length))
             edge_ids.add(eid)
         else:
-            raise ParseError(
-                f"unknown record {kind!r} (expected 'vertex' or 'edge')",
-                lineno,
-                _column_of(line, 0),
+            raise _error(
+                f"unknown record {kind!r} (expected 'vertex' or 'edge')", lineno, line, 0
             )
     return PmGraph(tuple(vertices), tuple(edges))
 

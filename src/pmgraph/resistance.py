@@ -300,7 +300,7 @@ class _Topology:
         if ground is None:
             ground = order[0]
         elif ground not in order:
-            raise PmGraphError(f"ground {ground!r} is not a vertex of the graph")
+            raise PmGraphError(f"{ground!r} is not a vertex of the graph")
         index = {vid: i for i, vid in enumerate(order)}
         ends = tuple((index[e.u], index[e.v]) for e in g.edges)
         divisor = {index[p]: c for p, c in g._divisor.items() if c}

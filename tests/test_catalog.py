@@ -125,6 +125,49 @@ def _columns(parts, x) -> tuple:
     return q, [sum(map(mul, column, terms)) for column in _COLUMNS]
 
 
+def _contract(spec, eid) -> tuple[dict[str, int], list]:
+    # the topology of spec with edge eid contracted: the two ends merge and
+    # their weights add, and a contracted loop adds 1 to its vertex
+    weights = {vertex.id: vertex.q for vertex in spec.vertices}
+    _, u, v = next(edge for edge in spec.edges if edge[0] == eid)
+    weights[u] += weights.pop(v) if v != u else 1
+    edges = [(f, u if a == v else a, u if b == v else b) for f, a, b in spec.edges if f != eid]
+    return weights, edges
+
+
+def _joining(edges) -> dict:
+    # each pair of ends (one end for a loop) -> the ids of its edges
+    pairs = {}
+    for eid, u, v in edges:
+        pairs.setdefault(frozenset((u, v)), []).append(eid)
+    return pairs
+
+
+def _match(weights, edges):
+    # the first catalog row whose topology is (weights, edges), with its parts
+    # and a map of its edge ids onto those of edges, by brute force over the
+    # weight-preserving vertex bijections; None when no row has it.  Any
+    # bijection serves: every row is invariant under its automorphisms.
+    ours = _joining(edges)
+    for fid, *_, parts in _TABLE:
+        spec = family(fid)
+        target = {vertex.id: vertex.q for vertex in spec.vertices}
+        if sorted(target.values()) != sorted(weights.values()):
+            continue
+        theirs = _joining(spec.edges)
+        for image in itertools.permutations(target):
+            pi = dict(zip(weights, image))
+            if any(weights[v] != target[pi[v]] for v in weights):
+                continue
+            mapped = {frozenset(map(pi.get, pair)): ids for pair, ids in ours.items()}
+            if {pair: len(ids) for pair, ids in mapped.items()} == {
+                pair: len(ids) for pair, ids in theirs.items()
+            }:
+                sigma = {g: f for pair, ids in mapped.items() for f, g in zip(ids, theirs[pair])}
+                return fid, parts, sigma
+    return None
+
+
 class TestClosedForms:
     def test_k4_row(self):
         inv = closed_form("g3.XIV", _ones("g3.XIV"))
@@ -223,6 +266,34 @@ class TestClosedForms:
                 for num, num_sigma in zip(nums, nums_sigma):
                     assert num_sigma * q == num * q_sigma, (fid, sigma)
         assert (orders["g3.XIV"], orders["g3.II"], orders["g3.I"], orders["g2.II"]) == (24, 24, 6, 2)
+
+    def test_every_facet_is_the_row_it_contracts_to(self):
+        # F's row at x_e = 0 is the row of the family G that F / e is, on
+        # Polynomial variables: q_F(x_e = 0) != 0 and, for every column,
+        # num_F q_G = num_G q_F with G's variables renamed to F's edges
+        facets, outside = 0, []
+        for fid, *_, parts in _TABLE:
+            spec = family(fid)
+            if spec.degenerate:
+                continue
+            for eid, _, _ in spec.edges:
+                facets += 1
+                found = _match(*_contract(spec, eid))
+                if found is None:
+                    outside.append((fid, eid))
+                    continue
+                gid, parts_g, sigma = found
+                x = {f: Polynomial.variable(f) for f in spec.params}
+                x[eid] = Polynomial.constant(0)
+                q, nums = _columns(parts, x)
+                q_g, nums_g = _columns(parts_g, {g: Polynomial.variable(f) for g, f in sigma.items()})
+                assert q != 0, (fid, eid)
+                for num, num_g in zip(nums, nums_g):
+                    assert num * q_g == num_g * q, (fid, eid, gid)
+        assert facets == 151
+        # both on the missing genus-2 type: two arcs joining a weight-1
+        # vertex to one that carries a bridge to a loop
+        assert outside == [("g2.XIII", "d"), ("g3.VII", "b")]
 
     def test_delta_partition(self):
         rng = random.Random(3)

@@ -1,4 +1,5 @@
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,35 @@ class TestValidate:
         for g in (built, direct, parsed):
             with pytest.raises(InvalidGraphError, match="above 1000"):
                 entry(g)
+
+    @staticmethod
+    def _theta(q, length):
+        # two vertices joined by three edges, with P's weight and a's length given
+        edges = [Edge("a", "P", "S", length)]
+        edges += [Edge(eid, "P", "S", Fraction(1)) for eid in "bc"]
+        return PmGraph((Vertex("P", q), Vertex("S", 1)), tuple(edges))
+
+    @pytest.mark.parametrize(
+        "q", [1.5, 1.0, Fraction(3, 2), "1", None, True], ids=repr
+    )
+    def test_a_weight_that_is_not_an_int_is_a_problem(self, q):
+        g = self._theta(q, Fraction(1))
+        assert validate(g).problems == (f"vertex 'P' has weight q={q!r}, not an int",)
+        with pytest.raises(InvalidGraphError):
+            invariant_set(g)
+
+    @pytest.mark.parametrize("length", [0.5, "1", None, True, Decimal("1")], ids=repr)
+    def test_a_length_that_is_not_an_int_or_fraction_is_a_problem(self, length):
+        g = self._theta(1, length)
+        assert validate(g).problems == (
+            f"edge 'a' has length {length!r}, not an int or Fraction",
+        )
+        with pytest.raises(InvalidGraphError):
+            invariant_set(g)
+
+    def test_int_and_fraction_lengths_agree(self):
+        assert validate(self._theta(1, 2)).passed
+        assert invariant_set(self._theta(1, 2)) == invariant_set(self._theta(1, Fraction(2)))
 
 
 class TestGenus:

@@ -264,3 +264,22 @@ def test_a_column_past_the_last_token_is_the_end_of_the_line():
 
     assert _column_of("edge  e1 A", 2) == 10
     assert _column_of("edge  e1 A", 4) == len("edge  e1 A") + 1
+
+
+@pytest.mark.parametrize(
+    "sep", ["\t", "\u00a0", "\u001f", "\u3000", "\u00a0\t\u3000"], ids=ascii
+)
+def test_columns_past_any_whitespace_are_those_of_str_split(sep):
+    from pmgraph.io import _column_of
+
+    tokens = ["edge", "e1", "a", "a", "zero"]
+    line = sep + sep.join(tokens) + sep
+    assert line.split() == tokens
+    starts = [len(sep) * (k + 1) + sum(map(len, tokens[:k])) for k in range(5)]
+    assert [_column_of(line, k) for k in range(5)] == [s + 1 for s in starts]
+    assert _column_of(line, 5) == len(line) + 1
+    with pytest.raises(ParseError) as err:
+        parse_graph("vertex a q=2\n" + line + "# note\n")
+    assert str(err.value) == (
+        f"line 2, column {starts[4] + 1}: cannot parse length 'zero' as a rational"
+    )

@@ -6,6 +6,7 @@ import pytest
 
 from pmgraph import (
     Edge,
+    InvalidGraphError,
     PmGraph,
     PmGraphError,
     build,
@@ -19,6 +20,7 @@ from pmgraph import (
     random_lengths,
     effective_resistance,
     resistance_matrix,
+    tau,
 )
 from pmgraph.resistance import _Topology
 
@@ -336,6 +338,28 @@ class TestReducedModel:
             with pytest.raises(PmGraphError, match="'nope'"):
                 effective_resistance(g, p, s)
         assert all(effective_resistance(g, vid, vid) == 0 for vid in g.vertex_ids)
+
+    @pytest.mark.parametrize("size", [4, 30])
+    def test_every_unknown_vertex_gets_one_message(self, size):
+        # at most 4 vertices: the whole solve; 30: the smoothed reduced model
+        g = random_subdivided("g3.XIV", size, random.Random("unknown"))
+        known = g.vertex_ids[-1]
+        calls = [
+            lambda: tau(g, base="nope"),
+            lambda: effective_resistance(g, known, "nope"),
+            lambda: effective_resistance(g, "nope", known),
+        ]
+        for call in calls:
+            with pytest.raises(PmGraphError) as err:
+                call()
+            assert str(err.value) == "'nope' is not a vertex of the graph"
+
+    def test_an_invalid_graph_is_reported_before_an_unknown_vertex(self):
+        g = PmGraph.build(["a", "b"], [("e", "a", "b", 1)])
+        with pytest.raises(InvalidGraphError):
+            tau(g, base="nope")
+        with pytest.raises(InvalidGraphError):
+            effective_resistance(g, "a", "nope")
 
 
 class TestTopology:

@@ -45,10 +45,35 @@ def _on_file(path: str, compute):
         raise InputError(f"{path}: {exc}") from exc
 
 
+# float's normal range: from the smallest normal double up to the magnitude
+# that float() rounds to infinity
+_FLOAT_NORMAL = (Fraction(1, 2**1022), 2**1024 - 2**970)
+
+
 def _approx(value: Fraction) -> str:
     if value.denominator == 1:
         return str(value)
-    return f"{value} (~ {float(value):.6g})"
+    if _FLOAT_NORMAL[0] <= abs(value) < _FLOAT_NORMAL[1]:
+        return f"{value} (~ {float(value):.6g})"
+    return f"{value} (~ {_exponent_form(value)})"
+
+
+def _exponent_form(value: Fraction) -> str:
+    """``value`` to 6 significant digits in the exponent form that ``.6g``
+    gives a float, worked out from the Fraction's integers: ``3.125e+399``."""
+    size = abs(value)
+    # log10(2) ~ 30103/100000 guesses the exponent; the loops make it exact
+    exponent = (size.numerator.bit_length() - size.denominator.bit_length()) * 30103 // 100000
+    while Fraction(10) ** exponent > size:
+        exponent -= 1
+    while Fraction(10) ** (exponent + 1) <= size:
+        exponent += 1
+    digits = round(size / Fraction(10) ** (exponent - 5))
+    if digits == 10**6:
+        digits, exponent = 10**5, exponent + 1
+    text = str(digits)
+    mantissa = f"{text[0]}.{text[1:]}".rstrip("0").rstrip(".")
+    return f"{'-' if value < 0 else ''}{mantissa}e{exponent:+03d}"
 
 
 def _parse_lengths(text: str) -> dict[str, str]:

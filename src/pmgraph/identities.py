@@ -17,15 +17,15 @@ point showing the discrepancy.
 
 The registry is one ordered table: ``_CERTIFICATES`` maps each name to a
 function that builds its components, and ``_PROBES`` maps each probe's name
-to a function that returns its components and its witness.  The named
-polynomials, the ``_CASES`` rows and ``_S_DECOMPOSITION`` are expanded once,
-at import; each certificate's two sides are built again on every call.  The
-names, their order and ``PROBE_NAMES`` are read off these two dicts.  The
-eight sign cases of the xiv phi bound are rows of ``_CASES`` holding
-polynomial data only: case i assumes the i-th orientation of the pairs
-(a, f), (b, e), (c, d) in ``itertools.product`` order, and one loop derives
-from it the assumption text, the substitution, ``xiv.T{i}`` and the names
-``xiv.case_{label}`` and ``xiv.T{i}_sub``.
+to a function that returns its components and its witness.  The names, their
+order and ``PROBE_NAMES`` are read off these two dicts.  Every polynomial
+below is expanded once, at import; each certificate's two sides are built
+again on every call.  The eight sign cases of the xiv phi bound keep only T
+and its displayed expansion in ``_CASES``: case i assumes the i-th
+orientation of the pairs (a, f), (b, e), (c, d) in ``itertools.product``
+order, and one loop derives from it the assumption, the substitution, the
+13- and 11-weighted terms, ``xiv.T{i}`` and the names ``xiv.case_{label}``
+and ``xiv.T{i}_sub``.
 
 Names are prefixed by family (``xiv.``, ``viii.``, ``xiii.``) or by the
 summary-inequality number (``ineq7``, ``ineq8``, ``ineq9``) because the same
@@ -173,44 +173,23 @@ def named(name: str) -> Polynomial:
 
 # -- the eight sign cases for the xiv phi bound ------------------------------
 
-# The twelve 15-weighted squares; the first case lists them in its own order,
-# the others share one order.  Both spellings denote the same polynomial and
-# are transcribed separately on purpose.
-_FIFTEEN_CASE1 = (
-    d * e * _sq(b - c) + b * d * _sq(c - e) + d * f * _sq(c - a)
-    + d * a * _sq(c - f) + a * b * _sq(e - f) + a * c * _sq(d - f)
-    + a * e * _sq(b - f) + b * c * _sq(d - e) + b * f * _sq(a - e)
-    + c * e * _sq(b - d) + c * f * _sq(a - d) + e * f * _sq(a - b)
+# Each case writes R = 2*_TWO + 13*thirteen + 15*_FIFTEEN + 11*eleven + 15*T;
+# its thirteen and eleven follow from its orientation (``_oriented``).
+_TWO = (
+    a * f * _sq(-b + c + d - e) + b * e * _sq(-a + c + d - f)
+    + c * d * _sq(-a + b + e - f)
 )
-_FIFTEEN_COMMON = (
+_FIFTEEN = (
     a * e * _sq(b - f) + a * b * _sq(e - f) + b * f * _sq(a - e)
     + e * f * _sq(a - b) + d * f * _sq(c - a) + a * d * _sq(c - f)
     + a * c * _sq(d - f) + c * f * _sq(a - d) + b * d * _sq(c - e)
     + b * c * _sq(d - e) + c * e * _sq(b - d) + d * e * _sq(b - c)
 )
-_TWO_CASE1 = (
-    c * d * _sq(b + e - a - f) + b * e * _sq(c + d - a - f)
-    + a * f * _sq(c + d - b - e)
-)
-_TWO_COMMON = (
-    a * f * _sq(-b + c + d - e) + b * e * _sq(-a + c + d - f)
-    + c * d * _sq(-a + b + e - f)
-)
 
-# One row per case, polynomial data only; each case's assumption and
-# substitution are derived from its position with the certificates below.
+# One row per case: T and its displayed expansion under the case's
+# substitution.  Both are transcribed, so that the certificates check them.
 _CASES: dict[str, dict] = {
     "I": dict(
-        two=_TWO_CASE1,
-        thirteen=(
-            b * e * _sq(a - c + d - f) + c * d * _sq(a - b + e - f)
-            + a * f * _sq(-b + c - d + e)
-        ),
-        fifteen=_FIFTEEN_CASE1,
-        eleven=(
-            c * d * (a - f) * (b - e) + b * e * (a - f) * (c - d)
-            + a * f * (b - e) * (c - d)
-        ),
         T=_poly(
             "a2bd a2ce ab2d abd2 -2abde -2abdf ac2e -2acde ace2 -2acef"
             " b2cf bc2f -2bcdf -2bcef bcf2 d2ef de2f def2"
@@ -220,16 +199,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "II": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(a + c - d - f) + c * d * _sq(a - b + e - f)
-            + a * f * _sq(-b - c + d + e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            c * d * (a - f) * (b - e) + b * e * (a - f) * (d - c)
-            + a * f * (b - e) * (d - c)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abce -2abcf abd2 ac2e -2acde ace2 -2adef"
             " b2cf bc2f -2bcdf bcf2 -2bdef d2ef de2f def2"
@@ -240,16 +209,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "III": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            c * d * _sq(a - f + b - e) + b * e * _sq(a - f - c + d)
-            + a * f * _sq(c - d + b - e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            c * d * (a - f) * (e - b) + b * e * (a - f) * (c - d)
-            + a * f * (e - b) * (c - d)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abcd -2abcf abd2 -2abde ac2e ace2 -2adef"
             " b2cf bc2f -2bcef bcf2 -2cdef d2ef de2f def2"
@@ -262,16 +221,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "IV": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(a + c - d - f) + c * d * _sq(a + b - e - f)
-            + a * f * _sq(b - c + d - e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            c * d * (a - f) * (e - b) + b * e * (a - f) * (d - c)
-            + a * f * (e - b) * (d - c)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abcd -2abce abd2 -2abdf ac2e ace2 -2acef"
             " b2cf bc2f bcf2 -2bdef -2cdef d2ef de2f def2"
@@ -282,16 +231,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "V": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(-a - c + d + f) + c * d * _sq(-a - b + e + f)
-            + a * f * _sq(-b + c - d + e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            a * f * (b - e) * (c - d) + c * d * (f - a) * (b - e)
-            + b * e * (f - a) * (c - d)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abcd -2abce abd2 -2abdf ac2e ace2 -2acef"
             " b2cf bc2f bcf2 -2bdef -2cdef d2ef de2f def2"
@@ -302,16 +241,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "VI": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(-a + c - d + f) + c * d * _sq(-a - b + e + f)
-            + a * f * _sq(-b - c + d + e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            a * f * (b - e) * (d - c) + c * d * (f - a) * (b - e)
-            + b * e * (f - a) * (d - c)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abcd -2abcf abd2 -2abde ac2e ace2 -2adef"
             " b2cf bc2f -2bcef bcf2 -2cdef d2ef de2f def2"
@@ -321,16 +250,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "VII": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(-a - c + d + f) + c * d * _sq(-a + b - e + f)
-            + a * f * _sq(b + c - d - e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            a * f * (e - b) * (c - d) + b * e * (f - a) * (c - d)
-            + c * d * (f - a) * (e - b)
-        ),
         T=_poly(
             "a2bd a2ce ab2d -2abce -2abcf abd2 ac2e -2acde ace2 -2adef"
             " b2cf bc2f -2bcdf bcf2 -2bdef d2ef de2f def2"
@@ -340,16 +259,6 @@ _CASES: dict[str, dict] = {
         ),
     ),
     "VIII": dict(
-        two=_TWO_COMMON,
-        thirteen=(
-            b * e * _sq(-a + c - d + f) + c * d * _sq(-a + b - e + f)
-            + a * f * _sq(b - c + d - e)
-        ),
-        fifteen=_FIFTEEN_COMMON,
-        eleven=(
-            a * f * (e - b) * (d - c) + b * e * (f - a) * (d - c)
-            + c * d * (f - a) * (e - b)
-        ),
         T=_poly(
             "a2bd a2ce ab2d abd2 -2abde -2abdf ac2e -2acde ace2 -2acef"
             " b2cf bc2f -2bcdf -2bcef bcf2 d2ef de2f def2"
@@ -452,39 +361,54 @@ def _nonnegative(label: str, poly: Polynomial) -> ComponentResult:
 _Components = list[ComponentResult]
 
 
-def _case(case: dict, assumption: str) -> _Components:
+def _case(case: dict, oriented: dict) -> _Components:
     decomposition = _weighted_sum([
-        (2, case["two"]), (13, case["thirteen"]), (15, case["fifteen"]),
-        (11, case["eleven"]), (15, case["T"]),
+        (2, _TWO), (13, oriented["thirteen"]), (15, _FIFTEEN),
+        (11, oriented["eleven"]), (15, case["T"]),
     ])
-    label = f"R = 2[..] + 13[..] + 15[squares] + 11[cross] + 15*T (under {assumption})"
+    label = ("R = 2[..] + 13[..] + 15[squares] + 11[cross] + 15*T"
+             f" (under {oriented['assumption']})")
     return [_equal(label, _XIV_R, decomposition)]
 
 
-def _t_sub(index: int, case: dict, subs: dict[str, Polynomial], subs_text: str) -> _Components:
+def _t_sub(index: int, case: dict, oriented: dict) -> _Components:
     return [
-        _equal(f"T{index}[{subs_text}] matches its displayed expansion",
-               case["T"].substitute(subs), case["T_sub"]),
+        _equal(f"T{index}[{oriented['subs_text']}] matches its displayed expansion",
+               case["T"].substitute(oriented["subs"]), case["T_sub"]),
         _nonnegative(f"displayed expansion of T{index} has no negative coefficient",
                      case["T_sub"]),
     ]
 
 
-# Case i assumes the i-th orientation of the pairs (a, f), (b, e), (c, d): in
-# each pair the first letter is the larger length, written as the smaller plus
-# k, m or n in pair order.
+def _oriented(pairs: tuple[str, str, str]) -> dict:
+    """What one orientation of the pairs (a, f), (b, e), (c, d) gives its case.
+    The first letter of each pair is the larger length; ``subs`` writes it as
+    the smaller plus k, m or n in pair order.  With s_p = larger - smaller and
+    pi_p the pair's product, ``thirteen`` sums pi_p (s_q - s_r)^2 and
+    ``eleven`` sums pi_p s_q s_r over the pairs p, q and r being the others."""
+    s = [Polynomial.variable(big) - Polynomial.variable(small) for big, small in pairs]
+    thirteen = eleven = Polynomial()
+    for pi, q, r in ((a * f, 1, 2), (b * e, 0, 2), (c * d, 0, 1)):
+        thirteen += pi * _sq(s[q] - s[r])
+        eleven += pi * s[q] * s[r]
+    subs = {big: Polynomial.variable(small) + step for (big, small), step in zip(pairs, (k, m, n))}
+    assumption = ", ".join(f"{big} >= {small}" for big, small in pairs)
+    subs_text = ", ".join(f"{name} = {value}" for name, value in sorted(subs.items()))
+    return dict(assumption=assumption, subs=subs, subs_text=subs_text,
+                thirteen=thirteen, eleven=eleven)
+
+
+# case i assumes the i-th orientation in ``itertools.product`` order
+_ORIENTED: dict[str, dict] = {}
 _CASE_CERTIFICATES: dict[str, Callable[[], _Components]] = {}
 _T_SUB_CERTIFICATES: dict[str, Callable[[], _Components]] = {}
 for _index, ((_label, _row), _pairs) in enumerate(
     zip(_CASES.items(), product(("af", "fa"), ("be", "eb"), ("cd", "dc"))), start=1
 ):
-    _assumption = ", ".join(f"{big} >= {small}" for big, small in _pairs)
-    _subs = {big: Polynomial.variable(small) + step
-             for (big, small), step in zip(_pairs, (k, m, n))}
-    _subs_text = ", ".join(f"{name} = {value}" for name, value in sorted(_subs.items()))
+    _ORIENTED[_label] = _oriented(_pairs)
     NAMED[f"xiv.T{_index}"] = _row["T"]
-    _CASE_CERTIFICATES[f"xiv.case_{_label}"] = partial(_case, _row, _assumption)
-    _T_SUB_CERTIFICATES[f"xiv.T{_index}_sub"] = partial(_t_sub, _index, _row, _subs, _subs_text)
+    _CASE_CERTIFICATES[f"xiv.case_{_label}"] = partial(_case, _row, _ORIENTED[_label])
+    _T_SUB_CERTIFICATES[f"xiv.T{_index}_sub"] = partial(_t_sub, _index, _row, _ORIENTED[_label])
 
 
 def _viii_phi_rewrite() -> _Components:

@@ -36,6 +36,18 @@ def _column_of(line: str, token_index: int) -> int:
     return starts[token_index] if token_index < len(starts) else len(line) + 1
 
 
+_TOKEN_LIMIT = 40
+
+
+def _shown(token: str, quote: bool = True) -> str:
+    # a length or weight token as an error message shows it; an over-long one
+    # keeps its first characters and says how long it was
+    show = repr if quote else str
+    if len(token) <= _TOKEN_LIMIT:
+        return show(token)
+    return f"{show(token[:_TOKEN_LIMIT])}... ({len(token)} characters)"
+
+
 def _error(message: str, lineno: int, line: str, token_index: int) -> ParseError:
     # every parse error names the token at token_index of the comment-stripped
     # line; its column is only worked out here, for the message
@@ -68,15 +80,19 @@ def parse_graph(text: str) -> PmGraph:
             q = 0
             if len(tokens) == 3:
                 if not tokens[2].startswith("q="):
-                    raise _error(f"expected 'q=<int>', got {tokens[2]!r}", lineno, line, 2)
+                    raise _error(f"expected 'q=<int>', got {_shown(tokens[2])}", lineno, line, 2)
                 try:
                     q = int(tokens[2][2:])
                 except ValueError:
                     raise _error(
-                        f"cannot parse weight {tokens[2][2:]!r} as an integer", lineno, line, 2
+                        f"cannot parse weight {_shown(tokens[2][2:])} as an integer",
+                        lineno, line, 2,
                     )
                 if q < 0:
-                    raise _error(f"vertex weight must be nonnegative, got {q}", lineno, line, 2)
+                    raise _error(
+                        f"vertex weight must be nonnegative, got {_shown(str(q), quote=False)}",
+                        lineno, line, 2,
+                    )
             vertices.append(Vertex(vid, q))
             vertex_ids.add(vid)
         elif kind == "edge":
@@ -93,9 +109,12 @@ def parse_graph(text: str) -> PmGraph:
             try:
                 length = as_rational(token)
             except (ValueError, ZeroDivisionError):
-                raise _error(f"cannot parse length {token!r} as a rational", lineno, line, 4)
+                raise _error(f"cannot parse length {_shown(token)} as a rational", lineno, line, 4)
             if length.numerator <= 0:
-                raise _error(f"edge length must be positive, got {token}", lineno, line, 4)
+                raise _error(
+                    f"edge length must be positive, got {_shown(token, quote=False)}",
+                    lineno, line, 4,
+                )
             edges.append(Edge(eid, u, v, length))
             edge_ids.add(eid)
         else:

@@ -2,8 +2,10 @@ import dataclasses
 import importlib
 import json
 import re
+import struct
 from fractions import Fraction
 from pathlib import Path
+from random import Random
 
 import pytest
 from click.testing import CliRunner
@@ -11,6 +13,7 @@ from click.testing import CliRunner
 from pmgraph import build, graph_to_text
 from pmgraph.cli import main
 
+DATA = Path(__file__).parent / "data"
 
 K4_TEXT = """\
 vertex 1
@@ -149,6 +152,39 @@ def test_huge_decimal_exponent_exits_2(runner, tmp_path, token):
         result = runner.invoke(main, args)
         assert result.exit_code == 2, args
         assert "cannot parse parameter" in result.output, args
+
+
+@pytest.mark.parametrize(
+    "name, approximations",
+    [
+        ("k4_lengths_1e400.graph", ["3.54167e+399", "6.69643e+399", "1.83333e+400",
+                                    "2.56944e+399"]),
+        ("k4_lengths_1e-400.graph", ["6e-400", "3.125e-401", "6e-400", "6e-400",
+                                     "3.54167e-401", "6.69643e-401", "1.83333e-400",
+                                     "2.56944e-401"]),
+    ],
+)
+def test_values_off_the_float_range_keep_their_approximation(runner, name, approximations):
+    # the unit K4's values, scaled by 10^400 or 10^-400; integers print alone
+    result = runner.invoke(main, ["invariants", str(DATA / name)])
+    assert (result.exit_code, result.exception) == (0, None)
+    assert re.findall(r"\(~ ([^)]*)\)", result.output) == approximations
+
+
+def test_the_exponent_form_is_what_6g_prints_for_a_float():
+    from pmgraph.cli import _exponent_form
+
+    rng = Random(7)
+    checked = 0
+    while checked < 3000:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        text = f"{x:.6g}"
+        if "e" in text and "inf" not in text and "nan" not in text:
+            assert _exponent_form(Fraction(x)) == text, x
+            checked += 1
+    # a carry into the next power of ten, and a tie that rounds to even
+    assert _exponent_form(Fraction(9999995, 10**406)) == "1e-399"
+    assert _exponent_form(Fraction(-1000005, 10**405)) == "-1e-399"
 
 
 @pytest.mark.parametrize("token", ["1e3", "5/2"])

@@ -6,8 +6,10 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from random import Random
 
 from click.testing import CliRunner
+from conftest import random_subdivided
 
 from pmgraph import build, graph_to_text
 from pmgraph.cli import main
@@ -15,13 +17,13 @@ from pmgraph.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _run(args, cwd):
+def _run(args, cwd, **env):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "pmgraph.cli", *args],
         capture_output=True,
         cwd=cwd,
-        env={**os.environ, "PYTHONPATH": path},
+        env={**os.environ, "PYTHONPATH": path, **env},
         timeout=120,
     )
 
@@ -55,3 +57,20 @@ def test_verify_bounds_exits_0(tmp_path):
     assert result.returncode == 0, result.stderr.decode()
     assert result.stdout.startswith(b"PASS")
     assert result.stdout == CliRunner().invoke(main, args).stdout_bytes
+
+
+def test_stdout_does_not_depend_on_the_hash_seed(tmp_path):
+    # str hashing, and so the order of a set of vertex ids, changes with
+    # PYTHONHASHSEED from one process to the next
+    graph = random_subdivided("g3.XIV", 16, Random(3))
+    assert len(graph.vertices) == 16
+    path = tmp_path / "g.graph"
+    path.write_text(graph_to_text(graph))
+    for args in (
+        ["invariants", str(path), "--json"],
+        ["resistance", str(path)],
+        ["verify", "bounds", "--samples", "5", "--json"],
+    ):
+        zero, one = (_run(args, tmp_path, PYTHONHASHSEED=seed) for seed in ("0", "1"))
+        assert (zero.returncode, one.returncode) == (0, 0), args
+        assert zero.stdout == one.stdout, args

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ from pmgraph import (
     verify_identity,
 )
 from pmgraph.cli import main
+from pmgraph.polynomials import _negative_part
 
 ONES = {v: 1 for v in "abcdef"}
 RECORDS = Path(__file__).parent / "data" / "identity_records.txt"
@@ -133,6 +135,27 @@ class TestCertificates:
         # names, order, labels, details and witnesses of all 29 entries
         text = "".join(_record(cert) for cert in verify_all())
         assert text.encode() == RECORDS.read_bytes()
+
+
+class TestSignStep:
+    """The step of the xiv phi bound that no certificate runs: each case's
+    11-weighted cross term is nonnegative because of its orientation."""
+
+    @pytest.mark.parametrize("label", list(identities_mod._CASES))
+    def test_cross_term_is_nonnegative_under_its_orientation(self, label):
+        oriented = identities_mod._ORIENTED[label]
+        assert _negative_part(oriented["eleven"].substitute(oriented["subs"])).is_zero
+        # without the substitution it is not, so the orientation carries the step
+        assert not _negative_part(oriented["eleven"]).is_zero
+
+    def test_r_alone_has_negative_coefficients(self):
+        r = named("xiv.R")
+        assert (_negative_part(r).monomial_count(), r.monomial_count()) == (15, 63)
+
+    def test_the_cases_cover_every_orientation(self):
+        # one larger letter from each of (a, f), (b, e), (c, d), all 2^3 ways
+        larger = {frozenset(oriented["subs"]) for oriented in identities_mod._ORIENTED.values()}
+        assert larger == {frozenset(pick) for pick in product("af", "be", "cd")}
 
 
 class TestFailureBranches:

@@ -157,6 +157,28 @@ class TestParse:
             parse_graph(text)
         assert str(err.value) == message
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            (f"vertex a w={7 * '7'}{4993 * '0'}\n",
+             f"line 1, column 10: expected 'q=<int>', got 'w={7 * '7'}{31 * '0'}'... (5002 characters)"),
+            (f"vertex a q={4999 * '7'}x\n",
+             f"line 1, column 10: cannot parse weight '{40 * '7'}'... (5000 characters) as an integer"),
+            (f"vertex a q=-{4000 * '7'}\n",
+             f"line 1, column 10: vertex weight must be nonnegative, got -{39 * '7'}... (4001 characters)"),
+            (f"vertex a\nedge l a a {4999 * '7'}x\n",
+             f"line 2, column 12: cannot parse length '{40 * '7'}'... (5000 characters) as a rational"),
+            (f"vertex a\nedge l a a -{4000 * '7'}\n",
+             f"line 2, column 12: edge length must be positive, got -{39 * '7'}... (4001 characters)"),
+        ],
+        ids=["not-a-weight", "weight", "negative-weight", "length", "negative-length"],
+    )
+    def test_an_over_long_token_is_cut_in_its_message(self, text, message):
+        # the 4000-digit values parse, and are then refused for their sign
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert str(err.value) == message
+
     def test_columns_are_found_only_for_errors(self, monkeypatch):
         import importlib
 

@@ -7,156 +7,115 @@ genus 3 carries independently transcribed closed forms that cross-check the
 general engine; a polynomial module certifies the symbolic identities behind
 the sharp lower bounds; a bounds module corroborates those floors by exact
 sampling and confirms the sharpness witnesses.
+
+Each public name imports its module on first use, not at ``import pmgraph``.
 """
 
-from .graph import (
-    Edge,
-    GenusData,
-    InvalidGraphError,
-    PmGraph,
-    PmGraphError,
-    UnsupportedGenusError,
-    ValidationReport,
-    Vertex,
-    as_rational,
-    canonical_divisor,
-    connected_components,
-    genus,
-    normalize,
-    one_point_union,
-    require_valid,
-    scaled,
-    subdivide,
-    validate,
-)
-from .io import (
-    ParseError,
-    graph_from_json_dict,
-    graph_to_json_dict,
-    graph_to_text,
-    parse_graph,
-)
-from .resistance import (
-    EdgeClass,
-    ResistanceMatrix,
-    classify_edges,
-    effective_resistance,
-    laplacian,
-    resistance_matrix,
-)
-from .invariants import (
-    InvariantSet,
-    delta,
-    invariant_set,
-    tau,
-    theta,
-    zhang_invariants,
-)
-from .catalog import (
-    CatalogError,
-    CrossCheckReport,
-    FamilySpec,
-    ParameterError,
-    UnknownFamilyError,
-    build,
-    check_family,
-    closed_form,
-    cross_check,
-    family,
-    list_families,
-    random_lengths,
-)
-from .polynomials import Polynomial, variables
-from .identities import (
-    IdentityCertificate,
-    PROBE_NAMES,
-    identity_names,
-    named,
-    verify_all,
-    verify_identity,
-)
-from .bounds import (
-    BoundSpec,
-    SampleReport,
-    Witness,
-    WitnessReport,
-    bound_table,
-    engine_ratio,
-    engine_ratios,
-    matching_families,
-    sample_check,
-    verify_bounds,
-    witness_check,
-)
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Edge",
-    "GenusData",
-    "InvalidGraphError",
-    "PmGraph",
-    "PmGraphError",
-    "UnsupportedGenusError",
-    "ValidationReport",
-    "Vertex",
-    "as_rational",
-    "canonical_divisor",
-    "connected_components",
-    "genus",
-    "normalize",
-    "one_point_union",
-    "require_valid",
-    "scaled",
-    "subdivide",
-    "validate",
-    "ParseError",
-    "graph_from_json_dict",
-    "graph_to_json_dict",
-    "graph_to_text",
-    "parse_graph",
-    "EdgeClass",
-    "ResistanceMatrix",
-    "classify_edges",
-    "effective_resistance",
-    "laplacian",
-    "resistance_matrix",
-    "InvariantSet",
-    "delta",
-    "invariant_set",
-    "tau",
-    "theta",
-    "zhang_invariants",
-    "CatalogError",
-    "CrossCheckReport",
-    "FamilySpec",
-    "ParameterError",
-    "UnknownFamilyError",
-    "build",
-    "check_family",
-    "closed_form",
-    "cross_check",
-    "family",
-    "list_families",
-    "random_lengths",
-    "Polynomial",
-    "variables",
-    "IdentityCertificate",
-    "PROBE_NAMES",
-    "identity_names",
-    "named",
-    "verify_all",
-    "verify_identity",
-    "BoundSpec",
-    "SampleReport",
-    "Witness",
-    "WitnessReport",
-    "bound_table",
-    "engine_ratio",
-    "engine_ratios",
-    "matching_families",
-    "sample_check",
-    "verify_bounds",
-    "witness_check",
-    "__version__",
-]
+# module -> its public names, in the order of __all__
+_EXPORTS = {
+    "graph": (
+        "Edge",
+        "GenusData",
+        "InvalidGraphError",
+        "PmGraph",
+        "PmGraphError",
+        "UnsupportedGenusError",
+        "ValidationReport",
+        "Vertex",
+        "as_rational",
+        "canonical_divisor",
+        "connected_components",
+        "genus",
+        "normalize",
+        "one_point_union",
+        "require_valid",
+        "scaled",
+        "subdivide",
+        "validate",
+    ),
+    "io": (
+        "ParseError",
+        "graph_from_json_dict",
+        "graph_to_json_dict",
+        "graph_to_text",
+        "parse_graph",
+    ),
+    "resistance": (
+        "EdgeClass",
+        "ResistanceMatrix",
+        "classify_edges",
+        "effective_resistance",
+        "laplacian",
+        "resistance_matrix",
+    ),
+    "invariants": (
+        "InvariantSet",
+        "delta",
+        "invariant_set",
+        "tau",
+        "theta",
+        "zhang_invariants",
+    ),
+    "catalog": (
+        "CatalogError",
+        "CrossCheckReport",
+        "FamilySpec",
+        "ParameterError",
+        "UnknownFamilyError",
+        "build",
+        "check_family",
+        "closed_form",
+        "cross_check",
+        "family",
+        "list_families",
+        "random_lengths",
+    ),
+    "polynomials": (
+        "Polynomial",
+        "variables",
+    ),
+    "identities": (
+        "IdentityCertificate",
+        "PROBE_NAMES",
+        "identity_names",
+        "named",
+        "verify_all",
+        "verify_identity",
+    ),
+    "bounds": (
+        "BoundSpec",
+        "SampleReport",
+        "Witness",
+        "WitnessReport",
+        "bound_table",
+        "engine_ratio",
+        "engine_ratios",
+        "matching_families",
+        "sample_check",
+        "verify_bounds",
+        "witness_check",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_MODULE_OF, "__version__"]
+
+
+def __getattr__(name: str):
+    """A submodule such as ``catalog``, or a public name read off its module.
+
+    Nothing is stored here, so a name rebound in its module reads the same here.
+    """
+    if name in _EXPORTS:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _MODULE_OF:
+        return getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS, *__all__})

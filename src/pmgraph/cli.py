@@ -5,14 +5,16 @@ finds a violation, 2 on usage or input errors.  Exit 2 is decided in two
 places: the ``main`` group turns any :class:`PmGraphError` a command raises
 into an :class:`InputError` with the same message, and :func:`_on_file`
 does the same for the commands that read a graph file, naming the file.
-All rational values are printed exactly as ``p/q`` in lowest terms;
-human-readable listings may add a decimal approximation, always prefixed
-by ``~``.
+All rational values are printed exactly as ``p/q`` in lowest terms, however
+many digits they have; human-readable listings may add a decimal
+approximation, always prefixed by ``~``.
 """
 
 from __future__ import annotations
 
 import json
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from typing import Optional
 
@@ -43,6 +45,25 @@ def _on_file(path: str, compute):
             return compute(parse_graph(handle.read()))
     except (UnicodeDecodeError, PmGraphError) as exc:
         raise InputError(f"{path}: {exc}") from exc
+
+
+@contextmanager
+def _all_digits():
+    """Lift Python's limit on int-to-str digits (3.10.7 on) while results print.
+
+    The limit is restored afterwards, also on error.  Inputs are parsed
+    before the block, under the limit; the values printed in it are the
+    engine's own, whose cost exceeds that of their ``str``.
+    """
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 # float's normal range: from the smallest normal double up to the magnitude
@@ -118,17 +139,18 @@ def main() -> None:
 def invariants(path: str, as_json: bool) -> None:
     """Compute all invariants of the graph in PATH."""
     inv = _on_file(path, invariant_set)
-    if as_json:
-        _echo_json(inv.to_json_dict())
-        return
-    for name, value in inv.named_values().items():
-        if name == "delta":
-            for index in sorted(value):
-                click.echo(f"delta{index}  = {_approx(value[index])}")
-        elif value is not None:
-            click.echo(f"{name:8s}= {_approx(value)}")
-    if inv.phi is None:
-        click.echo("phi/lambda/epsilon/Z: undefined (total genus is not 3)")
+    with _all_digits():
+        if as_json:
+            _echo_json(inv.to_json_dict())
+            return
+        for name, value in inv.named_values().items():
+            if name == "delta":
+                for index in sorted(value):
+                    click.echo(f"delta{index}  = {_approx(value[index])}")
+            elif value is not None:
+                click.echo(f"{name:8s}= {_approx(value)}")
+        if inv.phi is None:
+            click.echo("phi/lambda/epsilon/Z: undefined (total genus is not 3)")
 
 
 @main.command()
@@ -138,7 +160,8 @@ def resistance(path: str, as_json: bool) -> None:
     """Print the all-pairs effective resistance matrix of the graph in PATH."""
     rm = _on_file(path, resistance_matrix)
     order = rm.order
-    cells = [[str(rm.get(p, s)) for s in order] for p in order]
+    with _all_digits():
+        cells = [[str(rm.get(p, s)) for s in order] for p in order]
     if as_json:
         _echo_json({"order": list(order), "matrix": cells})
         return
@@ -181,13 +204,14 @@ def catalog_eval(family_id: str, lengths_text: str) -> None:
     shown = " ".join(f"{k}={assignments[k]}" for k in spec.params)
     click.echo(f"# family {family_id}: {spec.description}")
     click.echo(f"# lengths: {shown if shown else '(none)'}")
-    for key, value in closed.to_json_dict().items():
-        if key == "delta":
-            for index, dv in value.items():
-                click.echo(f"# delta{index} = {dv}")
-        else:
-            click.echo(f"# {key} = {value}")
-    click.echo(graph_to_text(graph), nl=False)
+    with _all_digits():
+        for key, value in closed.to_json_dict().items():
+            if key == "delta":
+                for index, dv in value.items():
+                    click.echo(f"# delta{index} = {dv}")
+            else:
+                click.echo(f"# {key} = {value}")
+        click.echo(graph_to_text(graph), nl=False)
 
 
 @catalog.command("check")
@@ -246,30 +270,31 @@ def table(genus: int, lengths_text: str, fmt: str) -> None:
             )
         subset = {p: assignments[p] for p in spec.params}
         rows.append((fid, subset, catalog_mod.closed_form(fid, subset)))
-    if fmt == "json":
-        _echo_json(
-            [
-                {
-                    "family": fid,
-                    "lengths": {k: str(as_rational(v)) for k, v in subset.items()},
-                    "invariants": inv.to_json_dict(),
-                }
-                for fid, subset, inv in rows
-            ]
-        )
-        return
-    # delta has one column per type: 0 and 1 on total genus 3
-    columns = ["family"] + [
-        column for name in FIELDS
-        for column in (["delta0", "delta1"] if name == "delta" else [name])
-    ]
-    click.echo(",".join(columns))
-    for fid, _subset, inv in rows:
-        data = inv.to_json_dict()
-        delta = data.pop("delta")
-        data["delta0"] = delta.get("0", "0")
-        data["delta1"] = delta.get("1", "0")
-        click.echo(",".join(str(data.get(c, "")) if c != "family" else fid for c in columns))
+    with _all_digits():
+        if fmt == "json":
+            _echo_json(
+                [
+                    {
+                        "family": fid,
+                        "lengths": {k: str(as_rational(v)) for k, v in subset.items()},
+                        "invariants": inv.to_json_dict(),
+                    }
+                    for fid, subset, inv in rows
+                ]
+            )
+            return
+        # delta has one column per type: 0 and 1 on total genus 3
+        columns = ["family"] + [
+            column for name in FIELDS
+            for column in (["delta0", "delta1"] if name == "delta" else [name])
+        ]
+        click.echo(",".join(columns))
+        for fid, _subset, inv in rows:
+            data = inv.to_json_dict()
+            delta = data.pop("delta")
+            data["delta0"] = delta.get("0", "0")
+            data["delta1"] = delta.get("1", "0")
+            click.echo(",".join(str(data.get(c, "")) if c != "family" else fid for c in columns))
 
 
 @main.group()

@@ -3,6 +3,7 @@ import importlib
 import json
 import re
 import struct
+import sys
 from fractions import Fraction
 from pathlib import Path
 from random import Random
@@ -169,6 +170,59 @@ def test_values_off_the_float_range_keep_their_approximation(runner, name, appro
     result = runner.invoke(main, ["invariants", str(DATA / name)])
     assert (result.exit_code, result.exception) == (0, None)
     assert re.findall(r"\(~ ([^)]*)\)", result.output) == approximations
+
+
+# a limit on int-to-str digits since Python 3.10.7 (4300 by default)
+_str_limit = getattr(sys, "get_int_max_str_digits", lambda: None)
+TWO_ARCS = str(DATA / "two_arcs_2500_digits.graph")
+SEVENS = f"a={'7' * 3000},b=1,c=1,d=1,e=1,f=1"
+BEYOND_THE_LIMIT = {
+    "invariants": ["invariants", TWO_ARCS],
+    "invariants --json": ["invariants", TWO_ARCS, "--json"],
+    "resistance": ["resistance", TWO_ARCS],
+    "catalog eval": ["catalog", "eval", "g3.XIV", "--lengths", SEVENS],
+    "table": ["table", "--genus", "3", "--lengths", SEVENS],
+}
+
+
+@pytest.mark.parametrize("args", BEYOND_THE_LIMIT.values(), ids=list(BEYOND_THE_LIMIT))
+def test_values_past_the_int_to_str_limit_print_in_full(runner, args):
+    limit = _str_limit()
+    result = runner.invoke(main, args)
+    assert (result.exit_code, result.exception) == (0, None)
+    assert max(map(len, re.findall(r"\d+", result.output))) > 4300
+    assert _str_limit() == limit
+
+
+def test_catalog_eval_past_the_limit_reads_back_the_same_values(runner, tmp_path):
+    result = runner.invoke(main, BEYOND_THE_LIMIT["catalog eval"])
+    assert result.exit_code == 0
+    path = tmp_path / "xiv.graph"
+    path.write_text(result.output)
+    second = runner.invoke(main, ["invariants", str(path), "--json"])
+    assert second.exit_code == 0
+    data = json.loads(second.output)
+    data.update({f"delta{index}": value for index, value in data.pop("delta").items()})
+    shown = dict(re.findall(r"^# (\w+) = (\S+)$", result.output, re.M))
+    assert shown == {key: str(value) for key, value in data.items()}
+
+
+@pytest.mark.skipif(_str_limit() is None, reason="no int-to-str limit on this Python")
+def test_inputs_are_parsed_under_the_int_to_str_limit(runner, tmp_path):
+    from pmgraph.cli import _all_digits
+
+    limit = _str_limit()
+    path = tmp_path / "long.graph"
+    path.write_text(f"vertex a q=2\nedge l a a {'3' * 5000}\n")
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert "cannot parse length '3333" in result.output
+    assert _str_limit() == limit
+    with pytest.raises(RuntimeError):
+        with _all_digits():
+            assert _str_limit() == 0
+            raise RuntimeError
+    assert _str_limit() == limit
 
 
 def test_the_exponent_form_is_what_6g_prints_for_a_float():

@@ -5,13 +5,15 @@ command line ends in exit 0, 1 or 2 with a message, never a traceback.  The
 inputs are mostly near misses of valid ones (known ids, lengths that are
 zero, negative, huge or not numbers, weights out of range), mixed with
 arbitrary text and bytes; example counts stay low to keep tier-1 fast.
+Extreme magnitudes get their own strategy: lengths whose values lie far
+outside float's range or run past Python's limit on int-to-str digits.
 """
 
 from click.testing import CliRunner
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from pmgraph import ParseError, PmGraph, list_families, parse_graph
+from pmgraph import ParseError, PmGraph, family, list_families, parse_graph
 from pmgraph.cli import main
 
 FUZZ = settings(
@@ -39,6 +41,28 @@ families = st.sampled_from(list_families() + ["g9.I", ""])
 assignments = st.lists(
     st.builds(lambda name, n: f"{name}={n}", st.sampled_from("abcdefkz"), numbers), max_size=7
 ).map(",".join)
+# decimal exponents near the cap of +-1000, and integers of 1000 to 2500
+# digits in steps of 250, each size drawn as often
+extreme = st.one_of(
+    st.builds(
+        lambda m, e: f"{m}e{e}",
+        st.integers(1, 999),
+        st.integers(-1000, -990) | st.integers(990, 1000),
+    ),
+    st.sampled_from(range(1000, 2501, 250))
+    .flatmap(lambda n: st.integers(10 ** (n - 1), 10**n - 1))
+    .map(str),
+)
+# connected: the first of 1-3 edges joins A and B
+extreme_graphs = st.builds(
+    lambda q, first, more: "\n".join(
+        [f"vertex A q={q}", "vertex B q=1", f"edge e0 A B {first}"]
+        + [f"edge e{i} {ends} {length}" for i, (ends, length) in enumerate(more, 1)]
+    ),
+    st.integers(0, 2),
+    extreme,
+    st.lists(st.tuples(st.sampled_from(["A B", "A A", "B B"]), extreme), max_size=2),
+)
 
 
 @FUZZ
@@ -94,3 +118,38 @@ def test_file_commands_exit_cleanly(tmp_path, content, command, flags):
 )
 def test_command_lines_exit_cleanly(args):
     _assert_clean(CliRunner().invoke(main, args))
+
+
+def _assert_exit_0_or_2(result):
+    _assert_clean(result)
+    assert result.exit_code in (0, 2), result.output
+
+
+@settings(FUZZ, max_examples=60)
+@given(
+    extreme_graphs,
+    st.sampled_from(["invariants", "resistance"]),
+    st.sampled_from([[], ["--json"]]),
+)
+def test_extreme_lengths_in_a_file_exit_0_or_2(tmp_path, text, command, flags):
+    path = tmp_path / "graph.txt"
+    path.write_text(text)
+    _assert_exit_0_or_2(CliRunner().invoke(main, [command, str(path), *flags]))
+
+
+@settings(FUZZ, max_examples=10)
+@given(
+    st.sampled_from([fid for fid in list_families() if family(fid).params]),
+    st.lists(extreme, min_size=6, max_size=6),
+    st.sampled_from(["csv", "json"]),
+)
+def test_extreme_lengths_on_the_command_line_exit_0_or_2(fid, literals, fmt):
+    def lengths(names):
+        return ",".join(f"{name}={literal}" for name, literal in zip(names, literals))
+
+    spec = family(fid)
+    for args in (
+        ["catalog", "eval", fid, "--lengths", lengths(spec.params)],
+        ["table", "--genus", str(spec.genus), "--lengths", lengths("abcdef"), "--format", fmt],
+    ):
+        _assert_exit_0_or_2(CliRunner().invoke(main, args))

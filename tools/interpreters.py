@@ -69,6 +69,10 @@ def _commands(work: Path) -> list[list[str]]:
         # values far outside float's range, printed with their approximations
         ["invariants", str(DATA / "k4_lengths_1e400.graph")],
         ["invariants", str(DATA / "k4_lengths_1e-400.graph")],
+        # values past the default limit of 4300 digits on int-to-str
+        ["invariants", str(DATA / "two_arcs_2500_digits.graph")],
+        ["invariants", str(DATA / "two_arcs_2500_digits.graph"), "--json"],
+        ["resistance", str(DATA / "two_arcs_2500_digits.graph")],
     ]
 
 

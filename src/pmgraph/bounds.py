@@ -17,7 +17,8 @@ checks accompany each floor:
   zero entry mark degenerate limits: the closed form is evaluated at the
   boundary point itself (the graph constructor requires positive lengths),
   and the engine is run along a shrinking-parameter sequence to confirm the
-  ratio decreases monotonically toward the floor.
+  ratio decreases monotonically toward the floor.  The closed form's ratios
+  (:func:`closed_ratios`) are read off the family's transcribed row.
 
 The single zero-length family ``g0.I`` is excluded from every ratio check.
 """
@@ -27,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from fnmatch import fnmatchcase
-from functools import cache
+from functools import cache, cached_property
 from types import MappingProxyType
 from typing import Mapping, Optional
 
@@ -70,10 +71,12 @@ class BoundSpec:
     witness: Optional[Witness] = None
 
     def matches(self, fid: str) -> bool:
-        return any(
-            fnmatchcase(fid, pattern.strip())
-            for pattern in self.selector.split(",")
-        )
+        return any(fnmatchcase(fid, pattern) for pattern in self._patterns)
+
+    @cached_property
+    def _patterns(self) -> tuple[str, ...]:
+        # the selector split once
+        return tuple(pattern.strip() for pattern in self.selector.split(","))
 
 
 @dataclass(frozen=True)
@@ -181,11 +184,20 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
 def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """The ratios of :func:`engine_ratios` from the family's closed form.
 
-    No graph is built, so a boundary witness with zero lengths evaluates.
+    The row's tau, phi, lambda and epsilon columns, and Z from its tau and
+    theta as in :func:`pmgraph.catalog.closed_form`, over ell.  No graph is
+    built, so a boundary witness with zero lengths evaluates.
     """
     _require_length(fid)
-    closed = catalog._closed_form(catalog.family(fid), dict(lengths))
-    return {name: closed.by_name(name) / closed.ell for name in _RATIOS}
+    p = catalog._Sample(lengths)
+    row = catalog.family(fid).closed(p)
+    tau, theta, _, *quartet = (value.as_integer_ratio() for value in row)
+    quartet.append(catalog._z(tau, theta))
+    ell, d = sum(p.n.values()), p.d
+    return {
+        name: Fraction(num * d, den * ell)
+        for name, (num, den) in zip(_RATIOS, [tau, *quartet])
+    }
 
 
 def _require_length(fid: str) -> None:
@@ -204,61 +216,62 @@ def sample_check(
     on which other families the selector matches.  ``only`` restricts a group
     selector to a single covered family.
     """
-    return _sample_reports([spec], samples, seed, only)[0]
+    _require_samples(samples)
+    if only is None:
+        families = matching_families(spec)
+    else:
+        _require_length(only)
+        families = [only] if _covers(spec, only) else []
+    if not families:
+        raise catalog.UnknownFamilyError(f"selector {spec.selector!r} matches no family")
+    return _sample_reports([(spec, families)], samples, seed)[0]
+
+
+def _require_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
 
 
 def _sample_reports(
-    specs: list[BoundSpec], samples: int, seed: int, only: Optional[str]
+    rows: list[tuple[BoundSpec, list[str]]], samples: int, seed: int
 ) -> list[SampleReport]:
     """:func:`sample_check` for several rows at once, one seeded pass per family.
 
-    Each covered family draws its stream once; every row covering it is
-    checked on each sample, so the reports equal one pass per row.
+    ``rows`` holds each row with the families it covers.  Each covered
+    family draws its stream once; every row covering it is checked on each
+    sample, so the reports equal one pass per row.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if only is not None:
-        _require_length(only)
-    covered = []
-    for spec in specs:
-        if only is None:
-            families = matching_families(spec)
-        else:
-            families = [only] if _covers(spec, only) else []
-        if not families:
-            raise catalog.UnknownFamilyError(
-                f"selector {spec.selector!r} matches no family"
-            )
-        covered.append(families)
     # (row index, family) -> (min ratio, its lengths, first violation)
     found: dict[tuple[int, str], tuple] = {}
-    for fid in dict.fromkeys(fid for families in covered for fid in families):
+    for fid in dict.fromkeys(fid for _, families in rows for fid in families):
         # fid has length, so its samples are solved on its validated topology;
         # each row keeps its running minimum and first violation as int pairs
         # over the lengths they were found at, and the samples are not kept
         scaled = catalog.family(fid)._scaled
-        rows = [
-            (i, spec.invariant, *spec.floor.as_integer_ratio(), spec.exact, [None, None])
-            for i, spec in enumerate(specs) if fid in covered[i]
+        checks = [
+            (i, *_RATIOS[spec.invariant], *spec.floor.as_integer_ratio(), spec.exact, [None, None])
+            for i, (spec, families) in enumerate(rows) if fid in families
         ]
         for x in catalog._seeded_lengths(fid, samples, seed):
             s = scaled(x)
-            for _, invariant, p, q, exact, kept in rows:
-                # each ratio meets the floor and the running minimum as
-                # crossed int products; only the reported ones become Fractions
-                num, den = _ratio(s, invariant)
+            tau, theta, ell = s.tau, s.theta, s.ell
+            for _, a, c, b, d, p, q, exact, kept in checks:
+                # each ratio (a tau + c theta + b ell) / (d ell), as in _ratio,
+                # meets the floor and the running minimum as crossed int
+                # products; only the reported ones become Fractions
+                num, den = a * tau + c * theta + b * ell, d * ell
                 least, bad = kept
                 if least is None or num * least[1] < least[0] * den:
                     kept[0] = num, den, x
                 if bad is None and (num * q != p * den if exact else num * q < p * den):
                     kept[1] = num, den, x
-        for i, _, _, _, _, (least, bad) in rows:
+        for i, *_, (least, bad) in checks:
             found[i, fid] = (
                 Fraction(*least[:2]), tuple(sorted(least[2].items())),
                 bad and (fid, tuple(sorted(bad[2].items())), Fraction(*bad[:2])),
             )
     reports = []
-    for i, (spec, families) in enumerate(zip(specs, covered)):
+    for i, (spec, families) in enumerate(rows):
         per_family = [(fid, *found[i, fid]) for fid in families]
         # min keeps the first least entry, and families stay in selector
         # order, so this is the minimum a single pass over the row finds
@@ -340,19 +353,18 @@ def verify_bounds(
     Each covered family is sampled in one seeded pass shared by its rows, and
     each distinct witness point is evaluated once for all its rows.
     """
-    if family is not None:
+    if family is None:
+        rows = [(spec, matching_families(spec)) for spec in _TABLE]
+    else:
         catalog.family(family)  # an unknown family is named before the row filter
-    specs = [
-        spec for spec in _TABLE if family is None or _covers(spec, family)
-    ]
-    if not specs:
-        raise catalog.UnknownFamilyError(
-            f"no bound row covers family {family!r}"
-        )
+        rows = [(spec, [family]) for spec in _TABLE if _covers(spec, family)]
+        if not rows:
+            raise catalog.UnknownFamilyError(f"no bound row covers family {family!r}")
+    _require_samples(samples)
     engine, closed = _once(engine_ratios), _once(closed_ratios)
     return [
         (report, _witness_check(report.spec, engine, closed) if report.spec.witness else None)
-        for report in _sample_reports(specs, samples, seed, family)
+        for report in _sample_reports(rows, samples, seed)
     ]
 
 

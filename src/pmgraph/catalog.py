@@ -48,6 +48,8 @@ numerators with the closed row by crossed products and builds a
 :class:`CrossCheckReport`, with its ``Fraction`` values, only for a sample
 that disagrees.  :func:`build`, :func:`cross_check` and :func:`closed_form`
 take lengths from users and check them on every call.
+The samples come from :func:`random_lengths`, which reads a table rather
+than make a ``Fraction`` per draw, on the same stream.
 """
 
 from __future__ import annotations
@@ -55,8 +57,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import lcm
+from functools import cache, cached_property
+from math import gcd, lcm
 from operator import mul
 from typing import Callable, Iterator, Mapping, Optional, Sequence
 
@@ -405,12 +407,17 @@ def _closed_form(spec: FamilySpec, p: Lengths) -> InvariantSet:
     p = _Sample(p)
     tau_v, theta_v, delta1, phi_v, lam_v, eps_v = spec.closed(p)
     ell = Fraction(sum(p.n.values()), p.d)
-    (tn, td), (hn, hd) = tau_v.as_integer_ratio(), theta_v.as_integer_ratio()
     return InvariantSet(
         ell=ell, g=spec.genus, gbar=3, tau=tau_v, theta=theta_v,
         delta={0: ell - delta1, 1: delta1}, phi=phi_v, lam=lam_v, epsilon=eps_v,
-        z=Fraction(40 * tn * hd + hn * td, 72 * td * hd),  # (40 tau + theta) / 72
+        z=Fraction(*_z(tau_v.as_integer_ratio(), theta_v.as_integer_ratio())),
     )
+
+
+def _z(tau: tuple[int, int], theta: tuple[int, int]) -> tuple[int, int]:
+    # Z = (40 tau + theta) / 72 as an int pair, from tau's and theta's
+    (tn, td), (hn, hd) = tau, theta
+    return 40 * tn * hd + hn * td, 72 * td * hd
 
 
 def build(fid: str, lengths: Mapping[str, RationalLike]) -> PmGraph:
@@ -459,8 +466,41 @@ def cross_check(fid: str, lengths: Mapping[str, RationalLike]) -> CrossCheckRepo
 
 
 def random_lengths(params: Sequence[str], rng: random.Random) -> Lengths:
-    """Strictly positive rational lengths, numerator and denominator in 1..64."""
-    return {name: Fraction(rng.randint(1, 64), rng.randint(1, 64)) for name in params}
+    """Strictly positive rational lengths, numerator and denominator in 1..64.
+
+    Each value is ``Fraction(rng.randint(1, 64), rng.randint(1, 64))``, on
+    the same stream.  On exactly ``random.Random``, ``randint(1, 64)`` is
+    ``1 + getrandbits(7)``, drawn again while above 64, so the draw takes
+    those bits itself and reads the value from a 64 x 64 table.  Any other
+    rng is asked for ``randint``: a subclass that overrides ``random()``
+    draws it without ``getrandbits``.
+    """
+    if type(rng) is not random.Random:
+        return {name: Fraction(rng.randint(1, 64), rng.randint(1, 64)) for name in params}
+    table = _drawn()
+    bits = rng.getrandbits
+    lengths = {}
+    for name in params:
+        p = bits(7)
+        while p >= 64:
+            p = bits(7)
+        q = bits(7)
+        while q >= 64:
+            q = bits(7)
+        lengths[name] = table[p << 6 | q]
+    return lengths
+
+
+@cache
+def _drawn() -> tuple[Fraction, ...]:
+    # Fraction(p, q) at index 64 (p - 1) + (q - 1) for p, q in 1..64, built
+    # on first use; equal values share the object made at the reduced p/q
+    drawn = []
+    for p in range(1, 65):
+        for q in range(1, 65):
+            g = gcd(p, q)
+            drawn.append(drawn[(p // g - 1) * 64 + q // g - 1] if g > 1 else Fraction(p, q))
+    return tuple(drawn)
 
 
 def _seeded_lengths(fid: str, samples: int, seed: int) -> Iterator[Lengths]:
@@ -502,7 +542,7 @@ def _agrees(s: resistance._Scaled, row: ClosedRow, p: _Sample) -> bool:
     (tn, td), (hn, hd), (an, ad), *quartet = (value.as_integer_ratio() for value in row)
     delta0, delta1 = _delta_sums(3, s).values()
     den, q = s.den, s.q
-    quartet.append((40 * tn * hd + hn * td, 72 * td * hd))
+    quartet.append(_z((tn, td), (hn, hd)))
     pairs = [
         (s.ell, den, ell, d),
         (s.tau, den, tn, td),

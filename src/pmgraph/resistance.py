@@ -145,10 +145,11 @@ def _dense_green(n: int, ground: int, edges: list, weights: dict[int, int]) -> t
 
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
     """
-    m = lcm(*(length.numerator for _, _, length in edges))
+    ratios = [(i, j, *length.as_integer_ratio()) for i, j, length in edges]
+    m = lcm(*(num for _, _, num, _ in ratios))
     lap = [[0] * n for _ in range(n)]
-    for i, j, length in edges:
-        w = m // length.numerator * length.denominator
+    for i, j, num, den in ratios:
+        w = m // num * den
         lap[i][i] += w
         lap[j][j] += w
         lap[i][j] -= w
@@ -356,7 +357,7 @@ def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, 
 _Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x r")
 
 
-def _scale(rm: ResistanceMatrix) -> _Scaled:
+def _scale(rm: ResistanceMatrix, values: bool = True) -> _Scaled:
     """Put the solve ``rm`` on one integer denominator ``q``, once.
 
     The edges' ends and lengths are the ones ``rm`` solved, and theta's
@@ -365,18 +366,25 @@ def _scale(rm: ResistanceMatrix) -> _Scaled:
     ``q Z = r N``, theta's ``q Z K = r X``, ``q L`` and ``q / L`` are all
     ints.  ``N`` is read on the diagonal and on each edge; only the entries
     read are multiplied by ``r``.  Tau is read at the vertex ``rm`` is
-    grounded at.
+    grounded at.  With ``values`` false (for :func:`classify_edges`), tau
+    and theta are not summed, and ``tau``, ``theta``, ``ell`` and ``den``
+    are ``None``.
     """
     topology, lengths, t = rm._topology, rm._lengths, rm._t
     ends, weights, x = topology.ends, topology.divisor, rm._x
-    q = lcm(t, *(length.numerator * length.denominator for length in lengths))
+    ratios = [length.as_integer_ratio() for length in lengths]
+    q = lcm(t, *(num * den for num, den in ratios))
     r = q // t
     green = {**rm._green, topology.ground: {}}
-    scaled = [length.numerator * (q // length.denominator) for length in lengths]
-    edges = [
-        (i, j, l, q // length.numerator * length.denominator)
-        for (i, j), length, l in zip(ends, lengths, scaled)
-    ]
+    scaled = [num * (q // den) for num, den in ratios]
+    if not values:
+        # _core's bridge test alone: rho == l on each edge
+        bridges = [
+            r * (green[i].get(i, 0) + green[j].get(j, 0) - 2 * green[i].get(j, 0)) == l
+            for (i, j), l in zip(ends, scaled)
+        ]
+        return _Scaled(q, scaled, bridges, None, None, None, None, ends, x, r)
+    edges = [(i, j, l, q // num * den) for (i, j), (num, den), l in zip(ends, ratios, scaled)]
     tau, theta, bridges = _core(edges, green, r, topology.weights, x, sum(weights.values()))
     s = 12 * q * q
     return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x, r)
@@ -451,7 +459,7 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     negative canonical divisor coefficient at its far end.
     """
     rm, where = _reduced(g)
-    sides = _sides(rm._topology.genus.gbar, _scale(rm))
+    sides = _sides(rm._topology.genus.gbar, _scale(rm, False))  # no tau or theta
     if where is not None:
         sides = [sides[k] if same or not sides[k] else sides[k][::-1] for k, same in where]
     return {

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 from fractions import Fraction
 from math import prod
@@ -20,7 +21,8 @@ from pmgraph import (
     verify_bounds,
     witness_check,
 )
-from pmgraph.bounds import closed_ratios
+from pmgraph.bounds import _RATIOS, closed_ratios
+from pmgraph.catalog import FAMILIES, _closed_form
 from pmgraph.polynomials import Polynomial
 from pmgraph.resistance import _adjugate
 
@@ -281,6 +283,37 @@ class TestClosedRatios:
         ratios = closed_ratios(fid, lengths)
         assert ratios["phi"] == Fraction(1, 16)
         assert list(ratios) == ["tau", "phi", "lambda", "epsilon", "Z"]
+
+    def test_equal_to_the_closed_form_over_ell_at_every_witness(self):
+        # boundary witnesses with zero lengths included, where closed_form
+        # itself refuses the lengths
+        witnesses = [spec.witness for spec in bound_table() if spec.witness]
+        assert any(witness.is_boundary for witness in witnesses)
+        for witness in witnesses:
+            closed = _closed_form(family(witness.family), dict(witness.lengths))
+            expected = {name: closed.by_name(name) / closed.ell for name in _RATIOS}
+            assert closed_ratios(witness.family, witness.lengths) == expected
+
+    @pytest.mark.parametrize("fid", ["g1.IX", "g2.VIII", "g3.XIV"])
+    def test_a_forged_phi_column_moves_the_closed_ratio_and_not_the_engine(
+        self, fid, monkeypatch
+    ):
+        # the closed route reads the transcribed row, and the engine never does
+        spec = family(fid)
+        lengths = {name: Fraction(k + 1, 3) for k, name in enumerate(spec.params)}
+        closed, engine = closed_ratios(fid, lengths), engine_ratios(fid, lengths)
+        assert closed == engine
+        shift = Fraction(1, 10**9)
+
+        def forged(p):
+            row = list(spec.closed(p))
+            row[3] += shift
+            return tuple(row)
+
+        monkeypatch.setitem(FAMILIES, fid, dataclasses.replace(spec, closed=forged))
+        ell = sum(lengths.values())
+        assert closed_ratios(fid, lengths) == {**closed, "phi": closed["phi"] + shift / ell}
+        assert engine_ratios(fid, lengths) == engine
 
     def test_verify_bounds_names_an_unknown_family(self):
         for fid in ("g9.X", "g3.Z"):

@@ -404,6 +404,44 @@ class TestCrossCheck:
             assert value.denominator <= 64
 
 
+class _OwnRandom(random.Random):
+    # overrides random() and not getrandbits(), so its randint draws through
+    # random() and takes another stream than a plain Random's
+    def random(self):
+        return super().random()
+
+
+class _OnlyRandint:
+    # an rng with randint alone, over the stream of a wrapped Random
+    def __init__(self, seed):
+        self.stream = random.Random(seed)
+
+    def randint(self, a, b):
+        return self.stream.randint(a, b)
+
+
+class TestRandomLengths:
+    """Whatever the rng, each value is Fraction(rng.randint(1, 64),
+    rng.randint(1, 64)), and the draw leaves the stream where those calls
+    leave it."""
+
+    @pytest.mark.parametrize(
+        "make", [random.Random, _OwnRandom, _OnlyRandint],
+        ids=["Random", "subclass-overriding-random", "randint-only"],
+    )
+    def test_each_value_is_randint_over_randint_on_the_same_stream(self, make):
+        params = tuple("abcdef")
+        for seed in range(200):
+            rng, twin = make(seed), make(seed)
+            for _ in range(50):
+                expected = [
+                    (name, Fraction(twin.randint(1, 64), twin.randint(1, 64))) for name in params
+                ]
+                assert list(random_lengths(params, rng).items()) == expected
+            rng, twin = (getattr(r, "stream", r) for r in (rng, twin))
+            assert rng.random() == twin.random()
+
+
 def _draws(fid, samples, seed):
     rng = random.Random(f"{fid}:{seed}")
     return [random_lengths(family(fid).params, rng) for _ in range(samples)]

@@ -1,0 +1,173 @@
+"""Count the bytecode instructions each benchmark op executes, per commit.
+
+Usage, from a pmgraph checkout::
+
+    python3 tools/work.py [--python PYTHON] [--workload NAME ...] REF [REF ...]
+
+Wall time on a shared host drifts from run to run; the number of bytecode
+instructions an op executes does not.  Each REF is exported with
+``git archive`` into ``.bench_build/work/<commit>``, and each export is run
+in its own process of PYTHON, which must be Python 3.12 (default
+``python3.12``).  That process builds the workload's ops with the export's
+own ``bench/workloads.py`` at seed 1, keeps the first ``TRACE_PASS`` of them
+(the leading ops that visit the workload's mix evenly), runs each one once
+to warm up, and then counts one pass of each op through the export's
+``bench/run.py`` ``run_command``, with one ``sys.monitoring`` INSTRUCTION
+callback.  The interpreter that runs this script must import click: its
+pure-Python packages are linked for PYTHON as ``tools/interpreters.py``
+links them.
+
+Each REF is counted twice, in fresh processes under the hash seeds 0 and 1,
+and the script exits 1 if the two counts differ, or if two REFs of the same
+tree read different counts.  It prints, per workload, each REF's
+instructions per op and its ratio to the first REF.  A tree compared with
+itself reads a ratio of exactly 1.  Child processes write no bytecode.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from fractions import Fraction
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+EXPORTS = ROOT / ".bench_build" / "work"
+WORKLOADS = ("catalog-verify", "subdivided-g3", "certificates")
+SEED = 1
+HASH_SEEDS = ("0", "1")
+LIMITS = """\
+Limits: only interpreted bytecode is counted, so no C-level work is seen:
+big-integer arithmetic, math.gcd and math.lcm, str of large ints, and dict,
+set and regex operations cost nothing here.  It runs on Python 3.12 only,
+and counts compare only between runs of one interpreter.  Quote it beside
+wall-time numbers, never in place of them."""
+
+
+def count(tree: str, workload: str) -> None:
+    """Run in the PYTHON process: print the ops counted and their total
+    instructions as one JSON line."""
+    if sys.version_info[:2] != (3, 12):
+        raise SystemExit(f"error: instructions are counted on Python 3.12, not {sys.version}")
+    sys.path.insert(0, str(Path(tree) / "bench"))
+    import run
+    import workloads
+
+    pm = run.load_program()
+    main = sys.modules["pmgraph.cli"].main
+    monitoring = sys.monitoring
+    tool, event = monitoring.PROFILER_ID, monitoring.events.INSTRUCTION
+    total = 0
+
+    def tick(code, offset):
+        nonlocal total
+        total += 1
+
+    with tempfile.TemporaryDirectory() as work:
+        ops = workloads.make_ops(workload, pm, SEED, Path(work))[: workloads.TRACE_PASS[workload]]
+        for op in ops:
+            for args in op.commands:
+                run.run_command(main, args)
+        monitoring.use_tool_id(tool, "work")
+        monitoring.register_callback(tool, event, tick)
+        for op in ops:
+            monitoring.set_events(tool, event)
+            for args in op.commands:
+                run.run_command(main, args)
+            monitoring.set_events(tool, 0)
+        monitoring.free_tool_id(tool)
+    print(json.dumps({"ops": len(ops), "instructions": total}))
+
+
+def _git(*args: str) -> bytes:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, check=True).stdout
+
+
+def _export(commit: str) -> Path:
+    # the commit's files, once per commit; a partial export is redone
+    tree = EXPORTS / commit
+    if not tree.is_dir():
+        partial = EXPORTS / f"{commit}.partial"
+        shutil.rmtree(partial, ignore_errors=True)
+        partial.mkdir(parents=True)
+        with tarfile.open(fileobj=io.BytesIO(_git("archive", commit))) as archive:
+            archive.extractall(partial, filter="data")
+        partial.rename(tree)
+    return tree
+
+
+def _counted(python: str, tree: Path, workload: str, env: dict) -> tuple[int, int]:
+    tools = str(ROOT / "tools")
+    code = f"import sys; sys.path.insert(0, {tools!r}); import work; work.count(*sys.argv[1:])"
+    child = subprocess.run(
+        [python, "-c", code, str(tree), workload], capture_output=True, env=env, timeout=3600
+    )
+    if child.returncode:
+        error = child.stderr.decode()
+        raise SystemExit(f"error: counting {tree.name} on {workload} failed:\n{error}")
+    result = json.loads(child.stdout.decode().splitlines()[-1])
+    return result["ops"], result["instructions"]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("refs", nargs="+", metavar="REF")
+    parser.add_argument("--python", default="python3.12", help="a Python 3.12 interpreter")
+    parser.add_argument("--workload", action="append", choices=WORKLOADS)
+    options = parser.parse_args()
+    sys.path.insert(0, str(ROOT / "tools"))
+    from interpreters import _link_packages
+
+    commits = [_git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
+               for ref in options.refs]
+    trees = [_git("rev-parse", f"{commit}^{{tree}}").decode().strip() for commit in commits]
+    width = max(len(ref) for ref in options.refs)
+    version = subprocess.run(
+        [options.python, "-c", "import sys; print(sys.version.split()[0])"],
+        capture_output=True, text=True,
+    ).stdout.strip()
+    if not version.startswith("3.12."):
+        print(f"error: {options.python} is Python {version or '?'}, not 3.12", file=sys.stderr)
+        return 1
+    print(f"Bytecode instructions per op, counted with sys.monitoring on Python {version}, "
+          f"seed {SEED}.")
+    print(LIMITS)
+    failed = False
+    with tempfile.TemporaryDirectory() as links:
+        _link_packages(Path(links))
+        base = {**os.environ, "PYTHONPATH": links, "PYTHONDONTWRITEBYTECODE": "1"}
+        for workload in options.workload or WORKLOADS:
+            per_op = []
+            for ref, commit in zip(options.refs, commits):
+                tree = _export(commit)
+                counts = {
+                    _counted(options.python, tree, workload, {**base, "PYTHONHASHSEED": seed})
+                    for seed in HASH_SEEDS
+                }
+                if len(counts) != 1:
+                    print(f"error: {ref} counted {sorted(counts)} on {workload}", file=sys.stderr)
+                    failed = True
+                ops, total = min(counts)
+                per_op.append(Fraction(total, ops))
+            for i, j in ((i, j) for i in range(len(trees)) for j in range(i) if trees[i] == trees[j]):
+                if per_op[i] != per_op[j]:
+                    print(f"error: {options.refs[j]} and {options.refs[i]} are one tree "
+                          f"and counted differently on {workload}", file=sys.stderr)
+                    failed = True
+            print(f"\n{workload}, first {ops} ops")
+            print(f"  {'REF':{width}s}  {'commit':12s} {'instructions/op':>16s} {'ratio':>8s}")
+            for ref, commit, value in zip(options.refs, commits, per_op):
+                ratio = value / per_op[0]
+                print(f"  {ref:{width}s}  {commit[:12]:12s} {float(value):16.1f} {float(ratio):8.4f}")
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

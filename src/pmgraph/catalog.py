@@ -44,10 +44,11 @@ Each family validates its topology once, on first use, and keeps it as the
 engine's ``_Topology``, which carries the canonical divisor and the genus; a
 sample is solved on it by ``_Topology.solve`` and scaled by ``_scale``, with
 no graph built or validated.  ``check_family`` compares the engine's integer
-numerators with the closed row by crossed products and builds a
-:class:`CrossCheckReport`, with its ``Fraction`` values, only for a sample
-that disagrees.  :func:`build`, :func:`cross_check` and :func:`closed_form`
-take lengths from users and check them on every call.
+numerators with the closed row by crossed products, stopping at the first
+that differs, and builds a :class:`CrossCheckReport`, with its ``Fraction``
+values, only for a sample that disagrees.  :func:`build`,
+:func:`cross_check` and :func:`closed_form` take lengths from users and
+check them on every call.
 The samples come from :func:`random_lengths`, which reads a table rather
 than make a ``Fraction`` per draw, on the same stream.
 """
@@ -536,22 +537,18 @@ def check_family(
 
 def _agrees(s: resistance._Scaled, row: ClosedRow, p: _Sample) -> bool:
     # cross_check's comparison of every value of total genus 3 but g and gbar,
-    # as crossed int products: the engine's numerators over s.den (delta's
-    # over s.q) against the closed row at p, with Z = (40 tau + theta) / 72
-    d, ell = p.d, sum(p.n.values())
-    (tn, td), (hn, hd), (an, ad), *quartet = (value.as_integer_ratio() for value in row)
-    delta0, delta1 = _delta_sums(3, s).values()
-    den, q = s.den, s.q
-    quartet.append(_z((tn, td), (hn, hd)))
-    pairs = [
-        (s.ell, den, ell, d),
-        (s.tau, den, tn, td),
-        (s.theta, den, hn, hd),
-        (delta0, q, ell * ad - an * d, d * ad),
-        (delta1, q, an, ad),
-        *(
-            (a * s.tau + s.theta + b * s.ell, k * den, *closed)
-            for (a, b, k), closed in zip(_QUARTET.values(), quartet)
-        ),
-    ]
-    return all(x * cd == c * y for x, y, c, cd in pairs)
+    # as crossed int products that stop at the first mismatch: the engine's
+    # numerators over s.den (delta1's over s.q) against the closed row at p.
+    # delta0 is ell - delta1 and Z is (40 tau + theta) / 72 on both sides, so
+    # they agree once ell, delta1, tau and theta do
+    den, tau, theta, ell = s.den, s.tau, s.theta, s.ell
+    if ell * p.d != sum(p.n.values()) * den:
+        return False
+    (tn, td), (hn, hd), (an, ad), *quartet = [value.as_integer_ratio() for value in row]
+    if tau * td != tn * den or theta * hd != hn * den or _delta_sums(3, s)[1] * ad != an * s.q:
+        return False
+    # phi, lambda and epsilon: the closed row has no Z, so zip stops before it
+    for (a, b, k), (n, d) in zip(_QUARTET.values(), quartet):
+        if (a * tau + theta + b * ell) * d != n * k * den:
+            return False
+    return True

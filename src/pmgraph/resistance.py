@@ -14,7 +14,8 @@ value.  Two producers give them, chosen by the number of vertices
 * up to 4 vertices, the stable bound for total genus 3, the cofactors of
   the integer Laplacian ``M A``, ``M`` the lcm of the length numerators,
   give ``T = det(M A)``, ``N = M adj(M A)`` and ``X`` with ``+``, ``-``
-  and ``*`` alone;
+  and ``*`` alone; ``M A`` is filled from the topology's stamp, each
+  non-loop edge's slots in the grounded matrix, built on its first solve;
 * above, ``A = L D L^T`` is factored over ``Fraction``, always eliminating
   the vertex with the fewest remaining neighbours (ties go to the earlier
   vertex, so the work is deterministic); on the graphs pm-graph invariants
@@ -30,9 +31,11 @@ vertices the caller does not name (resistances in series add, so ``K``,
 the genus, each bridge's side genera and the resistance between kept
 vertices stay), and solve what is left once by ``_Topology.solve``, a
 validated graph's vertex order, ground, edge ends and ``K`` at one length
-per edge.  ``_scale`` puts a solve's lengths, ``N`` and ``X`` on one integer
-denominator ``q``, a multiple of ``T``, so tau, theta, the bridge test and
-each bridge's side genera (see :func:`classify_edges`) run on ints after it.
+per edge.  The solve reads each length's ``as_integer_ratio()`` once and
+keeps the pairs, and ``_scale`` puts its lengths, ``N`` and ``X`` on one
+integer denominator ``q``, a multiple of ``T``, from those same pairs, so
+tau, theta, the bridge test and each bridge's side genera (see
+:func:`classify_edges`) run on ints after it.
 """
 
 from __future__ import annotations
@@ -124,39 +127,57 @@ def _factor(adj: dict[int, dict[int, Fraction]], diag: dict[int, Fraction], y: d
     return elim, pivots, cols
 
 
-def _green(n: int, ground: int, edges: list, weights: dict[int, int], every: bool) -> tuple:
-    """``(T, N, X)`` for the Laplacian of ``n`` vertices grounded at
-    ``ground``: one integer ``T``, ``N = T Z`` with ``Z`` the grounded
-    Green's function, on the diagonal and on each edge (``every``: on every
-    pair), and ``X = N w`` for ``weights`` off the ground, by vertex index.
+def _green(topology: _Topology, ratios: list, every: bool) -> tuple:
+    """``(T, N, X)`` for ``topology``'s Laplacian grounded at its ground:
+    one integer ``T``, ``N = T Z`` with ``Z`` the grounded Green's function,
+    on the diagonal and on each edge (``every``: on every pair), and
+    ``X = N w`` for its ``weights``, by vertex index.
 
-    ``edges`` holds ``(i, j, length)`` for every edge that is not a loop.
-    Graphs of at most ``DENSE_VERTICES`` vertices take the dense producer,
-    which gives every pair, larger ones the sparse one.
+    ``ratios`` holds each edge's length as ``as_integer_ratio()`` pairs, in
+    edge order, loops included.  Graphs of at most ``DENSE_VERTICES``
+    vertices take the dense producer, which gives every pair, larger ones
+    the sparse one.
     """
-    if n <= DENSE_VERTICES:
-        return _dense_green(n, ground, edges, weights)
-    return _sparse_green(n, ground, edges, weights, every)
+    if len(topology.order) <= DENSE_VERTICES:
+        return _dense_green(topology, ratios)
+    return _sparse_green(topology, ratios, every)
 
 
-def _dense_green(n: int, ground: int, edges: list, weights: dict[int, int]) -> tuple:
+# the dense producer's plan for one topology: the unknowns (every vertex
+# index but the ground's), the positions of the edges that are not loops,
+# and their slots in the row-major grounded matrix, the ground's row and
+# column left out: ``(position, slot)`` on the diagonal for an edge at the
+# ground, ``(position, ii, jj, ij, ji)`` for one between two unknowns
+_Stamp = namedtuple("_Stamp", "unknowns live grounded free")
+
+
+def _dense_green(topology: _Topology, ratios: list) -> tuple:
     """``T = det(M A)``, ``N = M adj(M A)`` on every pair and ``X = N w``
-    from the cofactors of the integer Laplacian ``M A`` grounded at ``ground``.
+    from the cofactors of the integer Laplacian ``M A`` grounded at the
+    topology's ground.
 
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
+    Each ``M / L`` is added into its edge's slots of the topology's stamp,
+    built on its first solve, so the grounded matrix is filled directly,
+    with no ``n x n`` Laplacian built and cut down per call.
     """
-    ratios = [(i, j, *length.as_integer_ratio()) for i, j, length in edges]
-    m = lcm(*(num for _, _, num, _ in ratios))
-    lap = [[0] * n for _ in range(n)]
-    for i, j, num, den in ratios:
+    unknowns, live, grounded, free = topology.stamp
+    size = len(unknowns)
+    m = lcm(*[ratios[e][0] for e in live])
+    a = [0] * (size * size)
+    for e, k in grounded:
+        num, den = ratios[e]
+        a[k] += m // num * den
+    for e, ii, jj, ij, ji in free:
+        num, den = ratios[e]
         w = m // num * den
-        lap[i][i] += w
-        lap[j][j] += w
-        lap[i][j] -= w
-        lap[j][i] -= w
-    unknowns = [v for v in range(n) if v != ground]
-    t, adj = _adjugate([[lap[i][j] for j in unknowns] for i in unknowns])
+        a[ii] += w
+        a[jj] += w
+        a[ij] -= w
+        a[ji] -= w
+    t, adj = _adjugate([a[k * size:k * size + size] for k in range(size)])
     green = {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
+    weights = topology.weights
     return t, green, {v: sum(row[j] * c for j, c in weights.items()) for v, row in green.items()}
 
 
@@ -177,7 +198,7 @@ def _adjugate(a: list) -> tuple:
     return 1, ()
 
 
-def _sparse_green(n: int, ground: int, edges: list, weights: dict[int, int], every: bool) -> tuple:
+def _sparse_green(topology: _Topology, ratios: list, every: bool) -> tuple:
     """``T = det(A) prod_e num(L_e)``, ``N = T Z`` on the filled pattern
     (``every``: on every pair) and ``X = N w``, by the minimum-degree factor
     and the Takahashi recurrence on ints.
@@ -194,18 +215,21 @@ def _sparse_green(n: int, ground: int, edges: list, weights: dict[int, int], eve
     divided exactly by ``delta_v``; ``T delta_v u_v / d_v`` is an int, being
     ``delta_v X_v - sum_a delta_v l_av X_a``, though ``T u_v`` need not be.
     """
-    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(n) if i != ground}
+    ground = topology.ground
+    adj: dict[int, dict[int, Fraction]] = {i: {} for i in range(len(topology.order)) if i != ground}
     diag = dict.fromkeys(adj, Fraction(0))
     numerators = 1
-    for i, j, length in edges:
-        numerators *= length.numerator
-        c = Fraction(length.denominator, length.numerator)
+    for (i, j), (num, den) in zip(topology.ends, ratios):
+        if i == j:
+            continue
+        numerators *= num
+        c = Fraction(den, num)
         for a, b in ((i, j), (j, i)):
             if a != ground:
                 diag[a] += c
                 if b != ground:
                     adj[a][b] = adj[a].get(b, 0) + c
-    u = dict(weights)
+    u = dict(topology.weights)
     elim, pivots, cols = _factor(adj, diag, u)
     t, den = numerators, 1
     for d in pivots.values():
@@ -243,10 +267,10 @@ class ResistanceMatrix:
     ``_Topology.solve``), and ``get`` raises ``KeyError`` on any other pair.
     """
 
-    def __init__(self, topology: _Topology, lengths: list, t: int, green: dict, x: dict) -> None:
+    def __init__(self, topology: _Topology, ratios: list, t: int, green: dict, x: dict) -> None:
         self.order = topology.order
         self._topology = topology
-        self._lengths = lengths
+        self._ratios = ratios
         self._t = t
         self._green = green
         self._x = x
@@ -285,7 +309,8 @@ class _Topology:
     index, ``ground`` is the grounded vertex's index, ``ends`` holds each
     edge's ``(i, j)`` in edge order, loops included, ``divisor`` the nonzero
     coefficients of the canonical divisor ``K`` by vertex index, and
-    ``weights`` those off the ground, theta's weights."""
+    ``weights`` those off the ground, theta's weights.  ``stamp`` is the
+    dense producer's plan, built on the first solve that reads it."""
 
     order: tuple[str, ...]
     index: dict[str, int]
@@ -315,13 +340,34 @@ class _Topology:
         betti = len(self.ends) - len(self.order) + 1
         return GenusData(betti, sum(self.divisor.values()) // 2 + 1)
 
+    @cached_property
+    def stamp(self) -> _Stamp:
+        # vertex v has row v - (v > ground) once the ground's row is left out
+        ground, n = self.ground, len(self.order)
+        size = n - 1
+        live, grounded, free = [], [], []
+        for position, (i, j) in enumerate(self.ends):
+            if i == j:
+                continue
+            live.append(position)
+            k, l = i - (i > ground), j - (j > ground)
+            if i == ground:
+                grounded.append((position, l * size + l))
+            elif j == ground:
+                grounded.append((position, k * size + k))
+            else:
+                free.append((position, k * size + k, l * size + l, k * size + l, l * size + k))
+        return _Stamp((*range(ground), *range(ground + 1, n)), live, grounded, free)
+
     def solve(self, lengths: list, every: bool = False) -> ResistanceMatrix:
         """The one exact solve, at a positive length per edge in edge order:
         ``N`` on the diagonal and each edge by index (``every``: on every
-        pair), and ``X = N K`` over ``weights``."""
-        edges = [(i, j, length) for (i, j), length in zip(self.ends, lengths) if i != j]
-        t, green, x = _green(len(self.order), self.ground, edges, self.weights, every)
-        return ResistanceMatrix(self, lengths, t, green, x)
+        pair), and ``X = N K`` over ``weights``.  Each length's
+        ``as_integer_ratio()`` is read once, here, for the producer and for
+        ``_scale``."""
+        ratios = [length.as_integer_ratio() for length in lengths]
+        t, green, x = _green(self, ratios, every)
+        return ResistanceMatrix(self, ratios, t, green, x)
 
 
 def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
@@ -364,15 +410,15 @@ def _scale(rm: ResistanceMatrix, values: bool = True) -> _Scaled:
     weights are its topology's ``K``.  ``q`` is the lcm of the solve's ``T``
     and of ``num * den`` of each edge length, so ``r = q / T``,
     ``q Z = r N``, theta's ``q Z K = r X``, ``q L`` and ``q / L`` are all
-    ints.  ``N`` is read on the diagonal and on each edge; only the entries
-    read are multiplied by ``r``.  Tau is read at the vertex ``rm`` is
-    grounded at.  With ``values`` false (for :func:`classify_edges`), tau
-    and theta are not summed, and ``tau``, ``theta``, ``ell`` and ``den``
-    are ``None``.
+    ints.  The lengths are the ``as_integer_ratio()`` pairs the solve read,
+    so none is read again here.  ``N`` is read on the diagonal and on each
+    edge; only the entries read are multiplied by ``r``.  Tau is read at the
+    vertex ``rm`` is grounded at.  With ``values`` false (for
+    :func:`classify_edges`), tau and theta are not summed, and ``tau``,
+    ``theta``, ``ell`` and ``den`` are ``None``.
     """
-    topology, lengths, t = rm._topology, rm._lengths, rm._t
+    topology, ratios, t = rm._topology, rm._ratios, rm._t
     ends, weights, x = topology.ends, topology.divisor, rm._x
-    ratios = [length.as_integer_ratio() for length in lengths]
     q = lcm(t, *(num * den for num, den in ratios))
     r = q // t
     green = {**rm._green, topology.ground: {}}

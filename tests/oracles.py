@@ -224,8 +224,9 @@ def green_by_selected_inverse(g: PmGraph, ground: int) -> dict[int, dict[int, Fr
 def green_by_bareiss(n: int, ground: int, edges: list) -> tuple:
     """``(T, N)`` with ``T = det(M A)`` and ``N = M adj(M A)`` on every
     pair, by fraction-free Gauss-Jordan elimination of the integer Laplacian
-    ``M A``; the arguments and the result are those of
-    ``resistance._dense_green``.
+    ``M A`` of ``n`` vertices grounded at ``ground``, with ``edges`` holding
+    ``(i, j, length)`` for every edge that is not a loop; the result is the
+    ``T`` and ``N`` of ``resistance._dense_green``.
 
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
     The elimination runs in place and keeps the matrix symmetric, as the

@@ -11,8 +11,9 @@ every pair and ``X / T`` with a dense ``Fraction`` inverse at every ground
 check that a solve on the pattern holds the same ints as the every-pair
 solve on what it holds, compare the dense producer's ``T`` and ``N`` with
 the same ints from the fraction-free elimination it replaced, run both
-producers on the same small graphs, and cover the dense producer's edge
-cases.
+producers on the same small graphs, cover the dense producer's edge cases,
+and run its stamped kernel directly on every catalog topology and on random
+multigraphs of 1 to 4 vertices at every ground.
 """
 
 import random
@@ -30,6 +31,7 @@ from pmgraph import (
     list_families,
     normalize,
     random_lengths,
+    require_valid,
     subdivide,
     tau,
 )
@@ -64,10 +66,10 @@ def _matrix(g: PmGraph, ground: int, producer, every=True) -> solver.ResistanceM
     # place of ``_green``; the dense producer always gives every pair
     topology = solver._Topology.of(g, g.vertex_ids[ground])
 
-    def green(n, ground, edges, weights, every):
+    def green(topology, ratios, every):
         if producer is solver._dense_green:
-            return producer(n, ground, edges, weights)
-        return producer(n, ground, edges, weights, every)
+            return producer(topology, ratios)
+        return producer(topology, ratios, every)
 
     with mock.patch.object(solver, "_green", green):
         return topology.solve([e.length for e in g.edges], every)
@@ -120,7 +122,7 @@ def test_a_solve_on_the_pattern_holds_the_ints_of_every_pair(name, g):
 def _equals_bareiss(rm: solver.ResistanceMatrix) -> bool:
     # the dense solve rm holds the elimination's ints at its ground
     topology = rm._topology
-    edges = [(i, j, length) for (i, j), length in zip(topology.ends, rm._lengths) if i != j]
+    edges = [(i, j, Fraction(*ratio)) for (i, j), ratio in zip(topology.ends, rm._ratios) if i != j]
     return (rm._t, rm._green) == green_by_bareiss(len(topology.order), topology.ground, edges)
 
 
@@ -163,7 +165,7 @@ def _engine_equals_references(g: PmGraph) -> None:
 
 def test_a_single_vertex_has_no_unknowns():
     g = PmGraph.build([("A", 2)], [])
-    assert solver._dense_green(1, 0, [], {}) == (1, {}, {})
+    assert solver._dense_green(solver._Topology.of(g), []) == (1, {}, {})
     inv = invariant_set(g)
     assert (inv.ell, inv.tau, inv.theta, inv.gbar) == (0, 0, 0, 2)
     assert solver.resistance_matrix(g).values == ((Fraction(0),),)
@@ -221,10 +223,83 @@ def test_tau_at_a_removable_base_takes_the_dense_producer(monkeypatch):
     sizes = []
     dense = solver._dense_green
 
-    def counted(n, *args):
-        sizes.append(n)
-        return dense(n, *args)
+    def counted(topology, *args):
+        sizes.append(len(topology.order))
+        return dense(topology, *args)
 
     monkeypatch.setattr(solver, "_dense_green", counted)
     assert tau(g, base=base) == expected
     assert sizes == [len(normalize(g).vertices) + 1]
+
+
+# -- the stamped kernel against both references -------------------------------
+
+
+def _multigraph(n: int, rng: random.Random) -> PmGraph:
+    # a valid pm-graph on n vertices: a random spanning tree, one of its edges
+    # in a class of 2 to 4 parallel edges, and up to 3 loops or chords; on
+    # one vertex, loops only or no edge at all
+    names = [f"v{i}" for i in range(n)]
+    ends = [(names[i], names[rng.randrange(i)]) for i in range(1, n)]
+    if ends:
+        ends += [rng.choice(ends)] * rng.randint(1, 3)
+    ends += [(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 3))]
+    rng.shuffle(ends)
+    valence = dict.fromkeys(names, 0)
+    for u, v in ends:
+        valence[u] += 1
+        valence[v] += 1
+    # K = valence - 2 + 2 q must be at least 0
+    vertices = [(name, max(rng.randint(0, 2), 1 - valence[name] // 2)) for name in names]
+    edges = [
+        (f"e{k}", u, v, Fraction(rng.randint(1, 40), rng.randint(1, 40)))
+        for k, (u, v) in enumerate(ends)
+    ]
+    return PmGraph.build(vertices, edges)
+
+
+def _stamp_cases():
+    rng = random.Random("stamped-kernel")
+    cases = [(fid, build(fid, random_lengths(family(fid).params, rng))) for fid in list_families()]
+    cases += [(f"multi{n}-{k}", _multigraph(n, rng)) for n in range(1, 5) for k in range(6)]
+    return cases
+
+
+STAMPED = _stamp_cases()
+
+
+def test_the_stamp_cases_cover_the_kernel():
+    sizes = {len(g.vertices) for _, g in STAMPED}
+    assert sizes == {1, 2, 3, 4}
+    assert any(g.edges and all(e.is_loop for e in g.edges) for _, g in STAMPED)
+    assert any(len(g.vertices) == 1 and not g.edges for _, g in STAMPED)
+    assert all(len(g.edges) > len({frozenset(e.ends) for e in g.edges}) for name, g in STAMPED
+               if name.startswith("multi") and len(g.vertices) > 1)
+
+
+@pytest.mark.parametrize("name, g", STAMPED, ids=[name for name, _ in STAMPED])
+def test_the_stamped_kernel_equals_both_references_at_every_ground(name, g):
+    g = require_valid(g)
+    n = len(g.vertices)
+    index = {vid: i for i, vid in enumerate(g.vertex_ids)}
+    edges = [(index[e.u], index[e.v], e.length) for e in g.edges if not e.is_loop]
+    ratios = [e.length.as_integer_ratio() for e in g.edges]
+    for ground in range(n):
+        topology = solver._Topology.of(g, g.vertex_ids[ground])
+        assert "stamp" not in vars(topology)  # built on the first solve
+        t, green, x = solver._dense_green(topology, ratios)
+        stamp = topology.stamp
+        assert len(stamp.unknowns) == n - 1 and len(stamp.live) == len(edges)
+        assert (t, green) == green_by_bareiss(n, ground, edges), ground
+        unknowns = set(range(n)) - {ground}
+        assert set(green) == set(x) == unknowns
+        expected = green_by_dense_inverse(g, ground)
+        for i, row in expected.items():
+            assert set(green[i]) == unknowns
+            for j, z in row.items():
+                assert type(green[i][j]) is int and Fraction(green[i][j], t) == z, (ground, i, j)
+        assert all(type(v) is int for v in x.values())
+        assert {i: Fraction(v, t) for i, v in x.items()} == _x_by_dense_inverse(g, ground)
+        # a second solve reads the same stamp and gives the same ints
+        assert solver._dense_green(topology, ratios) == (t, green, x)
+        assert topology.stamp is stamp

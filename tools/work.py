@@ -8,8 +8,14 @@ Wall time on a shared host drifts from run to run; the number of bytecode
 instructions an op executes does not.  Each REF is exported with
 ``git archive`` into ``.bench_build/work/<commit>``, and each export is run
 in its own process of PYTHON, which must be Python 3.12 (default
-``python3.12``).  That process builds the workload's ops with the export's
-own ``bench/workloads.py`` at seed 1, keeps the first ``TRACE_PASS`` of them
+``python3.12``).  PYTHON may be a command on ``PATH`` or an explicit
+interpreter path; pass the path of a pyenv version's ``bin/python3.12``
+where the bare command is a pyenv shim that finds no 3.12.  If PYTHON
+cannot be run or is not 3.12, the script prints why, with the child's exit
+code and stderr, and exits 1.
+
+The PYTHON process builds the workload's ops with the export's own
+``bench/workloads.py`` at seed 1, keeps the first ``TRACE_PASS`` of them
 (the leading ops that visit the workload's mix evenly), runs each one once
 to warm up, and then counts one pass of each op through the export's
 ``bench/run.py`` ``run_command``, with one ``sys.monitoring`` INSTRUCTION
@@ -119,7 +125,8 @@ def _counted(python: str, tree: Path, workload: str, env: dict) -> tuple[int, in
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("refs", nargs="+", metavar="REF")
-    parser.add_argument("--python", default="python3.12", help="a Python 3.12 interpreter")
+    parser.add_argument("--python", default="python3.12",
+                        help="a Python 3.12 interpreter: a command or a path")
     parser.add_argument("--workload", action="append", choices=WORKLOADS)
     options = parser.parse_args()
     sys.path.insert(0, str(ROOT / "tools"))
@@ -129,12 +136,20 @@ def main() -> int:
                for ref in options.refs]
     trees = [_git("rev-parse", f"{commit}^{{tree}}").decode().strip() for commit in commits]
     width = max(len(ref) for ref in options.refs)
-    version = subprocess.run(
-        [options.python, "-c", "import sys; print(sys.version.split()[0])"],
-        capture_output=True, text=True,
-    ).stdout.strip()
-    if not version.startswith("3.12."):
-        print(f"error: {options.python} is Python {version or '?'}, not 3.12", file=sys.stderr)
+    try:
+        probe = subprocess.run(
+            [options.python, "-c", "import sys; print(sys.version.split()[0])"],
+            capture_output=True, text=True,
+        )
+    except OSError as error:
+        print(f"error: cannot run {options.python}: {error.strerror or error}", file=sys.stderr)
+        return 1
+    version = probe.stdout.strip()
+    if probe.returncode or not version.startswith("3.12."):
+        print(f"error: {options.python} is Python {version or '?'}, not 3.12 "
+              f"(exit code {probe.returncode})", file=sys.stderr)
+        if probe.stderr.strip():
+            print(probe.stderr.rstrip(), file=sys.stderr)
         return 1
     print(f"Bytecode instructions per op, counted with sys.monitoring on Python {version}, "
           f"seed {SEED}.")

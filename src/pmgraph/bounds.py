@@ -205,23 +205,15 @@ def _require_length(fid: str) -> None:
         raise catalog.CatalogError(f"family {fid!r} has total length 0 and no invariant/ell")
 
 
-def sample_check(
-    spec: BoundSpec, samples: int = 1000, seed: int = 0,
-    only: Optional[str] = None,
-) -> SampleReport:
+def sample_check(spec: BoundSpec, samples: int = 1000, seed: int = 0) -> SampleReport:
     """Draw exact-rational tuples per family and compare ratios to the floor.
 
     Deterministic for a given (spec, samples, seed): each family uses its own
     stream seeded by family id and seed, so per-family results do not depend
-    on which other families the selector matches.  ``only`` restricts a group
-    selector to a single covered family.
+    on which other families the selector matches.
     """
     _require_samples(samples)
-    if only is None:
-        families = matching_families(spec)
-    else:
-        _require_length(only)
-        families = [only] if _covers(spec, only) else []
+    families = matching_families(spec)
     if not families:
         raise catalog.UnknownFamilyError(f"selector {spec.selector!r} matches no family")
     return _sample_reports([(spec, families)], samples, seed)[0]

@@ -20,12 +20,13 @@ function that builds its components, and ``_PROBES`` maps each probe's name
 to a function that returns its components and its witness.  The names, their
 order and ``PROBE_NAMES`` are read off these two dicts.  Every polynomial
 below is expanded once, at import; each certificate's two sides are built
-again on every call.  The eight sign cases of the xiv phi bound keep only T
-and its displayed expansion in ``_CASES``: case i assumes the i-th
-orientation of the pairs (a, f), (b, e), (c, d) in ``itertools.product``
-order, and one loop derives from it the assumption, the substitution, the
-13- and 11-weighted terms, ``xiv.T{i}`` and the names ``xiv.case_{label}``
-and ``xiv.T{i}_sub``.
+again on every call.  The xiv sums of squares are ``_squares`` rows built
+from K4's edges as ``g3.XIV`` draws them: three opposite pairs, and twelve
+adjacent pairs that meet in one vertex.  Sign case i assumes the i-th
+orientation of those pairs in ``itertools.product`` order, and one loop
+derives from it the assumption, the substitution, the 13- and 11-weighted
+terms and the names; ``_CASES`` keeps each case's displayed expansion and
+the T of cases I-IV, since case 9 - i flips every pair of case i.
 
 Names are prefixed by family (``xiv.``, ``viii.``, ``xiii.``) or by the
 summary-inequality number (``ineq7``, ``ineq8``, ``ineq9``) because the same
@@ -39,7 +40,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import combinations, product
 from typing import Callable, Mapping, Optional, Union
 
 from .polynomials import (
@@ -173,132 +174,84 @@ def named(name: str) -> Polynomial:
 
 # -- the eight sign cases for the xiv phi bound ------------------------------
 
+# K4 as g3.XIV draws it: each letter's ends.  Two edges with no common end are
+# opposite, and the six form three opposite pairs, af, be and cd; any two
+# others are adjacent and meet in exactly one vertex.
+_ENDS = {edge[0]: edge[2::2] for edge in "a:1-2 b:1-3 c:1-4 d:2-3 e:2-4 f:3-4".split()}
+_X = {x: Polynomial.variable(x) for x in _ENDS}
+
+
+def _meet(*letters: str) -> set[str]:
+    return set.intersection(*(set(_ENDS[x]) for x in letters))
+
+
+_PAIRS = [x + y for x, y in combinations(_ENDS, 2) if not _meet(x, y)]
+_ADJACENT = [(x, y) for x, y in combinations(_ENDS, 2) if _meet(x, y)]
+_OPPOSITE = {x: y for pair in _PAIRS for x, y in (pair, pair[::-1])}
+# each pair p with the other two, q and r, and each pair's product
+_SPLITS = [(p, *(q for q in _PAIRS if q != p)) for p in _PAIRS]
+_PI = {x + y: _X[x] * _X[y] for x, y in _PAIRS}
+
+
+def _squares(terms: list) -> Polynomial:
+    """Sum of weight * monomial * form^2 over ``(weight, monomial, form)`` rows."""
+    return _weighted_sum([(weight, monomial * _sq(form)) for weight, monomial, form in terms])
+
+
 # Each case writes R = 2*_TWO + 13*thirteen + 15*_FIFTEEN + 11*eleven + 15*T;
 # its thirteen and eleven follow from its orientation (``_oriented``).
-_TWO = (
-    a * f * _sq(-b + c + d - e) + b * e * _sq(-a + c + d - f)
-    + c * d * _sq(-a + b + e - f)
-)
-_FIFTEEN = (
-    a * e * _sq(b - f) + a * b * _sq(e - f) + b * f * _sq(a - e)
-    + e * f * _sq(a - b) + d * f * _sq(c - a) + a * d * _sq(c - f)
-    + a * c * _sq(d - f) + c * f * _sq(a - d) + b * d * _sq(c - e)
-    + b * c * _sq(d - e) + c * e * _sq(b - d) + d * e * _sq(b - c)
+# _TWO sums pi_p (sigma_q - sigma_r)^2, with sigma a pair's sum, and
+# _FIFTEEN sums x y (x' - y')^2 over adjacent x, y, with x' opposite x.
+_TWO = _squares([(1, _PI[p], _X[q[0]] + _X[q[1]] - _X[r[0]] - _X[r[1]]) for p, q, r in _SPLITS])
+_FIFTEEN = _squares([(1, _X[x] * _X[y], _X[_OPPOSITE[x]] - _X[_OPPOSITE[y]])
+                     for x, y in _ADJACENT])
+# the displayed sum-of-nonnegatives decomposition of S: each pair's product
+# times the other pairs' squared differences, twice; each adjacent x, y times
+# the squared differences in the triangle opposite their common vertex, 3/2
+# times; and the product of the pair holding neither times (x - y)^2, half
+_S_DECOMPOSITION = _squares(
+    [(2, _PI[p], _X[q[0]] - _X[q[1]]) for p, *others in _SPLITS for q in others]
+    + [(Fraction(3, 2), _X[x] * _X[y], _X[u] - _X[w]) for x, y in _ADJACENT
+       for u, w in combinations([z for z in _ENDS if not _meet(x, y, z)], 2)]
+    + [(Fraction(1, 2), _PI[next(p for p in _PAIRS if not {x, y} & {*p})], _X[x] - _X[y])
+       for x, y in _ADJACENT]
 )
 
-# One row per case: T and its displayed expansion under the case's
-# substitution.  Both are transcribed, so that the certificates check them.
+# One row per case: T, cases I-IV only, and its displayed expansion under the
+# case's substitution, transcribed so that the certificates check them.
 _CASES: dict[str, dict] = {
     "I": dict(
-        T=_poly(
-            "a2bd a2ce ab2d abd2 -2abde -2abdf ac2e -2acde ace2 -2acef"
-            " b2cf bc2f -2bcdf -2bcef bcf2 d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "d2km 2dek2 2dfm2 dk2m dkm2 e2kn 2efn2 ek2n ekn2 f2mn fm2n fmn2"
-        ),
+        T=_poly("a2bd a2ce ab2d abd2 -2abde -2abdf ac2e -2acde ace2 -2acef b2cf bc2f -2bcdf -2bcef"
+                " bcf2 d2ef de2f def2"),
+        T_sub=_poly("d2km 2dek2 2dfm2 dk2m dkm2 e2kn 2efn2 ek2n ekn2 f2mn fm2n fmn2"),
     ),
     "II": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abce -2abcf abd2 ac2e -2acde ace2 -2adef"
-            " b2cf bc2f -2bcdf bcf2 -2bdef d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "c2km 2cek2 2cfm2 ck2m ckm2 2ckmn e2kn 2efn2 ek2n 2ekmn ekn2"
-            " f2mn 2fkmn fm2n fmn2 k2mn km2n kmn2"
-        ),
+        T=_poly("a2bd a2ce ab2d -2abce -2abcf abd2 ac2e -2acde ace2 -2adef b2cf bc2f -2bcdf bcf2"
+                " -2bdef d2ef de2f def2"),
+        T_sub=_poly("c2km 2cek2 2cfm2 ck2m ckm2 2ckmn e2kn 2efn2 ek2n 2ekmn ekn2 f2mn 2fkmn fm2n"
+                    " fmn2 k2mn km2n kmn2"),
     ),
     "III": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abcd -2abcf abd2 -2abde ac2e ace2 -2adef"
-            " b2cf bc2f -2bcef bcf2 -2cdef d2ef de2f def2"
-        ),
+        T=_poly("a2bd a2ce ab2d -2abcd -2abcf abd2 -2abde ac2e ace2 -2adef b2cf bc2f -2bcef bcf2"
+                " -2cdef d2ef de2f def2"),
         # 2bfn2: the substitution forces n^2 here (from c = d + n), not m^2;
         # either way the term is nonnegative
-        T_sub=_poly(
-            "b2kn 2bdk2 2bfn2 bk2n 2bkmn bkn2 d2km 2dfm2 dk2m dkm2 2dkmn"
-            " f2mn 2fkmn fm2n fmn2 k2mn km2n kmn2"
-        ),
+        T_sub=_poly("b2kn 2bdk2 2bfn2 bk2n 2bkmn bkn2 d2km 2dfm2 dk2m dkm2 2dkmn f2mn 2fkmn fm2n"
+                    " fmn2 k2mn km2n kmn2"),
     ),
     "IV": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abcd -2abce abd2 -2abdf ac2e ace2 -2acef"
-            " b2cf bc2f bcf2 -2bdef -2cdef d2ef de2f def2"
-        ),
+        T=_poly("a2bd a2ce ab2d -2abcd -2abce abd2 -2abdf ac2e ace2 -2acef b2cf bc2f bcf2 -2bdef"
+                " -2cdef d2ef de2f def2"),
         # 2bfn2 for the same reason as in case III (here n comes from d = c + n)
-        T_sub=_poly(
-            "b2kn 2bck2 2bfn2 bk2n bkn2 c2km 2cfm2 ck2m ckm2 f2mn fm2n fmn2"
-        ),
+        T_sub=_poly("b2kn 2bck2 2bfn2 bk2n bkn2 c2km 2cfm2 ck2m ckm2 f2mn fm2n fmn2"),
     ),
-    "V": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abcd -2abce abd2 -2abdf ac2e ace2 -2acef"
-            " b2cf bc2f bcf2 -2bdef -2cdef d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "a2mn 2adm2 2aen2 2akmn am2n amn2 d2km 2dek2 dk2m dkm2 2dkmn"
-            " e2kn ek2n 2ekmn ekn2 k2mn km2n kmn2"
-        ),
-    ),
-    "VI": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abcd -2abcf abd2 -2abde ac2e ace2 -2adef"
-            " b2cf bc2f -2bcef bcf2 -2cdef d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "a2mn 2acm2 2aen2 am2n amn2 c2km 2cek2 ck2m ckm2 e2kn ek2n ekn2"
-        ),
-    ),
-    "VII": dict(
-        T=_poly(
-            "a2bd a2ce ab2d -2abce -2abcf abd2 ac2e -2acde ace2 -2adef"
-            " b2cf bc2f -2bcdf bcf2 -2bdef d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "a2mn 2abn2 2adm2 am2n amn2 b2kn 2bdk2 bk2n bkn2 d2km dk2m dkm2"
-        ),
-    ),
-    "VIII": dict(
-        T=_poly(
-            "a2bd a2ce ab2d abd2 -2abde -2abdf ac2e -2acde ace2 -2acef"
-            " b2cf bc2f -2bcdf -2bcef bcf2 d2ef de2f def2"
-        ),
-        T_sub=_poly(
-            "a2mn 2abn2 2acm2 2akmn am2n amn2 b2kn 2bck2 bk2n 2bkmn bkn2"
-            " c2km ck2m ckm2 2ckmn k2mn km2n kmn2"
-        ),
-    ),
+    "V": dict(T_sub=_poly("a2mn 2adm2 2aen2 2akmn am2n amn2 d2km 2dek2 dk2m dkm2 2dkmn e2kn ek2n"
+                          " 2ekmn ekn2 k2mn km2n kmn2")),
+    "VI": dict(T_sub=_poly("a2mn 2acm2 2aen2 am2n amn2 c2km 2cek2 ck2m ckm2 e2kn ek2n ekn2")),
+    "VII": dict(T_sub=_poly("a2mn 2abn2 2adm2 am2n amn2 b2kn 2bdk2 bk2n bkn2 d2km dk2m dkm2")),
+    "VIII": dict(T_sub=_poly("a2mn 2abn2 2acm2 2akmn am2n amn2 b2kn 2bck2 bk2n 2bkmn bkn2 c2km"
+                             " ck2m ckm2 2ckmn k2mn km2n kmn2")),
 }
-
-# the displayed sum-of-nonnegatives decomposition of S
-_S_DECOMPOSITION = (
-    2 * (
-        b * e * (_sq(a - f) + _sq(d - c))
-        + c * d * (_sq(a - f) + _sq(b - e))
-        + a * f * (_sq(e - b) + _sq(d - c))
-    )
-    + Fraction(3, 2) * (
-        b * d * (_sq(a - c) + _sq(a - e) + _sq(c - e))
-        + c * e * (_sq(b - a) + _sq(d - a) + _sq(b - d))
-        + a * d * (_sq(b - c) + _sq(b - f) + _sq(c - f))
-        + c * f * (_sq(a - b) + _sq(a - d) + _sq(d - b))
-        + b * f * (_sq(c - a) + _sq(e - a) + _sq(c - e))
-        + a * e * (_sq(b - c) + _sq(f - b) + _sq(f - c))
-        + e * f * (_sq(a - b) + _sq(a - d) + _sq(d - b))
-        + a * b * (_sq(d - e) + _sq(d - f) + _sq(f - e))
-        + a * c * (_sq(d - e) + _sq(d - f) + _sq(e - f))
-        + d * f * (_sq(a - c) + _sq(e - a) + _sq(e - c))
-        + d * e * (_sq(b - c) + _sq(b - f) + _sq(c - f))
-        + b * c * (_sq(d - e) + _sq(d - f) + _sq(e - f))
-    )
-    + Fraction(1, 2) * (
-        c * d * _sq(a - b) + b * e * _sq(a - c) + a * f * _sq(b - c)
-        + b * e * _sq(a - d) + a * f * _sq(b - d) + c * d * _sq(a - e)
-        + a * f * _sq(c - e) + a * f * _sq(d - e)
-        + b * e * (_sq(c - f) + _sq(d - f))
-        + c * d * _sq(b - f) + c * d * _sq(e - f)
-    )
-)
 
 
 # -- certificates ------------------------------------------------------------
@@ -386,12 +339,10 @@ def _oriented(pairs: tuple[str, str, str]) -> dict:
     the smaller plus k, m or n in pair order.  With s_p = larger - smaller and
     pi_p the pair's product, ``thirteen`` sums pi_p (s_q - s_r)^2 and
     ``eleven`` sums pi_p s_q s_r over the pairs p, q and r being the others."""
-    s = [Polynomial.variable(big) - Polynomial.variable(small) for big, small in pairs]
-    thirteen = eleven = Polynomial()
-    for pi, q, r in ((a * f, 1, 2), (b * e, 0, 2), (c * d, 0, 1)):
-        thirteen += pi * _sq(s[q] - s[r])
-        eleven += pi * s[q] * s[r]
-    subs = {big: Polynomial.variable(small) + step for (big, small), step in zip(pairs, (k, m, n))}
+    s = {pair: _X[big] - _X[small] for pair, (big, small) in zip(_PAIRS, pairs)}
+    thirteen = _squares([(1, _PI[p], s[q] - s[r]) for p, q, r in _SPLITS])
+    eleven = _weighted_sum([(1, _PI[p] * s[q] * s[r]) for p, q, r in _SPLITS])
+    subs = {big: _X[small] + step for (big, small), step in zip(pairs, (k, m, n))}
     assumption = ", ".join(f"{big} >= {small}" for big, small in pairs)
     subs_text = ", ".join(f"{name} = {value}" for name, value in sorted(subs.items()))
     return dict(assumption=assumption, subs=subs, subs_text=subs_text,
@@ -403,8 +354,12 @@ _ORIENTED: dict[str, dict] = {}
 _CASE_CERTIFICATES: dict[str, Callable[[], _Components]] = {}
 _T_SUB_CERTIFICATES: dict[str, Callable[[], _Components]] = {}
 for _index, ((_label, _row), _pairs) in enumerate(
-    zip(_CASES.items(), product(("af", "fa"), ("be", "eb"), ("cd", "dc"))), start=1
+    zip(_CASES.items(), product(*((pair, pair[::-1]) for pair in _PAIRS))), start=1
 ):
+    # case 9 - i flips every pair of case i; that negates every s_p, which
+    # leaves thirteen and eleven, and so T, unchanged
+    if "T" not in _row:
+        _row["T"] = NAMED[f"xiv.T{9 - _index}"]
     _ORIENTED[_label] = _oriented(_pairs)
     NAMED[f"xiv.T{_index}"] = _row["T"]
     _CASE_CERTIFICATES[f"xiv.case_{_label}"] = partial(_case, _row, _ORIENTED[_label])

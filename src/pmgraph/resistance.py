@@ -46,6 +46,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 from typing import Optional
 
 from .graph import GenusData, PmGraph, PmGraphError, _removable, _smooth, require_valid
@@ -145,10 +146,11 @@ def _green(topology: _Topology, ratios: list, every: bool) -> tuple:
 
 # the dense producer's plan for one topology: the unknowns (every vertex
 # index but the ground's), the positions of the edges that are not loops,
-# and their slots in the row-major grounded matrix, the ground's row and
-# column left out: ``(position, slot)`` on the diagonal for an edge at the
-# ground, ``(position, ii, jj, ij, ji)`` for one between two unknowns
-_Stamp = namedtuple("_Stamp", "unknowns live grounded free")
+# their slots in the row-major grounded matrix, the ground's row and column
+# left out: ``(position, slot)`` on the diagonal for an edge at the ground,
+# ``(position, ii, jj, ij, ji)`` for one between two unknowns, and theta's
+# weight at each unknown, 0 where it has none
+_Stamp = namedtuple("_Stamp", "unknowns live grounded free weights")
 
 
 def _dense_green(topology: _Topology, ratios: list) -> tuple:
@@ -161,7 +163,7 @@ def _dense_green(topology: _Topology, ratios: list) -> tuple:
     built on its first solve, so the grounded matrix is filled directly,
     with no ``n x n`` Laplacian built and cut down per call.
     """
-    unknowns, live, grounded, free = topology.stamp
+    unknowns, live, grounded, free, weights = topology.stamp
     size = len(unknowns)
     m = lcm(*[ratios[e][0] for e in live])
     a = [0] * (size * size)
@@ -177,8 +179,7 @@ def _dense_green(topology: _Topology, ratios: list) -> tuple:
         a[ji] -= w
     t, adj = _adjugate([a[k * size:k * size + size] for k in range(size)])
     green = {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
-    weights = topology.weights
-    return t, green, {v: sum(row[j] * c for j, c in weights.items()) for v, row in green.items()}
+    return t, green, {v: m * sum(map(mul, row, weights)) for v, row in zip(unknowns, adj)}
 
 
 def _adjugate(a: list) -> tuple:
@@ -357,7 +358,9 @@ class _Topology:
                 grounded.append((position, k * size + k))
             else:
                 free.append((position, k * size + k, l * size + l, k * size + l, l * size + k))
-        return _Stamp((*range(ground), *range(ground + 1, n)), live, grounded, free)
+        unknowns = (*range(ground), *range(ground + 1, n))
+        weights = tuple(self.weights.get(v, 0) for v in unknowns)
+        return _Stamp(unknowns, live, grounded, free, weights)
 
     def solve(self, lengths: list, every: bool = False) -> ResistanceMatrix:
         """The one exact solve, at a positive length per edge in edge order:

@@ -153,11 +153,6 @@ class TestSampling:
         with pytest.raises(ValueError, match="samples must be >= 1"):
             sample_check(_row("g1.*", "phi"), samples=0)
 
-    def test_only_restriction(self):
-        spec = _row("g3.*", "lambda")
-        report = sample_check(spec, samples=4, seed=1, only="g3.XIV")
-        assert report.families == ("g3.XIV",)
-
     def test_bad_selector(self):
         from pmgraph import BoundSpec
 
@@ -165,11 +160,6 @@ class TestSampling:
             sample_check(
                 BoundSpec("g7.*", "phi", Fraction(1)), samples=2, seed=0
             )
-
-    def test_only_the_zero_length_family(self):
-        with pytest.raises(CatalogError, match="'g0.I' has total length 0") as caught:
-            sample_check(_row("g0.*", "phi"), samples=2, seed=0, only="g0.I")
-        assert not isinstance(caught.value, UnknownFamilyError)
 
     def test_ratios_of_the_zero_length_family(self):
         with pytest.raises(CatalogError, match="'g0.I' has total length 0"):

@@ -15,10 +15,14 @@ from pmgraph import (
     verify_all,
     verify_identity,
 )
+from pmgraph.catalog import family
 from pmgraph.cli import main
 from pmgraph.polynomials import _negative_part
 
 ONES = {v: 1 for v in "abcdef"}
+# case i of the xiv phi bound assumes the i-th of these; each pair's first
+# letter is the larger length
+ORIENTATIONS = list(product(("af", "fa"), ("be", "eb"), ("cd", "dc")))
 RECORDS = Path(__file__).parent / "data" / "identity_records.txt"
 
 
@@ -156,6 +160,24 @@ class TestSignStep:
         # one larger letter from each of (a, f), (b, e), (c, d), all 2^3 ways
         larger = {frozenset(oriented["subs"]) for oriented in identities_mod._ORIENTED.values()}
         assert larger == {frozenset(pick) for pick in product("af", "be", "cd")}
+
+    def test_the_k4_table_is_g3_xiv_as_the_catalog_draws_it(self):
+        # a relabelling on either side fails here
+        table = tuple((x, *ends) for x, ends in identities_mod._ENDS.items())
+        assert table == family("g3.XIV").edges
+
+    @pytest.mark.parametrize("i", range(1, 5))
+    def test_case_9_minus_i_flips_every_pair_and_keeps_t(self, i):
+        labels = list(identities_mod._CASES)
+        pairs = ORIENTATIONS[i - 1]
+        flipped = tuple(pair[::-1] for pair in pairs)
+        assert flipped == ORIENTATIONS[8 - i]
+        case = identities_mod._ORIENTED[labels[i - 1]]
+        assert set(case["subs"]) == {big for big, _ in pairs}
+        assert set(identities_mod._ORIENTED[labels[8 - i]]["subs"]) == {big for big, _ in flipped}
+        flip = identities_mod._oriented(flipped)
+        assert (flip["thirteen"], flip["eleven"]) == (case["thirteen"], case["eleven"])
+        assert named(f"xiv.T{9 - i}") == named(f"xiv.T{i}")
 
 
 class TestFailureBranches:

@@ -19,20 +19,27 @@ The PYTHON process builds the workload's ops with the export's own
 (the leading ops that visit the workload's mix evenly), runs each one once
 to warm up, and then counts one pass of each op through the export's
 ``bench/run.py`` ``run_command``, with one ``sys.monitoring`` INSTRUCTION
-callback.  The interpreter that runs this script must import click: its
-pure-Python packages are linked for PYTHON as ``tools/interpreters.py``
-links them.
+callback.  After the workloads it counts one ``import pmgraph.cli`` from the
+export's ``src``, in a process that has first imported every
+standard-library and click module the package's sources name, so the row
+holds the package's own import-time work (its module bodies, and the import
+system finding and loading them).  The interpreter that runs this script
+must import click: its pure-Python packages are linked for PYTHON as
+``tools/interpreters.py`` links them.
 
 Each REF is counted twice, in fresh processes under the hash seeds 0 and 1,
 and the script exits 1 if the two counts differ, or if two REFs of the same
-tree read different counts.  It prints, per workload, each REF's
-instructions per op and its ratio to the first REF.  A tree compared with
-itself reads a ratio of exactly 1.  Child processes write no bytecode.
+tree read different counts.  It prints, per workload and for the import,
+each REF's instructions per op and its ratio to the first REF.  A tree
+compared with itself reads a ratio of exactly 1.  Child processes write no
+bytecode.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
+import importlib
 import io
 import json
 import os
@@ -49,6 +56,7 @@ EXPORTS = ROOT / ".bench_build" / "work"
 WORKLOADS = ("catalog-verify", "subdivided-g3", "certificates")
 SEED = 1
 HASH_SEEDS = ("0", "1")
+IMPORT = "import pmgraph.cli"
 LIMITS = """\
 Limits: only interpreted bytecode is counted, so no C-level work is seen:
 big-integer arithmetic, math.gcd and math.lcm, str of large ints, and dict,
@@ -57,17 +65,25 @@ and counts compare only between runs of one interpreter.  Quote it beside
 wall-time numbers, never in place of them."""
 
 
+def _outside_imports(package: Path) -> list[str]:
+    """Every absolute module the package's sources import, ``__future__``
+    and the package itself left out."""
+    names = set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names.add(node.module)
+    return sorted(name for name in names if name.split(".")[0] not in ("__future__", package.name))
+
+
 def count(tree: str, workload: str) -> None:
     """Run in the PYTHON process: print the ops counted and their total
-    instructions as one JSON line."""
+    instructions as one JSON line.  ``IMPORT`` counts one import of the
+    tree's ``pmgraph.cli`` as its one op."""
     if sys.version_info[:2] != (3, 12):
         raise SystemExit(f"error: instructions are counted on Python 3.12, not {sys.version}")
-    sys.path.insert(0, str(Path(tree) / "bench"))
-    import run
-    import workloads
-
-    pm = run.load_program()
-    main = sys.modules["pmgraph.cli"].main
     monitoring = sys.monitoring
     tool, event = monitoring.PROFILER_ID, monitoring.events.INSTRUCTION
     total = 0
@@ -76,19 +92,34 @@ def count(tree: str, workload: str) -> None:
         nonlocal total
         total += 1
 
+    monitoring.use_tool_id(tool, "work")
+    monitoring.register_callback(tool, event, tick)
+    if workload == IMPORT:
+        src = Path(tree) / "src"
+        for name in _outside_imports(src / "pmgraph"):
+            importlib.import_module(name)
+        sys.path.insert(0, str(src))
+        monitoring.set_events(tool, event)
+        importlib.import_module("pmgraph.cli")
+        monitoring.set_events(tool, 0)
+        print(json.dumps({"ops": 1, "instructions": total}))
+        return
+    sys.path.insert(0, str(Path(tree) / "bench"))
+    import run
+    import workloads
+
+    pm = run.load_program()
+    main = sys.modules["pmgraph.cli"].main
     with tempfile.TemporaryDirectory() as work:
         ops = workloads.make_ops(workload, pm, SEED, Path(work))[: workloads.TRACE_PASS[workload]]
         for op in ops:
             for args in op.commands:
                 run.run_command(main, args)
-        monitoring.use_tool_id(tool, "work")
-        monitoring.register_callback(tool, event, tick)
         for op in ops:
             monitoring.set_events(tool, event)
             for args in op.commands:
                 run.run_command(main, args)
             monitoring.set_events(tool, 0)
-        monitoring.free_tool_id(tool)
     print(json.dumps({"ops": len(ops), "instructions": total}))
 
 
@@ -158,7 +189,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as links:
         _link_packages(Path(links))
         base = {**os.environ, "PYTHONPATH": links, "PYTHONDONTWRITEBYTECODE": "1"}
-        for workload in options.workload or WORKLOADS:
+        for workload in (*(options.workload or WORKLOADS), IMPORT):
             per_op = []
             for ref, commit in zip(options.refs, commits):
                 tree = _export(commit)
@@ -176,7 +207,7 @@ def main() -> int:
                     print(f"error: {options.refs[j]} and {options.refs[i]} are one tree "
                           f"and counted differently on {workload}", file=sys.stderr)
                     failed = True
-            print(f"\n{workload}, first {ops} ops")
+            print(f"\n{workload}, once" if workload == IMPORT else f"\n{workload}, first {ops} ops")
             print(f"  {'REF':{width}s}  {'commit':12s} {'instructions/op':>16s} {'ratio':>8s}")
             for ref, commit, value in zip(options.refs, commits, per_op):
                 ratio = value / per_op[0]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Iterable, Optional, Union
+from typing import Iterable, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -54,21 +54,23 @@ def as_rational(value: RationalLike) -> Fraction:
     exceeds :data:`MAX_DECIMAL_EXPONENT` in magnitude raises ``ValueError``
     before any digit of its value is built.
     """
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise TypeError(f"{value!r} is not an int, str or Fraction")
-    if isinstance(value, str):
-        num, slash, den = value.partition("/")  # ASCII digits n or n/d skip both regexes
-        if num.isascii() and num.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-        match = _EXPONENT.search(value)
-        if match:
-            digits = match.group(1).replace("_", "").lstrip("0")
-            if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
-                raise ValueError(
-                    f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
-                )
+    if value.__class__ is not str:  # a file's lengths skip the type tests
+        if isinstance(value, Fraction):
+            return value
+        if isinstance(value, bool) or not isinstance(value, (int, str)):
+            raise TypeError(f"{value!r} is not an int, str or Fraction")
+        if not isinstance(value, str):
+            return Fraction(value)
+    num, slash, den = value.partition("/")  # ASCII digits n or n/d skip both regexes
+    if value.isascii() and num.isdigit() and (not slash or den.isdigit()):
+        return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+    match = _EXPONENT.search(value)
+    if match:
+        digits = match.group(1).replace("_", "").lstrip("0")
+        if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
+            raise ValueError(
+                f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+            )
     return Fraction(value)
 
 
@@ -216,7 +218,10 @@ def connected_components(g: PmGraph) -> list[set[str]]:
     incidence, edges = g._incidence, g.edges
     seen: set[str] = set()
     components: list[set[str]] = []
-    for root in g.vertex_ids:
+    for v in g.vertices:
+        if len(seen) == len(incidence):  # every vertex is placed
+            break
+        root = v.id
         if root in seen:
             continue
         component, stack = {root}, [root]
@@ -241,37 +246,39 @@ def validate(g: PmGraph) -> ValidationReport:
     connectedness, and effectivity of the canonical divisor.  A length must
     be an ``int`` or ``Fraction`` and a weight an ``int`` (``bool`` is
     neither); a value of another type is reported, and no check that
-    compares it or computes with it runs.
+    compares it or computes with it runs.  A graph that passes the first
+    five checks in one pass (``Fraction`` lengths) goes straight to the
+    last three.
     """
     problems: list[str] = []
-    seen_v: set[str] = set()
-    for v in g.vertices:
-        if v.id in seen_v:
-            problems.append(f"duplicate vertex id {v.id!r}")
-        seen_v.add(v.id)
-    seen_e: set[str] = set()
-    structural_ok = True
-    for e in g.edges:
-        if e.id in seen_e:
-            problems.append(f"duplicate edge id {e.id!r}")
-        seen_e.add(e.id)
-        for end in e.ends:
-            if end not in seen_v:
-                problems.append(f"edge {e.id!r} references unknown vertex {end!r}")
-                structural_ok = False
-        if isinstance(e.length, bool) or not isinstance(e.length, (int, Fraction)):
-            problems.append(f"edge {e.id!r} has length {e.length!r}, not an int or Fraction")
-        elif e.length.numerator <= 0:  # a Fraction's denominator is positive
-            problems.append(f"edge {e.id!r} has nonpositive length {e.length}")
-    weights_ok = True
-    for v in g.vertices:
-        if isinstance(v.q, bool) or not isinstance(v.q, int):
-            problems.append(f"vertex {v.id!r} has weight q={v.q!r}, not an int")
-            weights_ok = False
-        elif v.q < 0:
-            problems.append(f"vertex {v.id!r} has negative weight q={v.q}")
-        elif v.q > MAX_WEIGHT:
-            problems.append(f"vertex {v.id!r} has weight q={v.q} above {MAX_WEIGHT}")
+    structural_ok = weights_ok = True
+    if not _clean(g):  # the report, every problem in order
+        seen_v: set[str] = set()
+        for v in g.vertices:
+            if v.id in seen_v:
+                problems.append(f"duplicate vertex id {v.id!r}")
+            seen_v.add(v.id)
+        seen_e: set[str] = set()
+        for e in g.edges:
+            if e.id in seen_e:
+                problems.append(f"duplicate edge id {e.id!r}")
+            seen_e.add(e.id)
+            for end in e.ends:
+                if end not in seen_v:
+                    problems.append(f"edge {e.id!r} references unknown vertex {end!r}")
+                    structural_ok = False
+            if isinstance(e.length, bool) or not isinstance(e.length, (int, Fraction)):
+                problems.append(f"edge {e.id!r} has length {e.length!r}, not an int or Fraction")
+            elif e.length.numerator <= 0:  # a Fraction's denominator is positive
+                problems.append(f"edge {e.id!r} has nonpositive length {e.length}")
+        for v in g.vertices:
+            if isinstance(v.q, bool) or not isinstance(v.q, int):
+                problems.append(f"vertex {v.id!r} has weight q={v.q!r}, not an int")
+                weights_ok = False
+            elif v.q < 0:
+                problems.append(f"vertex {v.id!r} has negative weight q={v.q}")
+            elif v.q > MAX_WEIGHT:
+                problems.append(f"vertex {v.id!r} has weight q={v.q} above {MAX_WEIGHT}")
     if not g.vertices:
         problems.append("vertex set is empty")
         return ValidationReport(False, tuple(problems))
@@ -282,8 +289,7 @@ def validate(g: PmGraph) -> ValidationReport:
                 "{" + ", ".join(sorted(c)) + "}" for c in components
             )
             problems.append(f"graph is not connected: components {labels}")
-    if structural_ok and weights_ok:
-        divisor = g._divisor
+    if structural_ok and weights_ok and min((divisor := g._divisor).values()) < 0:
         for vid in g.vertex_ids:
             if divisor[vid] < 0:
                 v = g.vertex(vid)
@@ -292,6 +298,24 @@ def validate(g: PmGraph) -> ValidationReport:
                     f"valence {g.valence(vid)} - 2 + 2*q({v.q}) = {divisor[vid]}"
                 )
     return ValidationReport(not problems, tuple(problems))
+
+
+def _clean(g: PmGraph) -> bool:
+    # validate's first five checks at once: true when they find no problem.
+    # A length that is not a Fraction, an int one included, is left to the
+    # report
+    index, edges = g._incidence, g.edges
+    if len(index) != len(g.vertices) or len({e.id for e in edges}) != len(edges):
+        return False  # a repeated vertex or edge id
+    if sum(map(len, index.values())) != 2 * len(edges):
+        return False  # an undeclared end: the index lists declared ends alone
+    for v in g.vertices:
+        if (q := v.q).__class__ is not int or q < 0 or q > MAX_WEIGHT:
+            return False
+    for e in edges:
+        if (length := e.length).__class__ is not Fraction or length.numerator <= 0:
+            return False
+    return True
 
 
 def require_valid(g: PmGraph) -> PmGraph:
@@ -348,17 +372,30 @@ def subdivide(g: PmGraph, edge_id: str, t: RationalLike) -> PmGraph:
 def normalize(g: PmGraph) -> PmGraph:
     """Smooth away every removable vertex: weight 0, valence 2, no loop.
 
-    One walk in ``O(n + e)`` goes from each kept vertex through a chain of
-    removable vertices to the next kept vertex and replaces the chain by one
-    edge of the exact summed length, one ``Fraction`` over the lcm of the
-    chain's denominators, named by joining its edge ids with ``+``; a chain
-    back to its start becomes a loop, and a cycle of removable vertices keeps
-    its last vertex to carry it.  Kept vertices and untouched edges keep their
-    order.  The walk reads the incidence index that validation shares.  The
-    result is the same metric graph with nothing left to smooth, and ``g``
-    itself when it has nothing to smooth.
+    One walk in ``O(n + e)`` (``_chains``) goes from each kept vertex through
+    a chain of removable vertices to the next kept vertex; each chain
+    becomes one edge of the exact summed length, summed over the lcm of the
+    chain's denominators into one ``Fraction``, named by joining its edge ids
+    with ``+``; a chain back to its start becomes a loop, and a cycle of
+    removable vertices keeps its last vertex to carry it.  Kept vertices and
+    untouched edges keep their order.  The walk reads the incidence index
+    that validation shares, and the engine solves straight from it, with no
+    graph built.  The result is the same metric graph with nothing left to
+    smooth, and ``g`` itself when it has nothing to smooth.
     """
-    return _smooth(g, _removable(g))[0]
+    removable = _removable(g)
+    if not removable:
+        return g
+    kept, chains, _ = _chains(g, removable)
+    edges, taken, smoothed = g.edges, {e.id for e in g.edges}, []
+    for u, v, length, path in chains:
+        if len(path) == 1:  # an untouched edge: a chain has two edges or more
+            smoothed.append(edges[path[0]])
+            continue
+        name = _fresh_id(taken, "+".join([edges[i].id for i in path]))
+        taken.add(name)
+        smoothed.append(Edge(name, u, v, length))
+    return PmGraph(tuple(kept), tuple(smoothed))
 
 
 def _removable(g: PmGraph, keep: tuple[str, ...] = ()) -> set[str]:
@@ -372,53 +409,55 @@ def _removable(g: PmGraph, keep: tuple[str, ...] = ()) -> set[str]:
     }
 
 
-def _smooth(g: PmGraph, removable: set[str]) -> tuple[PmGraph, Optional[list]]:
-    # normalize's walk, smoothing away exactly the vertices in ``removable``,
-    # and each g edge's (position, same direction) in the result, or None
-    if not removable:
-        return g, None
-    edges, chain_ends = g.edges, g._incidence
-    taken = {e.id for e in edges}
-    visited: set[str] = set()
-    kept_edges: list[Edge] = []
+def _chains(g: PmGraph, removable: set[str]) -> tuple[list, list, list]:
+    # normalize's walk, smoothing away exactly the vertices in ``removable``:
+    # the kept vertices; each edge of the smoothed graph as (its two ends by
+    # vertex id, its length, the positions in g of the edges it replaces, in
+    # walk order); and each g edge's (position, same direction) among them
+    edges, incidence = g.edges, g._incidence
+    chains: list = []
     where: list = [None] * len(edges)
 
-    def walk(start: str, first: int) -> Edge:
+    def walk(start: str, first: int) -> None:
         # from ``start`` along edge ``first`` through removable vertices to
         # the next vertex that is not removable, or back to ``start``
-        ids, lengths, here, i, position = [], [], start, first, len(kept_edges)
+        path, here, i, position, num, den = [], start, first, len(chains), 0, 1
         while True:
             e = edges[i]
-            ids.append(e.id)
-            lengths.append(e.length)
+            path.append(i)
             where[i] = position, (same := e.u == here)
+            n, d = e.length.as_integer_ratio()
+            m = lcm(den, d)  # the chain's lengths over the lcm of their denominators
+            num, den = num * (m // den) + n * (m // d), m
             here = e.v if same else e.u
-            if here not in removable or here in visited:
+            if here not in removable or here == start:
                 break
-            visited.add(here)
-            a, b = chain_ends[here]
+            a, b = incidence[here]
             i = b if a == i else a
-        name = _fresh_id(taken, "+".join(ids))
-        taken.add(name)
-        d = lcm(*(x.denominator for x in lengths))  # one Fraction over the lcm
-        total = Fraction(sum(x.numerator * (d // x.denominator) for x in lengths), d)
-        return Edge(name, start, here, total)
+        chains.append((start, here, Fraction(num, den), path))
 
-    for i, e in enumerate(edges):
+    # a chain or an untouched edge starts at a kept vertex, so only the edges
+    # there are visited, in order; every edge where an end is undeclared
+    kept = [v for v in g.vertices if v.id not in removable]
+    starts = range(len(edges))
+    if sum(map(len, incidence.values())) == 2 * len(edges):
+        starts = sorted({i for v in kept for i in incidence[v.id]})
+    for i in starts:
+        e = edges[i]
         inner_u, inner_v = e.u in removable, e.v in removable
         if not (inner_u or inner_v):
-            where[i] = len(kept_edges), True
-            kept_edges.append(e)
-        elif inner_u != inner_v and (e.u if inner_u else e.v) not in visited:
-            kept_edges.append(walk(e.v if inner_u else e.u, i))
-    survivors = set()
-    for v in reversed(g.vertices):  # what is left are cycles of removable vertices
-        if v.id in removable and v.id not in visited:
-            visited.add(v.id)
-            survivors.add(v.id)
-            kept_edges.append(walk(v.id, chain_ends[v.id][0]))
-    vertices = tuple(v for v in g.vertices if v.id not in removable or v.id in survivors)
-    return PmGraph(vertices, tuple(kept_edges)), where
+            where[i] = len(chains), True
+            chains.append((e.u, e.v, e.length, (i,)))
+        elif inner_u != inner_v and where[i] is None:  # not yet walked from its other end
+            walk(e.v if inner_u else e.u, i)
+    if None in where:  # what is left are cycles of removable vertices
+        survivors = set()
+        for v in reversed(g.vertices):
+            if v.id in removable and where[incidence[v.id][0]] is None:
+                survivors.add(v.id)
+                walk(v.id, incidence[v.id][0])
+        kept = [v for v in g.vertices if v.id not in removable or v.id in survivors]
+    return kept, chains, where
 
 
 def scaled(g: PmGraph, factor: RationalLike) -> PmGraph:

@@ -9,15 +9,16 @@ refuses any other total genus rather than return something wrong.
 Every invariant here is unchanged when a weight-0 vertex of valence 2 is
 smoothed away, so every public function evaluates on the reduced model
 through the engine prologue of :mod:`pmgraph.resistance`: validate once,
-smooth with the linear walk of :func:`pmgraph.graph.normalize` (``K`` is 0
-on every removed vertex, and the genus and each bridge's side genera are
-kept), and solve what is left once, as one integer ``T``, ``N = T Z`` on
-the diagonal and the edges, and theta's ``X = N K``.  That solve is scaled
-once to one integer denominator ``q`` and every value is one ``Fraction``
-of int numerators; :func:`invariant_set` gets every invariant from it.  On
-a subdivided genus-3 graph the linear front end (parse, validate, smooth)
-costs more than the solve.  Theta's weights and the genus come off the
-topology that solve was made on.
+walk the chains as :func:`pmgraph.graph.normalize` does and build the
+solve's topology straight from the walk, with no smoothed graph made
+(``K`` is 0 on every removed vertex, and the genus and each bridge's side
+genera are kept), and solve what is left once, as one integer ``T``,
+``N = T Z`` on the diagonal and the edges, and theta's ``X = N K``.  That
+solve is scaled once to one integer denominator ``q`` and every value is
+one ``Fraction`` of int numerators; :func:`invariant_set` gets every
+invariant from it.  On a subdivided genus-3 graph the linear front end
+(parse, validate, walk) costs more than the solve.  Theta's weights and the
+genus come off the topology that solve was made on.
 """
 
 from __future__ import annotations

@@ -61,12 +61,10 @@ def parse_graph(text: str) -> PmGraph:
     The result is not validated against the pm-graph axioms; callers that
     need a valid graph should follow up with :func:`pmgraph.graph.validate`.
     """
-    vertices: list[Vertex] = []
-    edges: list[Edge] = []
-    vertex_ids: set[str] = set()
-    edge_ids: set[str] = set()
+    vertices: dict[str, Vertex] = {}  # by id, in file order
+    edges: dict[str, Edge] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0]
+        line = raw.partition("#")[0]
         tokens = line.split()
         if not tokens:
             continue
@@ -75,7 +73,7 @@ def parse_graph(text: str) -> PmGraph:
             if len(tokens) < 2 or len(tokens) > 3:
                 raise _error("expected 'vertex <id> [q=<int>]'", lineno, line, 0)
             vid = tokens[1]
-            if vid in vertex_ids:
+            if vid in vertices:
                 raise _error(f"duplicate vertex id {vid!r}", lineno, line, 1)
             q = 0
             if len(tokens) == 3:
@@ -93,19 +91,18 @@ def parse_graph(text: str) -> PmGraph:
                         f"vertex weight must be nonnegative, got {_shown(str(q), quote=False)}",
                         lineno, line, 2,
                     )
-            vertices.append(Vertex(vid, q))
-            vertex_ids.add(vid)
+            vertices[vid] = Vertex(vid, q)
         elif kind == "edge":
             if len(tokens) != 5:
                 raise _error("expected 'edge <id> <vertex> <vertex> <length>'", lineno, line, 0)
-            eid, u, v, token = tokens[1:]
-            if eid in edge_ids:
+            _, eid, u, v, token = tokens
+            if eid in edges:
                 raise _error(f"duplicate edge id {eid!r}", lineno, line, 1)
-            for index, end in ((2, u), (3, v)):
-                if end not in vertex_ids:
-                    raise _error(
-                        f"edge {eid!r} references undeclared vertex {end!r}", lineno, line, index
-                    )
+            if u not in vertices or v not in vertices:
+                index, end = (2, u) if u not in vertices else (3, v)
+                raise _error(
+                    f"edge {eid!r} references undeclared vertex {end!r}", lineno, line, index
+                )
             try:
                 length = as_rational(token)
             except (ValueError, ZeroDivisionError):
@@ -115,13 +112,12 @@ def parse_graph(text: str) -> PmGraph:
                     f"edge length must be positive, got {_shown(token, quote=False)}",
                     lineno, line, 4,
                 )
-            edges.append(Edge(eid, u, v, length))
-            edge_ids.add(eid)
+            edges[eid] = Edge(eid, u, v, length)
         else:
             raise _error(
                 f"unknown record {kind!r} (expected 'vertex' or 'edge')", lineno, line, 0
             )
-    return PmGraph(tuple(vertices), tuple(edges))
+    return PmGraph(tuple(vertices.values()), tuple(edges.values()))
 
 
 def graph_to_text(g: PmGraph) -> str:

@@ -31,11 +31,13 @@ vertices the caller does not name (resistances in series add, so ``K``,
 the genus, each bridge's side genera and the resistance between kept
 vertices stay), and solve what is left once by ``_Topology.solve``, a
 validated graph's vertex order, ground, edge ends and ``K`` at one length
-per edge.  The solve reads each length's ``as_integer_ratio()`` once and
-keeps the pairs, and ``_scale`` puts its lengths, ``N`` and ``X`` on one
-integer denominator ``q``, a multiple of ``T``, from those same pairs, so
-tau, theta, the bridge test and each bridge's side genera (see
-:func:`classify_edges`) run on ints after it.
+per edge.  The topology is built straight from the smoothing walk
+(``graph._chains``), with ``K`` read from the given graph: no smoothed
+graph, ``Edge`` or edge name is made.  The solve reads each length's
+``as_integer_ratio()`` once and keeps the pairs, and ``_scale`` puts its
+lengths, ``N`` and ``X`` on one integer denominator ``q``, a multiple of
+``T``, from those same pairs, so tau, theta, the bridge test and each
+bridge's side genera (see :func:`classify_edges`) run on ints after it.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ from math import lcm
 from operator import mul
 from typing import Optional
 
-from .graph import GenusData, PmGraph, PmGraphError, _removable, _smooth, require_valid
+from .graph import GenusData, PmGraph, PmGraphError, _chains, _removable, require_valid
 
 
 def laplacian(g: PmGraph) -> tuple[tuple[str, ...], list[list[Fraction]]]:
@@ -323,16 +325,21 @@ class _Topology:
     @classmethod
     def of(cls, g: PmGraph, ground: Optional[str] = None) -> _Topology:
         # g is already validated; the ground defaults to its first vertex
-        order = g.vertex_ids
+        return cls.of_parts(g.vertex_ids, [(e.u, e.v) for e in g.edges], g._divisor, ground)
+
+    @classmethod
+    def of_parts(cls, order, ends: list, divisor: dict, ground: Optional[str] = None) -> _Topology:
+        # a validated graph by parts: its vertex ids in order, each edge's ends
+        # by vertex id and K by vertex id, at least on every vertex of order
         if ground is None:
             ground = order[0]
         elif ground not in order:
             raise PmGraphError(f"{ground!r} is not a vertex of the graph")
         index = {vid: i for i, vid in enumerate(order)}
-        ends = tuple((index[e.u], index[e.v]) for e in g.edges)
-        divisor = {index[p]: c for p, c in g._divisor.items() if c}
+        ends = tuple((index[u], index[v]) for u, v in ends)
+        divisor = {i: c for i, vid in enumerate(order) if (c := divisor[vid])}
         weights = {i: c for i, c in divisor.items() if i != index[ground]}
-        return cls(order, index, index[ground], ends, divisor, weights)
+        return cls(tuple(order), index, index[ground], ends, divisor, weights)
 
     @property
     def genus(self) -> GenusData:
@@ -387,12 +394,17 @@ def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMat
 def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, Optional[list]]:
     # every engine entry's prologue: validate g once, smooth it keeping the
     # vertices of ``keep``, solve the rest once grounded at the first of them;
-    # also _smooth's map of g's edges onto the edges solved (None: the same)
+    # also the walk's map of g's edges onto the edges solved (None: the same).
+    # The topology is built straight from the walk: its K is g's, 0 on a
+    # removable vertex that carries a cycle, and no smoothed graph is made
     ground = keep[0] if keep else None
     removable = _removable(g, keep)
     if removable or len(g.vertices) > DENSE_VERTICES:
-        g, where = _smooth(require_valid(g), removable)
-        return _Topology.of(g, ground).solve([e.length for e in g.edges]), where
+        kept, chains, where = _chains(require_valid(g), removable)
+        ends = [(u, v) for u, v, _, _ in chains]
+        topology = _Topology.of_parts([v.id for v in kept], ends, g._divisor, ground)
+        lengths = [length for _, _, length, _ in chains]
+        return topology.solve(lengths), where
     # the public entry validates alike and solves every pair, which on at
     # most DENSE_VERTICES vertices is the whole solve; the benchmark's traced
     # catalog-verify asserts it is called (see ROADMAP item 2)

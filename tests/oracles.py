@@ -13,6 +13,9 @@ the package implementation uses:
 * the integer ``T`` and ``N = T Z`` of a graph of at most 4 vertices by the
   fraction-free Gauss-Jordan elimination (Bareiss, 1968) the engine ran
   before it took them from cofactors;
+* smoothing by the walk the engine ran before it solved straight from
+  its chains: a set of visited vertices, a new ``Edge`` per chain named
+  with fresh ids, and a second graph, with each given edge's place in it;
 * bridges and the total genus of their sides via a combinatorial
   connectivity scan instead of the exact resistance identity and subtree
   sums;
@@ -42,7 +45,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
-from pmgraph import PmGraph, subdivide
+from pmgraph import Edge, PmGraph, subdivide
 from pmgraph.polynomials import VARIABLES
 
 
@@ -174,6 +177,62 @@ def canonical_divisor_by_valence(g: PmGraph) -> dict[str, int]:
         valence[e.u] += 1
         valence[e.v] += 1
     return {v.id: 2 * v.q - 2 + valence[v.id] for v in g.vertices}
+
+
+def smooth_by_edges(g: PmGraph, removable: set[str]) -> tuple[PmGraph, list]:
+    """``g`` with exactly the vertices of ``removable`` smoothed away, and
+    each edge's ``(position, same direction)`` in the result.
+
+    From each kept vertex a walk follows a chain of removable vertices to
+    the next kept vertex and makes it one edge named by its edge ids joined
+    with ``+`` (primed until fresh); a chain back to its start is a loop,
+    and a cycle of removable vertices keeps its last vertex.
+    """
+    edges = g.edges
+    chain_ends = {v.id: [] for v in g.vertices}
+    for i, e in enumerate(edges):
+        for end in (e.u, e.v):
+            if end in chain_ends:
+                chain_ends[end].append(i)
+    taken = {e.id for e in edges}
+    visited: set[str] = set()
+    kept_edges: list[Edge] = []
+    where: list = [None] * len(edges)
+
+    def walk(start: str, first: int) -> Edge:
+        ids, lengths, here, i, position = [], [], start, first, len(kept_edges)
+        while True:
+            e = edges[i]
+            ids.append(e.id)
+            lengths.append(e.length)
+            where[i] = position, (same := e.u == here)
+            here = e.v if same else e.u
+            if here not in removable or here in visited:
+                break
+            visited.add(here)
+            a, b = chain_ends[here]
+            i = b if a == i else a
+        name = "+".join(ids)
+        while name in taken:
+            name += "'"
+        taken.add(name)
+        return Edge(name, start, here, sum(lengths, Fraction(0)))
+
+    for i, e in enumerate(edges):
+        inner_u, inner_v = e.u in removable, e.v in removable
+        if not (inner_u or inner_v):
+            where[i] = len(kept_edges), True
+            kept_edges.append(e)
+        elif inner_u != inner_v and (e.u if inner_u else e.v) not in visited:
+            kept_edges.append(walk(e.v if inner_u else e.u, i))
+    survivors = set()
+    for v in reversed(g.vertices):
+        if v.id in removable and v.id not in visited:
+            visited.add(v.id)
+            survivors.add(v.id)
+            kept_edges.append(walk(v.id, chain_ends[v.id][0]))
+    vertices = tuple(v for v in g.vertices if v.id not in removable or v.id in survivors)
+    return PmGraph(vertices, tuple(kept_edges)), where
 
 
 def selected_inverse(factor) -> dict[int, dict[int, Fraction]]:

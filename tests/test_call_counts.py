@@ -326,11 +326,12 @@ def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
 
 
 def test_one_incidence_index_serves_the_front_end(monkeypatch):
-    # _removable, validation and _smooth all read the given graph's index,
-    # which is built once
+    # _removable, validation and the smoothing walk _chains each run once and
+    # read the given graph's index, which is the only one built
+    given = _subdivided_g3()
     graph = importlib.import_module("pmgraph.graph")
     engine = importlib.import_module("pmgraph.resistance")
-    built, seen = [], {}
+    built, seen = [], []
     index = graph.PmGraph.__dict__["_incidence"].func
 
     def counted_index(g):
@@ -340,18 +341,36 @@ def test_one_incidence_index_serves_the_front_end(monkeypatch):
     counted = functools.cached_property(counted_index)
     counted.__set_name__(graph.PmGraph, "_incidence")
     monkeypatch.setattr(graph.PmGraph, "_incidence", counted)
-    for module, name in ((engine, "_removable"), (graph, "validate"), (engine, "_smooth")):
+    for module, name in ((engine, "_removable"), (graph, "validate"), (engine, "_chains")):
         def recorded(g, *args, _name=name, _original=getattr(module, name)):
-            seen.setdefault(_name, g)
+            seen.append((_name, g))
             return _original(g, *args)
 
         monkeypatch.setattr(module, name, recorded)
-    given = _subdivided_g3()
     g = graph.PmGraph(given.vertices, given.edges)  # nothing cached on it yet
     invariant_set(g)
-    assert list(seen) == ["_removable", "validate", "_smooth"]
-    assert all(h is g for h in seen.values())
-    assert sum(h is g for h in built) == 1
+    assert [name for name, _ in seen] == ["_removable", "validate", "_chains"]
+    assert all(h is g for _, h in seen)
+    assert len(built) == 1 and built[0] is g
+
+
+@pytest.mark.parametrize("entry", [invariant_set, tau, classify_edges], ids=lambda f: f.__name__)
+def test_the_engine_solves_the_walk_without_building_a_graph(entry, monkeypatch):
+    # the topology comes straight from the walk: no Edge per chain and no
+    # smoothed PmGraph
+    graph = importlib.import_module("pmgraph.graph")
+    g = _subdivided_g3()
+    built = []
+    for cls in (graph.Edge, graph.PmGraph):
+        def counted(self, *args, _original=cls.__init__):
+            built.append(type(self).__name__)
+            _original(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    entry(g)
+    assert built == []
+    normalize(g)  # the counters see what the walk's other reader builds
+    assert built.count("PmGraph") == 1 and "Edge" in built
 
 
 # -- the integer tail ---------------------------------------------------------

@@ -149,6 +149,63 @@ class TestValidate:
         with pytest.raises(InvalidGraphError):
             invariant_set(g)
 
+    # two defects of different kinds on different edges or vertices: the
+    # one-pass check that a graph is clean stops at the first, and the report
+    # must still list both, in order
+    @pytest.mark.parametrize(
+        "weights, edges, problems",
+        [
+            (
+                [("P", 1), ("S", 1)],
+                [("e0", "P", "S", 1), ("e1", "P", "S", 0), ("e2", "P", "S", 1), ("e0", "P", "S", 1)],
+                ["edge 'e1' has nonpositive length 0", "duplicate edge id 'e0'"],
+            ),
+            (
+                [("P", 1), ("S", 1)],
+                [("e0", "P", "X", 1), ("e1", "P", "S", 1), ("e2", "P", "S", Fraction(-1, 2))],
+                [
+                    "edge 'e0' references unknown vertex 'X'",
+                    "edge 'e2' has nonpositive length -1/2",
+                ],
+            ),
+            (
+                [("P", 1), ("S", MAX_WEIGHT + 1)],
+                [("e0", "P", "S", 1), ("e1", "P", "S", 1), ("e2", "P", "S", 1.5)],
+                [
+                    "edge 'e2' has length 1.5, not an int or Fraction",
+                    "vertex 'S' has weight q=1001 above 1000",
+                ],
+            ),
+            (
+                [("P", 1), ("S", 1), ("P", 0)],
+                [("e0", "P", "S", 1), ("e1", "P", "S", 1), ("e2", "S", "S", 0)],
+                ["duplicate vertex id 'P'", "edge 'e2' has nonpositive length 0"],
+            ),
+            (
+                [("P", 1), ("S", 1), ("L", 0)],
+                [("e0", "P", "S", 1), ("e1", "P", "S", 0), ("e2", "P", "S", 1), ("e3", "S", "L", 1)],
+                [
+                    "edge 'e1' has nonpositive length 0",
+                    "canonical divisor is negative at vertex 'L': valence 1 - 2 + 2*q(0) = -1",
+                ],
+            ),
+            (
+                [("P", 1), ("S", 1), ("L", 0)],
+                [("e0", "P", "S", 1), ("e1", "P", "S", 1), ("e2", "P", "S", 1)],
+                [
+                    "graph is not connected: components {P, S}, {L}",
+                    "canonical divisor is negative at vertex 'L': valence 0 - 2 + 2*q(0) = -2",
+                ],
+            ),
+        ],
+    )
+    def test_two_defects_are_both_reported_in_order(self, weights, edges, problems):
+        g = PmGraph(
+            tuple(Vertex(vid, q) for vid, q in weights),
+            tuple(Edge(eid, u, v, Fraction(x) if type(x) is int else x) for eid, u, v, x in edges),
+        )
+        assert list(validate(g).problems) == problems
+
     def test_int_and_fraction_lengths_agree(self):
         assert validate(self._theta(1, 2)).passed
         assert invariant_set(self._theta(1, 2)) == invariant_set(self._theta(1, Fraction(2)))

@@ -2,7 +2,8 @@
 
 ``connected_components``, ``validate``, ``_removable`` and ``normalize`` all
 read one incidence index per graph.  Here they meet a union-find, the
-previous definitions written out in full, and a table of their earlier
+previous definitions written out in full (the previous smoothing walk is
+``oracles.smooth_by_edges``), and a table of their earlier
 output (``data/incidence_table.json``: each graph's validation problems and,
 for the random graphs, the text of its normalized graph), on seeded random
 graphs with loops, parallel edges and isolated vertices and on graphs that
@@ -30,6 +31,8 @@ from pmgraph import (
     validate,
 )
 from pmgraph.graph import MAX_WEIGHT, _removable
+
+from oracles import smooth_by_edges
 
 TABLE = json.loads((Path(__file__).parent / "data" / "incidence_table.json").read_text())
 
@@ -183,6 +186,21 @@ def test_normalize_equals_the_table(name):
     slim = normalize(g)
     assert graph_to_text(slim) == TABLE[name]["normalized"]
     assert slim.total_length == g.total_length
+
+
+# the broken graphs too: an end that is not declared ends a chain, and here
+# the edge that has it comes before the chain's other end, so the chain is
+# walked from there, and an edge inside the chain comes first of all
+WALKED = {**GRAPHS, "undeclared-end-first": _graph(
+    [("a", 2), ("m", 0), ("n", 0)],
+    [("f", "m", "n", 1), ("g", "x", "m", 1), ("e", "n", "a", 2)],
+)}
+
+
+@pytest.mark.parametrize("name", WALKED)
+def test_normalize_equals_the_previous_walk(name):
+    g = WALKED[name]
+    assert normalize(g) == smooth_by_edges(g, _removable(g))[0]
 
 
 def _subdivided_xiv(size: int, rng: random.Random) -> tuple[PmGraph, str]:

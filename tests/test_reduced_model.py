@@ -5,7 +5,9 @@ solves, so on subdivided inputs the solve it runs is on at most 4 vertices.
 These tests solve the same graphs as given, through ``resistance_matrix``
 and ``classify_edges``, and read every invariant off that full solve with
 the Fraction reference formulas of ``oracles``, pairwise theta and per-edge
-delta.
+delta.  The topology the prologue builds straight from the smoothing walk
+is held against the one of the smoothed graph, as the previous walk built
+it.
 """
 
 import dataclasses
@@ -15,7 +17,9 @@ from fractions import Fraction
 import pytest
 
 from pmgraph import (
+    Edge,
     PmGraph,
+    Vertex,
     classify_edges,
     family,
     genus,
@@ -25,10 +29,11 @@ from pmgraph import (
     resistance_matrix,
     tau,
 )
-from pmgraph.resistance import _scale
+from pmgraph.graph import _removable
+from pmgraph.resistance import _reduced, _scale, _Topology
 
 from conftest import dense_graph, random_pm_graph, random_subdivided
-from oracles import tau_by_formula, theta_by_pairs, zhang_by_formula
+from oracles import smooth_by_edges, tau_by_formula, theta_by_pairs, zhang_by_formula
 
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
 
@@ -122,3 +127,47 @@ def test_tau_at_a_removable_base_equals_tau(fid, g):
     expected = tau(g)
     for vid in removable:
         assert tau(g, base=vid) == expected
+
+
+def _cycle(n: int) -> PmGraph:
+    # a cycle of n weight-0 vertices: every vertex is removable
+    names = [f"c{i}" for i in range(n)]
+    return PmGraph(
+        tuple(Vertex(name) for name in names),
+        tuple(Edge(f"e{i}", names[i], names[(i + 1) % n], Fraction(i + 1, 3)) for i in range(n)),
+    )
+
+
+GENUS_3 = [(fid, g) for fid, g in SUBDIVIDED if family(fid).genus == 3]
+WALKED = GENUS_3 + [("cycle", _cycle(5)), ("pair", _cycle(2))]
+
+
+def _keeps(g: PmGraph) -> list[tuple[str, ...]]:
+    # no vertex kept, a tau base and an effective_resistance pair, both
+    # removable where the graph has removable vertices
+    removable = [vid for vid in g.vertex_ids if vid in _removable(g)]
+    return [(), tuple(removable[:1]), tuple(removable[-2:])]
+
+
+def test_the_walked_graphs_cover_every_genus_3_family():
+    assert len(GENUS_3) == 14
+    assert all(len(g.vertices) > 4 for _, g in GENUS_3)
+
+
+@pytest.mark.parametrize("fid, g", WALKED, ids=[fid for fid, _ in WALKED])
+def test_the_walk_gives_the_topology_of_the_smoothed_graph(fid, g):
+    for keep in _keeps(g):
+        ground = keep[0] if keep else None
+        slim, where = smooth_by_edges(g, _removable(g, keep))
+        if not keep:
+            assert normalize(g) == slim
+        rm, walked = _reduced(g, keep)
+        expected = _Topology.of(slim, ground)
+        topology = rm._topology
+        assert (topology.order, topology.ground, topology.ends) == (
+            expected.order, expected.ground, expected.ends
+        )
+        assert (topology.divisor, topology.weights) == (expected.divisor, expected.weights)
+        assert rm._ratios == [e.length.as_integer_ratio() for e in slim.edges]
+        # None: nothing was smoothed, so every edge keeps its place
+        assert (walked or [(i, True) for i in range(len(g.edges))]) == where

@@ -31,16 +31,11 @@ _EXPORTS = {
         "connected_components",
         "genus",
         "normalize",
-        "one_point_union",
         "require_valid",
-        "scaled",
-        "subdivide",
         "validate",
     ),
     "io": (
         "ParseError",
-        "graph_from_json_dict",
-        "graph_to_json_dict",
         "graph_to_text",
         "parse_graph",
     ),

@@ -1,4 +1,4 @@
-"""Polarized metrized graphs: data model, axioms, and model surgery.
+"""Polarized metrized graphs: data model, axioms, and smoothing.
 
 A polarized metrized graph (pm-graph) is a finite connected multigraph whose
 edges carry positive rational lengths and whose vertices carry nonnegative
@@ -42,17 +42,26 @@ MAX_DECIMAL_EXPONENT = 1000
 # type ``0 .. gbar // 2``, so a 30-byte file with ``q=200000`` would print
 # 100001 of them and a weight near 10**12 would ask for that many entries.
 MAX_WEIGHT = 1000
-_EXPONENT = re.compile(r"[eE][-+]?([0-9_]+)\s*\Z")
+# The length literals every supported Python reads alike: ``Fraction``'s own
+# grammar as of 3.10, so no ``_`` separator (read from 3.11 on) and no space
+# around ``/`` (read from 3.12 on).  ``\d`` is any Unicode decimal digit,
+# as in ``Fraction``.
+_LITERAL = re.compile(
+    r"\s*[-+]?(?=\d|\.\d)\d*(?:/\d+|(?:\.\d*)?(?:[eE][-+]?(?P<exponent>\d+))?)\s*\Z"
+)
 
 
 def as_rational(value: RationalLike) -> Fraction:
     """Coerce int / str / Fraction to an exact Fraction (never via float).
 
-    Every length literal from outside the program (graph files, JSON,
+    Every length literal from outside the program (graph files,
     ``--lengths``) comes through here.  Any other type, ``bool`` and
-    ``float`` included, raises ``TypeError``.  A string whose decimal exponent
-    exceeds :data:`MAX_DECIMAL_EXPONENT` in magnitude raises ``ValueError``
-    before any digit of its value is built.
+    ``float`` included, raises ``TypeError``.  A string is an integer,
+    ``num/den`` or a decimal literal, optionally signed and surrounded by
+    whitespace, on every supported Python; anything else raises
+    ``ValueError``, and so does a decimal exponent above
+    :data:`MAX_DECIMAL_EXPONENT` in magnitude, in whatever digits it is
+    written, before any digit of the value is built.
     """
     if value.__class__ is not str:  # a file's lengths skip the type tests
         if isinstance(value, Fraction):
@@ -64,13 +73,15 @@ def as_rational(value: RationalLike) -> Fraction:
     num, slash, den = value.partition("/")  # ASCII digits n or n/d skip both regexes
     if value.isascii() and num.isdigit() and (not slash or den.isdigit()):
         return Fraction(int(num), int(den)) if slash else Fraction(int(num))
-    match = _EXPONENT.search(value)
-    if match:
-        digits = match.group(1).replace("_", "").lstrip("0")
-        if len(digits) > 4 or int(digits or "0") > MAX_DECIMAL_EXPONENT:
-            raise ValueError(
-                f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
-            )
+    match = _LITERAL.match(value)
+    if match is None:
+        raise ValueError(f"Invalid literal for Fraction: {value!r}")
+    digits = match["exponent"]
+    # past its last four digits, any digit but a zero makes it 10**4 or more
+    if digits and (any(map(int, digits[:-4])) or int(digits[-4:]) > MAX_DECIMAL_EXPONENT):
+        raise ValueError(
+            f"decimal exponent of {value!r} exceeds {MAX_DECIMAL_EXPONENT} in magnitude"
+        )
     return Fraction(value)
 
 
@@ -343,32 +354,6 @@ def _fresh_id(taken: set[str], stem: str) -> str:
     return candidate
 
 
-def subdivide(g: PmGraph, edge_id: str, t: RationalLike) -> PmGraph:
-    """Split edge ``edge_id`` at interior fraction ``t`` of its length.
-
-    A fresh weight-0 vertex replaces the point at distance ``t * length``
-    from the edge's first endpoint.  The metric graph, and hence every
-    invariant, is unchanged.  The new vertex is the unique vertex of the
-    result that is not in ``g``.
-    """
-    t = as_rational(t)
-    if not 0 < t < 1:
-        raise ValueError(f"subdivision point must satisfy 0 < t < 1, got {t}")
-    old = g.edge(edge_id)
-    midpoint = _fresh_id(set(g.vertex_ids), f"{edge_id}:{t}")
-    edge_ids = {e.id for e in g.edges}
-    first = _fresh_id(edge_ids, f"{edge_id}.1")
-    second = _fresh_id(edge_ids | {first}, f"{edge_id}.2")
-    new_edges = []
-    for e in g.edges:
-        if e.id == edge_id:
-            new_edges.append(Edge(first, old.u, midpoint, old.length * t))
-            new_edges.append(Edge(second, midpoint, old.v, old.length * (1 - t)))
-        else:
-            new_edges.append(e)
-    return PmGraph(g.vertices + (Vertex(midpoint, 0),), tuple(new_edges))
-
-
 def normalize(g: PmGraph) -> PmGraph:
     """Smooth away every removable vertex: weight 0, valence 2, no loop.
 
@@ -458,43 +443,3 @@ def _chains(g: PmGraph, removable: set[str]) -> tuple[list, list, list]:
                 walk(v.id, incidence[v.id][0])
         kept = [v for v in g.vertices if v.id not in removable or v.id in survivors]
     return kept, chains, where
-
-
-def scaled(g: PmGraph, factor: RationalLike) -> PmGraph:
-    """The same combinatorial graph with every length multiplied by ``factor``."""
-    factor = as_rational(factor)
-    if factor <= 0:
-        raise ValueError(f"scale factor must be positive, got {factor}")
-    return PmGraph(
-        g.vertices,
-        tuple(Edge(e.id, e.u, e.v, e.length * factor) for e in g.edges),
-    )
-
-
-def one_point_union(g1: PmGraph, g2: PmGraph, at1: str, at2: str) -> PmGraph:
-    """Glue ``g2`` onto ``g1`` by identifying vertex ``at2`` with ``at1``.
-
-    Vertex and edge ids of ``g2`` get ``'`` appended until they
-    are free, so arbitrary pairs of graphs can be joined.  The merged vertex
-    keeps ``q = q1 + q2``, which preserves validity of the union.
-    """
-    taken_v = set(g1.vertex_ids)
-    v_rename = {at2: at1}
-    for v in g2.vertices:
-        if v.id != at2:
-            v_rename[v.id] = _fresh_id(taken_v, v.id)
-            taken_v.add(v_rename[v.id])
-    taken_e = {e.id for e in g1.edges}
-    vertices = list(g1.vertices)
-    for i, v in enumerate(vertices):
-        if v.id == at1:
-            vertices[i] = Vertex(at1, v.q + g2.q(at2))
-    for v in g2.vertices:
-        if v.id != at2:
-            vertices.append(Vertex(v_rename[v.id], v.q))
-    edges = list(g1.edges)
-    for e in g2.edges:
-        name = _fresh_id(taken_e, e.id)
-        taken_e.add(name)
-        edges.append(Edge(name, v_rename[e.u], v_rename[e.v], e.length))
-    return PmGraph(tuple(vertices), tuple(edges))

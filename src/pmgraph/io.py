@@ -1,4 +1,4 @@
-"""Plain-text and JSON serialization of pm-graphs.
+"""Plain-text serialization of pm-graphs.
 
 Text format, one record per line::
 
@@ -7,18 +7,18 @@ Text format, one record per line::
     edge <id> <vertex-id> <vertex-id> <length>
 
 Lengths are exact rationals written as ``num/den``, an integer, or a decimal
-literal (``2.5`` parses to 5/2, not a float; a decimal exponent such as
-``1e3`` may not exceed 1000 in magnitude).  Vertices must be declared
-before any edge that uses them.  Parsing never normalizes: the graph comes
+literal (``2.5`` parses to 5/2, not a float; no ``_`` separator; a decimal
+exponent such as ``1e3`` may not exceed 1000 in magnitude, in whatever
+digits it is written).  Vertices must be declared before any edge that
+uses them.  Parsing never normalizes: the graph comes
 back exactly as written.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Mapping
 
-from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational, as_weight
+from .graph import Edge, PmGraph, PmGraphError, Vertex, as_rational
 
 
 class ParseError(PmGraphError):
@@ -128,22 +128,4 @@ def graph_to_text(g: PmGraph) -> str:
     for e in g.edges:
         lines.append(f"edge {e.id} {e.u} {e.v} {e.length}")
     return "\n".join(lines) + "\n"
-
-
-def graph_to_json_dict(g: PmGraph) -> dict:
-    return {
-        "vertices": [{"id": v.id, "q": v.q} for v in g.vertices],
-        "edges": [
-            {"id": e.id, "u": e.u, "v": e.v, "length": str(e.length)}
-            for e in g.edges
-        ],
-    }
-
-
-def graph_from_json_dict(data: Mapping) -> PmGraph:
-    vertices = tuple(Vertex(v["id"], as_weight(v.get("q", 0))) for v in data["vertices"])
-    edges = tuple(
-        Edge(e["id"], e["u"], e["v"], as_rational(e["length"])) for e in data["edges"]
-    )
-    return PmGraph(vertices, edges)
 

@@ -3,7 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from pmgraph import PmGraph, build, family, random_lengths, subdivide
+from pmgraph import PmGraph, build, family, random_lengths
+
+from surgery import subdivide
 
 # one line per acceptance criterion, echoed in the terminal summary
 ACCEPTANCE_LINES: list[str] = []

@@ -45,8 +45,10 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 from math import lcm
 
-from pmgraph import Edge, PmGraph, subdivide
+from pmgraph import Edge, PmGraph
 from pmgraph.polynomials import VARIABLES
+
+from surgery import subdivide
 
 
 def _forest_components(vertex_ids, end_pairs):

@@ -18,10 +18,7 @@ from pmgraph import (
     family,
     invariant_set,
     list_families,
-    one_point_union,
     random_lengths,
-    scaled,
-    subdivide,
     tau,
     verify_all,
 )
@@ -43,6 +40,7 @@ from conftest import (
     record_acceptance,
 )
 from oracles import tau_by_quadrature
+from surgery import one_point_union, scaled, subdivide
 
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
 

@@ -139,7 +139,10 @@ def test_a_leading_byte_order_mark_is_ignored(runner, tmp_path, command, flags):
     assert f"{marked}: line 2, column 1: unknown record" in result.output
 
 
-@pytest.mark.parametrize("token", ["1e1001", "1E-1001"])
+# exponents above 1000 in ASCII, Arabic-Indic, fullwidth and mixed digits
+@pytest.mark.parametrize(
+    "token", ["1e1001", "1E-1001", "1e٢٠٠٠", "1E-١٠٠١", "1e１００１", "1e2٠٠٠", "1e1٠٠٠٠"]
+)
 def test_huge_decimal_exponent_exits_2(runner, tmp_path, token):
     path = tmp_path / "huge.graph"
     path.write_text(f"vertex a q=2\nedge l a a {token}\n")
@@ -239,6 +242,18 @@ def test_the_exponent_form_is_what_6g_prints_for_a_float():
     # a carry into the next power of ten, and a tie that rounds to even
     assert _exponent_form(Fraction(9999995, 10**406)) == "1e-399"
     assert _exponent_form(Fraction(-1000005, 10**405)) == "-1e-399"
+
+
+@pytest.mark.parametrize("token", ["1e٢٠٠٠", "1_000", "1e1_0"])
+def test_a_length_outside_the_grammar_exits_2(runner, tmp_path, token):
+    result = runner.invoke(main, ["catalog", "eval", "g1.I", "--lengths", f"a={token}"])
+    assert result.exit_code == 2
+    assert f"cannot parse parameter a={token!r}" in result.output
+    path = tmp_path / "loop.graph"
+    path.write_text(f"vertex X q=1\nedge a X X {token}\n", encoding="utf-8")
+    result = runner.invoke(main, ["invariants", str(path)])
+    assert result.exit_code == 2
+    assert f"line 2, column 12: cannot parse length {token!r} as a rational" in result.output
 
 
 @pytest.mark.parametrize("token", ["1e3", "5/2"])

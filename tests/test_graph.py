@@ -14,15 +14,12 @@ from pmgraph import (
     connected_components,
     delta,
     genus,
-    graph_from_json_dict,
-    graph_to_json_dict,
+    graph_to_text,
     invariant_set,
     normalize,
-    one_point_union,
+    parse_graph,
     require_valid,
     resistance_matrix,
-    scaled,
-    subdivide,
     tau,
     theta,
     validate,
@@ -31,6 +28,7 @@ from pmgraph import (
 from pmgraph.graph import MAX_WEIGHT
 
 from conftest import build_circle, build_k4, build_loop, build_path, build_theta
+from surgery import one_point_union, scaled, subdivide
 
 
 class TestConstruction:
@@ -119,7 +117,7 @@ class TestValidate:
     def test_every_engine_entry_refuses_a_weight_above_the_cap(self, entry):
         built = PmGraph.build([("X", MAX_WEIGHT + 1)], [("a", "X", "X", 1)])
         direct = PmGraph((Vertex("X", 10**12),), (Edge("a", "X", "X", Fraction(1)),))
-        parsed = graph_from_json_dict(graph_to_json_dict(built))
+        parsed = parse_graph(graph_to_text(built))
         for g in (built, direct, parsed):
             with pytest.raises(InvalidGraphError, match="above 1000"):
                 entry(g)

@@ -32,7 +32,6 @@ from pmgraph import (
     normalize,
     random_lengths,
     require_valid,
-    subdivide,
     tau,
 )
 from pmgraph import resistance as solver
@@ -46,6 +45,7 @@ from oracles import (
     tau_by_formula,
     theta_by_pairs,
 )
+from surgery import subdivide
 
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
 

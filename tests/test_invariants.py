@@ -8,7 +8,6 @@ from pmgraph import (
     delta,
     invariant_set,
     parse_graph,
-    subdivide,
     tau,
     theta,
     zhang_invariants,
@@ -22,6 +21,7 @@ from conftest import (
     build_path,
     build_theta,
 )
+from surgery import subdivide
 
 
 class TestTau:

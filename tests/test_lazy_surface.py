@@ -18,6 +18,9 @@ import pmgraph
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ["bounds", "catalog", "graph", "identities", "invariants", "io", "polynomials", "resistance"]
+# names the package no longer has: test-only graph surgery (now
+# ``tests/surgery.py``) and a JSON graph format that no command read or wrote
+REMOVED = ["subdivide", "one_point_union", "scaled", "graph_to_json_dict", "graph_from_json_dict"]
 
 
 def _loaded_after(statement):
@@ -57,7 +60,7 @@ def test_the_command_line_loads_every_module():
 
 
 def test_every_public_name_is_its_modules_object():
-    assert len(pmgraph.__all__) == 67
+    assert len(pmgraph.__all__) == 62
     assert pmgraph.__all__[-1] == "__version__"
     assert sorted(pmgraph._EXPORTS) == MODULES
     for name in pmgraph.__all__[:-1]:
@@ -66,6 +69,12 @@ def test_every_public_name_is_its_modules_object():
         assert value is getattr(module, name), name
         if callable(value):  # defined there, not imported from elsewhere
             assert value.__module__ == module.__name__, name
+
+
+@pytest.mark.parametrize("module", ["pmgraph", "pmgraph.graph", "pmgraph.io"])
+def test_the_removed_names_are_gone(module):
+    loaded = importlib.import_module(module)
+    assert [name for name in REMOVED if hasattr(loaded, name)] == []
 
 
 def test_star_import_binds_every_entry():

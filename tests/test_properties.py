@@ -17,14 +17,12 @@ from pmgraph import (
     invariant_set,
     list_families,
     normalize,
-    one_point_union,
-    scaled,
-    subdivide,
     tau,
     theta,
 )
 
 from conftest import build_circle, build_path
+from surgery import one_point_union, scaled, subdivide
 
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
 

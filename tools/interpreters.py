@@ -52,20 +52,38 @@ def _link_packages(target: Path) -> None:
 
 
 def _commands(work: Path) -> list[list[str]]:
-    sys.path.insert(0, str(ROOT / "src"))
-    from pmgraph import build, graph_to_text, subdivide
+    sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+    from pmgraph import build, graph_to_text
+    from surgery import subdivide
 
     graph = build("g3.XIV", {"a": 2, "b": 3, "c": 5, "d": 7, "e": 11, "f": 13})
     for edge, t in (("a", "1/3"), ("c", "2/5"), ("f", "1/2")):
         graph = subdivide(graph, edge, t)
     path = work / "subdivided.graph"
     path.write_text(graph_to_text(graph))
+    # K4 with a length in every literal shape the grammar accepts, and a
+    # loop whose length has a digit separator, which it does not
+    shapes = work / "literal_shapes.graph"
+    shapes.write_text(
+        "".join(f"vertex {v}\n" for v in "1234")
+        + "".join(
+            f"edge {name} {u} {v} {length}\n"
+            for name, u, v, length in zip(
+                "abcdef", "111223", "234344", ["7/3", "2.5", "1e3", "+3", "٣", "1"]
+            )
+        ),
+        encoding="utf-8",
+    )
+    separator = work / "digit_separator.graph"
+    separator.write_text("vertex X q=2\nedge a X X 1_000\n")
     return [
         ["verify", "bounds", "--samples", "60", "--seed", "5", "--json"],
         ["catalog", "check", "--samples", "15", "--seed", "3"],
         ["verify", "identities"],
         ["invariants", str(path), "--json"],
         ["resistance", str(path)],
+        ["invariants", str(shapes), "--json"],
+        ["invariants", str(separator)],
         # values far outside float's range, printed with their approximations
         ["invariants", str(DATA / "k4_lengths_1e400.graph")],
         ["invariants", str(DATA / "k4_lengths_1e-400.graph")],
@@ -107,8 +125,9 @@ def main() -> int:
                 got = _run(python, ["-m", "pmgraph.cli", *args], env)
                 same = (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
                 failed |= not same
-                status = "same" if same else f"DIFFERS (exit {got.returncode})"
-                print(f"  {status:8s}  pmgraph {' '.join(Path(a).name for a in args)}")
+                status = "same" if same else "DIFFERS"
+                shown = " ".join(Path(a).name for a in args)
+                print(f"  {status:8s}  exit {got.returncode}  pmgraph {shown}")
             if _run(python, ["-c", "import pytest, hypothesis"], env).returncode:
                 print("  tests     not run: pytest or hypothesis does not import")
                 continue

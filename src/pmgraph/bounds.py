@@ -33,8 +33,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import _QUARTET, _scaled
-from .resistance import _Scaled
+from .invariants import _QUARTET
+from .resistance import _scale, _Scaled, resistance_matrix
 
 
 @dataclass(frozen=True)
@@ -175,9 +175,10 @@ def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> F
 
 
 def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
-    """tau, phi, lambda, epsilon and Z over ell from a single engine pass."""
+    """tau, phi, lambda, epsilon and Z over ell from a single engine pass,
+    on the family's graph as given."""
     _require_length(fid)
-    _, s = _scaled(catalog.build(fid, lengths))
+    s = _scale(resistance_matrix(catalog.build(fid, lengths)))
     return {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
 
 
@@ -186,18 +187,23 @@ def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
 
     The row's tau, phi, lambda and epsilon columns, and Z from its tau and
     theta as in :func:`pmgraph.catalog.closed_form`, over ell.  No graph is
-    built, so a boundary witness with zero lengths evaluates.
+    built, so a boundary witness with zero lengths evaluates.  Lengths are
+    read as :func:`pmgraph.catalog.build` reads them, but may be 0; a
+    negative one, or a point where a ratio is undefined, raises
+    :class:`pmgraph.catalog.ParameterError`.
     """
     _require_length(fid)
-    p = catalog._Sample(lengths)
-    row = catalog.family(fid).closed(p)
-    tau, theta, _, *quartet = (value.as_integer_ratio() for value in row)
-    quartet.append(catalog._z(tau, theta))
-    ell, d = sum(p.n.values()), p.d
-    return {
-        name: Fraction(num * d, den * ell)
-        for name, (num, den) in zip(_RATIOS, [tau, *quartet])
-    }
+    spec = catalog.family(fid)
+    p = catalog._Sample(catalog._read_lengths(spec, lengths))
+    if negative := [name for name, value in p.items() if value.numerator < 0]:
+        raise catalog.ParameterError(f"{fid}: parameter {negative[0]} must be nonnegative")
+    try:
+        tau, theta, _, *quartet = (value.as_integer_ratio() for value in spec.closed(p))
+        ratios = [tau, *quartet, catalog._z(tau, theta)]
+        ell, d = sum(p.n.values()), p.d
+        return {name: Fraction(num * d, den * ell) for name, (num, den) in zip(_RATIOS, ratios)}
+    except ZeroDivisionError:  # 0/0 in the row, or ell = 0
+        raise catalog.ParameterError(f"{fid}: the ratios are undefined at these lengths") from None
 
 
 def _require_length(fid: str) -> None:

@@ -164,10 +164,11 @@ def _integers(p: Lengths) -> tuple[int, dict[str, int]]:
 
 
 class _Sample(dict):
-    # lengths carrying their ``_integers`` as ``d`` and ``n``, worked out once
-    def __init__(self, p: Lengths):
+    # lengths, from a mapping or its pairs, carrying their ``_integers`` as
+    # ``d`` and ``n``, worked out once
+    def __init__(self, p: Lengths | Iterator[tuple[str, Fraction]]):
         super().__init__(p)
-        self.d, self.n = _integers(p)
+        self.d, self.n = _integers(self)
 
 
 def _closed(parts: Callable[[dict], tuple]) -> Callable[[Lengths], ClosedRow]:
@@ -372,20 +373,15 @@ def family(fid: str) -> FamilySpec:
         raise UnknownFamilyError(f"unknown family {fid!r}") from None
 
 
-def _coerce_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Lengths:
-    given = set(lengths)
-    expected = set(spec.params)
-    missing = expected - given
-    if missing:
-        raise ParameterError(
-            f"{spec.id}: missing parameter(s) {', '.join(sorted(missing))}"
-        )
-    extra = given - expected
-    if extra:
-        raise ParameterError(
-            f"{spec.id}: unknown parameter(s) {', '.join(sorted(extra))}"
-        )
-    out: Lengths = {}
+def _read_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Iterator:
+    # once the names are found to be exactly the family's parameters, each
+    # parameter in order with its value read through as_rational
+    given, expected = set(lengths), set(spec.params)
+    if missing := expected - given:
+        raise ParameterError(f"{spec.id}: missing parameter(s) {', '.join(sorted(missing))}")
+    if extra := given - expected:
+        names = ", ".join(sorted(map(str, extra)))  # a key need not be a str
+        raise ParameterError(f"{spec.id}: unknown parameter(s) {names}")
     for name in spec.params:
         try:
             value = as_rational(lengths[name])
@@ -393,7 +389,13 @@ def _coerce_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Le
             raise ParameterError(
                 f"{spec.id}: cannot parse parameter {name}={lengths[name]!r}"
             ) from None
-        if value <= 0:
+        yield name, value
+
+
+def _coerce_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Lengths:
+    out: Lengths = {}
+    for name, value in _read_lengths(spec, lengths):
+        if value.numerator <= 0:  # a Fraction's denominator is positive
             raise ParameterError(f"{spec.id}: parameter {name} must be positive")
         out[name] = value
     return out

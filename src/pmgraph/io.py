@@ -6,6 +6,7 @@ Text format, one record per line::
     vertex <id> [q=<nonneg int>]
     edge <id> <vertex-id> <vertex-id> <length>
 
+A weight is an optional sign and decimal digits, with no ``_`` separator.
 Lengths are exact rationals written as ``num/den``, an integer, or a decimal
 literal (``2.5`` parses to 5/2, not a float; no ``_`` separator; a decimal
 exponent such as ``1e3`` may not exceed 1000 in magnitude, in whatever
@@ -37,6 +38,14 @@ def _column_of(line: str, token_index: int) -> int:
 
 
 _TOKEN_LIMIT = 40
+
+
+def _weight(token: str) -> int:
+    # an optional sign and decimal digits, any Unicode decimal digit as ``\d``
+    # in ``graph._LITERAL``; int() alone would also read a ``_`` separator
+    if not (token[1:] if token[:1] in "+-" else token).isdecimal():
+        raise ValueError(token)
+    return int(token)
 
 
 def _shown(token: str, quote: bool = True) -> str:
@@ -80,7 +89,7 @@ def parse_graph(text: str) -> PmGraph:
                 if not tokens[2].startswith("q="):
                     raise _error(f"expected 'q=<int>', got {_shown(tokens[2])}", lineno, line, 2)
                 try:
-                    q = int(tokens[2][2:])
+                    q = _weight(tokens[2][2:])
                 except ValueError:
                     raise _error(
                         f"cannot parse weight {_shown(tokens[2][2:])} as an integer",

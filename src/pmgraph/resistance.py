@@ -33,7 +33,8 @@ vertices stay), and solve what is left once by ``_Topology.solve``, a
 validated graph's vertex order, ground, edge ends and ``K`` at one length
 per edge.  The topology is built straight from the smoothing walk
 (``graph._chains``), with ``K`` read from the given graph: no smoothed
-graph, ``Edge`` or edge name is made.  The solve reads each length's
+graph, ``Edge`` or edge name is made, and a graph with nothing to smooth
+takes the walk too.  The solve reads each length's
 ``as_integer_ratio()`` once and keeps the pairs, and ``_scale`` puts its
 lengths, ``N`` and ``X`` on one integer denominator ``q``, a multiple of
 ``T``, from those same pairs, so tau, theta, the bridge test and each
@@ -150,8 +151,8 @@ def _green(topology: _Topology, ratios: list, every: bool) -> tuple:
 # index but the ground's), the positions of the edges that are not loops,
 # their slots in the row-major grounded matrix, the ground's row and column
 # left out: ``(position, slot)`` on the diagonal for an edge at the ground,
-# ``(position, ii, jj, ij, ji)`` for one between two unknowns, and theta's
-# weight at each unknown, 0 where it has none
+# ``(position, ii, jj, ij)`` for one between two unknowns, ``ij`` above the
+# diagonal, and theta's weight at each unknown, 0 where it has none
 _Stamp = namedtuple("_Stamp", "unknowns live grounded free weights")
 
 
@@ -163,7 +164,8 @@ def _dense_green(topology: _Topology, ratios: list) -> tuple:
     ``M`` is the lcm of the length numerators, so every ``M / L`` is an int.
     Each ``M / L`` is added into its edge's slots of the topology's stamp,
     built on its first solve, so the grounded matrix is filled directly,
-    with no ``n x n`` Laplacian built and cut down per call.
+    with no ``n x n`` Laplacian built and cut down per call, and only on
+    and above the diagonal, all that ``_adjugate`` reads.
     """
     unknowns, live, grounded, free, weights = topology.stamp
     size = len(unknowns)
@@ -172,13 +174,12 @@ def _dense_green(topology: _Topology, ratios: list) -> tuple:
     for e, k in grounded:
         num, den = ratios[e]
         a[k] += m // num * den
-    for e, ii, jj, ij, ji in free:
+    for e, ii, jj, ij in free:
         num, den = ratios[e]
         w = m // num * den
         a[ii] += w
         a[jj] += w
         a[ij] -= w
-        a[ji] -= w
     t, adj = _adjugate([a[k * size:k * size + size] for k in range(size)])
     green = {v: {u: m * c for u, c in zip(unknowns, row)} for v, row in zip(unknowns, adj)}
     return t, green, {v: m * sum(map(mul, row, weights)) for v, row in zip(unknowns, adj)}
@@ -186,7 +187,8 @@ def _dense_green(topology: _Topology, ratios: list) -> tuple:
 
 def _adjugate(a: list) -> tuple:
     """``(det a, adj a)`` of a symmetric matrix of size 0 to 3, with ``+``,
-    ``-`` and ``*`` alone, so over any commutative ring."""
+    ``-`` and ``*`` alone, so over any commutative ring, reading only the
+    upper triangle of ``a``, its diagonal included."""
     size = len(a)
     if size == 3:
         (p, r, s), (_, u, v), (_, _, w) = a
@@ -364,7 +366,7 @@ class _Topology:
             elif j == ground:
                 grounded.append((position, k * size + k))
             else:
-                free.append((position, k * size + k, l * size + l, k * size + l, l * size + k))
+                free.append((position, k * size + k, l * size + l, min(k, l) * size + max(k, l)))
         unknowns = (*range(ground), *range(ground + 1, n))
         weights = tuple(self.weights.get(v, 0) for v in unknowns)
         return _Stamp(unknowns, live, grounded, free, weights)
@@ -380,35 +382,26 @@ class _Topology:
         return ResistanceMatrix(self, ratios, t, green, x)
 
 
-def resistance_matrix(g: PmGraph, ground: Optional[str] = None) -> ResistanceMatrix:
+def resistance_matrix(g: PmGraph) -> ResistanceMatrix:
     """Effective resistances of a valid graph, from one exact solve.
 
-    Validates ``g`` and then solves it as given, so every vertex of ``g`` has
-    its row.  ``ground`` picks the vertex removed to form the reduced
-    Laplacian and must not affect the result; it defaults to the first
-    vertex.
+    Validates ``g`` and then solves it as given, grounded at its first
+    vertex, so every vertex of ``g`` has its row.
     """
-    return _Topology.of(require_valid(g), ground).solve([e.length for e in g.edges], every=True)
+    return _Topology.of(require_valid(g)).solve([e.length for e in g.edges], every=True)
 
 
-def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, Optional[list]]:
+def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, list]:
     # every engine entry's prologue: validate g once, smooth it keeping the
     # vertices of ``keep``, solve the rest once grounded at the first of them;
-    # also the walk's map of g's edges onto the edges solved (None: the same).
-    # The topology is built straight from the walk: its K is g's, 0 on a
-    # removable vertex that carries a cycle, and no smoothed graph is made
-    ground = keep[0] if keep else None
+    # also the walk's map of g's edges onto the edges solved.  The topology is
+    # built straight from the walk: its K is g's, 0 on a removable vertex that
+    # carries a cycle, and no smoothed graph is made
     removable = _removable(g, keep)
-    if removable or len(g.vertices) > DENSE_VERTICES:
-        kept, chains, where = _chains(require_valid(g), removable)
-        ends = [(u, v) for u, v, _, _ in chains]
-        topology = _Topology.of_parts([v.id for v in kept], ends, g._divisor, ground)
-        lengths = [length for _, _, length, _ in chains]
-        return topology.solve(lengths), where
-    # the public entry validates alike and solves every pair, which on at
-    # most DENSE_VERTICES vertices is the whole solve; the benchmark's traced
-    # catalog-verify asserts it is called (see ROADMAP item 2)
-    return resistance_matrix(g, ground), None
+    kept, chains, where = _chains(require_valid(g), removable)
+    ends = [(u, v) for u, v, _, _ in chains]
+    topology = _Topology.of_parts([v.id for v in kept], ends, g._divisor, keep[0] if keep else None)
+    return topology.solve([length for _, _, length, _ in chains]), where
 
 
 # a solve on one integer denominator q: q L_e and the bridge test per edge,
@@ -521,8 +514,7 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     """
     rm, where = _reduced(g)
     sides = _sides(rm._topology.genus.gbar, _scale(rm, False))  # no tau or theta
-    if where is not None:
-        sides = [sides[k] if same or not sides[k] else sides[k][::-1] for k, same in where]
+    sides = [sides[k] if same or not sides[k] else sides[k][::-1] for k, same in where]
     return {
         e.id: EdgeClass(e.id, True, min(side), side) if side else EdgeClass(e.id, False, 0)
         for e, side in zip(g.edges, sides)

@@ -22,7 +22,7 @@ from pmgraph import (
     witness_check,
 )
 from pmgraph.bounds import _RATIOS, closed_ratios
-from pmgraph.catalog import FAMILIES, _closed_form
+from pmgraph.catalog import FAMILIES, ParameterError, _closed_form
 from pmgraph.polynomials import Polynomial
 from pmgraph.resistance import _adjugate
 
@@ -273,6 +273,47 @@ class TestClosedRatios:
         ratios = closed_ratios(fid, lengths)
         assert ratios["phi"] == Fraction(1, 16)
         assert list(ratios) == ["tau", "phi", "lambda", "epsilon", "Z"]
+
+    ONES = {name: 1 for name in "abcdef"}
+
+    @pytest.mark.parametrize(
+        "fid, lengths, message",
+        [
+            ("g3.XIV", {**ONES, "g": 1}, "g3.XIV: unknown parameter(s) g"),
+            ("g3.XIV", {**ONES, 1: 1, "g": 1}, "g3.XIV: unknown parameter(s) 1, g"),
+            ("g3.XIV", {"a": 1, "c": 1, "d": 1, "e": 1, "f": 1}, "g3.XIV: missing parameter(s) b"),
+            ("g3.XIV", {**ONES, "c": "x"}, "g3.XIV: cannot parse parameter c='x'"),
+            ("g3.XIV", {**ONES, "c": 0.5}, "g3.XIV: cannot parse parameter c=0.5"),
+        ],
+        ids=["unknown", "not-a-str", "missing", "unparsed", "float"],
+    )
+    def test_names_and_values_are_read_as_build_reads_them(self, fid, lengths, message):
+        for evaluate in (closed_ratios, build):
+            with pytest.raises(ParameterError) as err:
+                evaluate(fid, lengths)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize(
+        "fid, lengths, message",
+        [
+            ("g3.XIV", {**ONES, "c": -1}, "g3.XIV: parameter c must be nonnegative"),
+            ("g3.II", {"a": 1, "b": 0, "c": 0, "d": 0},
+             "g3.II: the ratios are undefined at these lengths"),
+            ("g3.XIV", dict.fromkeys(ONES, 0),
+             "g3.XIV: the ratios are undefined at these lengths"),
+        ],
+        ids=["negative", "zero-over-zero", "zero-length"],
+    )
+    def test_a_point_off_the_closed_form_is_refused(self, fid, lengths, message):
+        with pytest.raises(ParameterError) as err:
+            closed_ratios(fid, lengths)
+        assert str(err.value) == message
+
+    def test_string_lengths_are_read_as_the_engine_reads_them(self):
+        lengths = {**self.ONES, "a": "1/2", "b": "0.25"}
+        exact = {**self.ONES, "a": Fraction(1, 2), "b": Fraction(1, 4)}
+        assert closed_ratios("g3.XIV", lengths) == closed_ratios("g3.XIV", exact)
+        assert closed_ratios("g3.XIV", lengths) == engine_ratios("g3.XIV", lengths)
 
     def test_equal_to_the_closed_form_over_ell_at_every_witness(self):
         # boundary witnesses with zero lengths included, where closed_form

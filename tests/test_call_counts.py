@@ -325,6 +325,23 @@ def test_engine_ratios_solves_the_catalog_graph_as_given(factors):
     assert factors == {"validate": 1, "pivots": [len(build("g3.XIV", lengths).vertices) - 1]}
 
 
+def test_a_graph_with_nothing_to_smooth_takes_the_walk(monkeypatch, k4_unit):
+    # one prologue for every graph: each edge is its own chain, the same way
+    # round, and the engine never asks resistance_matrix for the solve
+    solver = importlib.import_module("pmgraph.resistance")
+    assert solver._reduced(k4_unit)[1] == [(k, True) for k in range(6)]
+    calls = []
+    original = solver.resistance_matrix
+
+    def counted(g):
+        calls.append(g)
+        return original(g)
+
+    monkeypatch.setattr(solver, "resistance_matrix", counted)
+    invariant_set(k4_unit)
+    assert calls == []
+
+
 def test_one_incidence_index_serves_the_front_end(monkeypatch):
     # _removable, validation and the smoothing walk _chains each run once and
     # read the given graph's index, which is the only one built

@@ -111,6 +111,7 @@ class TestParse:
             ("vertex a q=1\n  vertex   a\n", "line 2, column 12: duplicate vertex id 'a'"),
             ("vertex a  w=3\n", "line 1, column 11: expected 'q=<int>', got 'w=3'"),
             ("vertex a\tq=x\n", "line 1, column 10: cannot parse weight 'x' as an integer"),
+            ("vertex a q=1_0\n", "line 1, column 10: cannot parse weight '1_0' as an integer"),
             ("vertex a q=-2\n", "line 1, column 10: vertex weight must be nonnegative, got -2"),
             (
                 "vertex a q=2\nedge l a\n",
@@ -181,6 +182,12 @@ class TestParse:
         with pytest.raises(ParseError):
             parse_graph("vertex a q=2\nedge l a a zero\n")
         assert calls == [4]
+
+    # a weight is an optional sign and decimal digits, read alike on every
+    # supported Python; int() alone would also read "1_0"
+    @pytest.mark.parametrize("token, q", [("+2", 2), ("٣", 3), ("0", 0)])  # ARABIC-INDIC THREE
+    def test_a_weight_is_a_sign_and_decimal_digits(self, token, q):
+        assert parse_graph(f"vertex a q={token}\n").q("a") == q
 
     def test_no_normalization(self):
         # a valence-2 weight-0 vertex must survive parsing untouched

@@ -7,10 +7,13 @@ cannot drift apart in how a graph's lengths become a solve.  The sparse
 producer ``_sparse_green`` is the only caller of the factor ``_factor``, so
 no second path reads the factor.  Every solve carries theta's ``X = N K``
 for its own topology's canonical divisor, so ``_scale`` takes the solve
-alone.  It is called in three places: the catalog sampler's
-``FamilySpec._scaled`` on a family's validated topology, and the file
-engine's ``invariants._scaled`` and ``classify_edges`` on a solve of the
-engine prologue ``_reduced``.
+alone.  It is called in four places: the catalog sampler's
+``FamilySpec._scaled`` on a family's validated topology, the file engine's
+``invariants._scaled`` and ``classify_edges`` on a solve of the engine
+prologue ``_reduced``, and ``bounds.engine_ratios`` on ``resistance_matrix``,
+which solves a catalog family's graph as given.  That is the one call of
+``resistance_matrix`` in ``src/pmgraph``: ``_reduced`` never takes it, and
+the CLI passes it as a value.
 """
 
 import ast
@@ -19,7 +22,7 @@ from pathlib import Path
 import pmgraph
 
 SOURCES = sorted(Path(pmgraph.__file__).parent.glob("*.py"))
-PINNED = ("_green", "_factor", "ResistanceMatrix", "_scale")
+PINNED = ("_green", "_factor", "ResistanceMatrix", "_scale", "resistance_matrix")
 
 
 def _call_sites(path: Path) -> list[tuple[str, str]]:
@@ -50,9 +53,11 @@ def test_only_the_topology_solves():
         ("ResistanceMatrix", "resistance.py:_Topology.solve"),
         ("_factor", "resistance.py:_sparse_green"),
         ("_green", "resistance.py:_Topology.solve"),
+        ("_scale", "bounds.py:engine_ratios"),
         ("_scale", "catalog.py:FamilySpec._scaled"),
         ("_scale", "invariants.py:_scaled"),
         ("_scale", "resistance.py:classify_edges"),
+        ("resistance_matrix", "bounds.py:engine_ratios"),
     ]
 
 

@@ -45,6 +45,11 @@ from oracles import (
 NON_DEGENERATE = [fid for fid in list_families() if not family(fid).degenerate]
 
 
+def _solve_at(g: PmGraph, ground: str):
+    # resistance_matrix's solve of a valid g, every pair, grounded at ground
+    return _Topology.of(g, ground).solve([e.length for e in g.edges], every=True)
+
+
 def _subdivided_samples(seed, count):
     rng = random.Random(seed)
     return [
@@ -98,9 +103,7 @@ class TestResistance:
         assert rm.get("P", "S") == rm.get("S", "P") == Fraction(1, 3)
 
     def test_grounding_independence(self, k4_unit):
-        rms = [
-            resistance_matrix(k4_unit, ground=v) for v in k4_unit.vertex_ids
-        ]
+        rms = [_solve_at(k4_unit, v) for v in k4_unit.vertex_ids]
         assert all(rm == rms[0] for rm in rms[1:])
 
     @pytest.mark.parametrize(
@@ -109,7 +112,7 @@ class TestResistance:
         ids=["k4", "dense9"],
     )
     def test_solves_at_two_grounds_are_equal_hash_and_print_alike(self, g):
-        first, last = (resistance_matrix(g, ground=v) for v in (g.vertex_ids[0], g.vertex_ids[-1]))
+        first, last = (_solve_at(g, v) for v in (g.vertex_ids[0], g.vertex_ids[-1]))
         assert first == last and hash(first) == hash(last)
         assert repr(first) == repr(last)
         assert repr(first) == f"ResistanceMatrix(order={g.vertex_ids!r}, values={first.values!r})"
@@ -121,7 +124,7 @@ class TestResistance:
 
     def test_unknown_ground_is_rejected(self, k4_unit):
         with pytest.raises(PmGraphError, match="'nope'"):
-            resistance_matrix(k4_unit, ground="nope")
+            _solve_at(k4_unit, "nope")
 
     def test_series_path(self):
         g = build_path((1, 2, 3))
@@ -153,7 +156,7 @@ class TestSparseSolve:
         assert len(g.vertices) == n
         expected = resistance_by_dense_inverse(g)
         for v in g.vertex_ids:
-            rm = resistance_matrix(g, ground=v)
+            rm = _solve_at(g, v)
             # single lookups first, last vertex first, then the full matrix
             assert all(
                 rm.get(p, s) == expected[i][j]
@@ -341,7 +344,7 @@ class TestReducedModel:
 
     @pytest.mark.parametrize("size", [4, 30])
     def test_every_unknown_vertex_gets_one_message(self, size):
-        # at most 4 vertices: the whole solve; 30: the smoothed reduced model
+        # 4 vertices: nothing to smooth; 30: the smoothed reduced model
         g = random_subdivided("g3.XIV", size, random.Random("unknown"))
         known = g.vertex_ids[-1]
         calls = [

@@ -76,6 +76,9 @@ def _commands(work: Path) -> list[list[str]]:
     )
     separator = work / "digit_separator.graph"
     separator.write_text("vertex X q=2\nedge a X X 1_000\n")
+    # a weight with a digit separator, which int() alone reads from 3.6 on
+    weight = work / "weight_separator.graph"
+    weight.write_text("vertex X q=1_0\nedge a X X 1\n")
     return [
         ["verify", "bounds", "--samples", "60", "--seed", "5", "--json"],
         ["catalog", "check", "--samples", "15", "--seed", "3"],
@@ -84,6 +87,7 @@ def _commands(work: Path) -> list[list[str]]:
         ["resistance", str(path)],
         ["invariants", str(shapes), "--json"],
         ["invariants", str(separator)],
+        ["invariants", str(weight)],
         # values far outside float's range, printed with their approximations
         ["invariants", str(DATA / "k4_lengths_1e400.graph")],
         ["invariants", str(DATA / "k4_lengths_1e-400.graph")],

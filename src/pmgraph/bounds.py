@@ -18,7 +18,8 @@ checks accompany each floor:
   boundary point itself (the graph constructor requires positive lengths),
   and the engine is run along a shrinking-parameter sequence to confirm the
   ratio decreases monotonically toward the floor.  The closed form's ratios
-  (:func:`closed_ratios`) are read off the family's transcribed row.
+  (:func:`closed_ratios`) are read off the family's transcribed row, but Z,
+  which is a row of ``invariants._LINEAR`` as every engine ratio is.
 
 The single zero-length family ``g0.I`` is excluded from every ratio check.
 """
@@ -33,8 +34,8 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from . import catalog
-from .invariants import _QUARTET
-from .resistance import _scale, _Scaled, resistance_matrix
+from .invariants import _LINEAR, _linear
+from .resistance import _scale, resistance_matrix
 
 
 @dataclass(frozen=True)
@@ -159,16 +160,6 @@ def _covers(spec: BoundSpec, fid: str) -> bool:
     return spec.matches(fid) and not catalog.family(fid).degenerate
 
 
-# each ratio to ell as (a tau + c theta + b ell) / (d ell): tau, then the quartet
-_RATIOS = {"tau": (1, 0, 0, 1), **{name: (a, 1, b, d) for name, (a, b, d) in _QUARTET.items()}}
-
-
-def _ratio(s: _Scaled, name: str) -> tuple[int, int]:
-    # invariant/ell as an int numerator over a positive int denominator
-    a, c, b, d = _RATIOS[name]
-    return a * s.tau + c * s.theta + b * s.ell, d * s.ell
-
-
 def engine_ratio(fid: str, lengths: Mapping[str, Fraction], invariant: str) -> Fraction:
     """invariant/ell via the general engine (no closed forms involved)."""
     return engine_ratios(fid, lengths)[invariant]
@@ -179,18 +170,22 @@ def engine_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
     on the family's graph as given."""
     _require_length(fid)
     s = _scale(resistance_matrix(catalog.build(fid, lengths)))
-    return {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
+    ratios = {}
+    for name in _LINEAR:
+        num, d = _linear(name, s.tau, s.theta, s.ell)
+        ratios[name] = Fraction(num, d * s.ell)
+    return ratios
 
 
 def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fraction]:
     """The ratios of :func:`engine_ratios` from the family's closed form.
 
     The row's tau, phi, lambda and epsilon columns, and Z from its tau and
-    theta as in :func:`pmgraph.catalog.closed_form`, over ell.  No graph is
-    built, so a boundary witness with zero lengths evaluates.  Lengths are
-    read as :func:`pmgraph.catalog.build` reads them, but may be 0; a
-    negative one, or a point where a ratio is undefined, raises
-    :class:`pmgraph.catalog.ParameterError`.
+    theta by the engine's Z row, as in :func:`pmgraph.catalog.closed_form`,
+    over ell.  No graph is built, so a boundary witness with zero lengths
+    evaluates.  Lengths are read as :func:`pmgraph.catalog.build` reads them,
+    but may be 0; a negative one, or a point where a ratio is undefined,
+    raises :class:`pmgraph.catalog.ParameterError`.
     """
     _require_length(fid)
     spec = catalog.family(fid)
@@ -198,10 +193,12 @@ def closed_ratios(fid: str, lengths: Mapping[str, Fraction]) -> dict[str, Fracti
     if negative := [name for name, value in p.items() if value.numerator < 0]:
         raise catalog.ParameterError(f"{fid}: parameter {negative[0]} must be nonnegative")
     try:
-        tau, theta, _, *quartet = (value.as_integer_ratio() for value in spec.closed(p))
-        ratios = [tau, *quartet, catalog._z(tau, theta)]
+        (tn, td), (hn, hd), _, *quartet = (value.as_integer_ratio() for value in spec.closed(p))
         ell, d = sum(p.n.values()), p.d
-        return {name: Fraction(num * d, den * ell) for name, (num, den) in zip(_RATIOS, ratios)}
+        # Z from tau, theta and ell as ints over their one denominator td hd d
+        z, k = _linear("Z", tn * hd * d, hn * td * d, ell * td * hd)
+        ratios = [(tn, td), *quartet, (z, k * td * hd * d)]
+        return {name: Fraction(num * d, den * ell) for name, (num, den) in zip(_LINEAR, ratios)}
     except ZeroDivisionError:  # 0/0 in the row, or ell = 0
         raise catalog.ParameterError(f"{fid}: the ratios are undefined at these lengths") from None
 
@@ -247,14 +244,14 @@ def _sample_reports(
         # over the lengths they were found at, and the samples are not kept
         scaled = catalog.family(fid)._scaled
         checks = [
-            (i, *_RATIOS[spec.invariant], *spec.floor.as_integer_ratio(), spec.exact, [None, None])
+            (i, *_LINEAR[spec.invariant], *spec.floor.as_integer_ratio(), spec.exact, [None, None])
             for i, (spec, families) in enumerate(rows) if fid in families
         ]
         for x in catalog._seeded_lengths(fid, samples, seed):
             s = scaled(x)
             tau, theta, ell = s.tau, s.theta, s.ell
             for _, a, c, b, d, p, q, exact, kept in checks:
-                # each ratio (a tau + c theta + b ell) / (d ell), as in _ratio,
+                # each ratio, _LINEAR's (a tau + c theta + b ell) / (d ell),
                 # meets the floor and the running minimum as crossed int
                 # products; only the reported ones become Fractions
                 num, den = a * tau + c * theta + b * ell, d * ell

@@ -7,8 +7,9 @@ letters, so a family's parameters are its sorted edge ids, and one builder
 turns any row and a set of lengths into a graph.  The closed forms are
 rational expressions in the edge lengths; the engine in
 :mod:`pmgraph.invariants` never sees them, which is what makes
-:func:`cross_check` a meaningful test: the two routes share no code beyond
-exact arithmetic.
+:func:`cross_check` a meaningful test: the two routes share exact arithmetic
+and the Z row of ``invariants._LINEAR``, since no source table has a Z
+column, so a wrong Z row is caught by the tests' oracles, not here.
 
 Every closed-form row (tau, theta, delta1, phi, lambda, epsilon) is a sum of
 five parts with the coefficients of :data:`_COEFFICIENTS`, written once as
@@ -75,7 +76,8 @@ from .graph import (
     as_rational,
     require_valid,
 )
-from .invariants import _QUARTET, InvariantSet, _delta_sums, invariant_set
+from .io import _shown
+from .invariants import _LINEAR, _QUARTET, InvariantSet, _delta_sums, _linear, invariant_set
 
 Lengths = dict[str, Fraction]
 ClosedRow = tuple[Fraction, Fraction, Fraction, Fraction, Fraction, Fraction]
@@ -380,14 +382,14 @@ def _read_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Iter
     if missing := expected - given:
         raise ParameterError(f"{spec.id}: missing parameter(s) {', '.join(sorted(missing))}")
     if extra := given - expected:
-        names = ", ".join(sorted(map(str, extra)))  # a key need not be a str
+        names = ", ".join(sorted(_shown(name, quote=False) for name in extra))
         raise ParameterError(f"{spec.id}: unknown parameter(s) {names}")
     for name in spec.params:
         try:
             value = as_rational(lengths[name])
         except (TypeError, ValueError, ZeroDivisionError):
             raise ParameterError(
-                f"{spec.id}: cannot parse parameter {name}={lengths[name]!r}"
+                f"{spec.id}: cannot parse parameter {name}={_shown(lengths[name])}"
             ) from None
         yield name, value
 
@@ -413,14 +415,8 @@ def _closed_form(spec: FamilySpec, p: Lengths) -> InvariantSet:
     return InvariantSet(
         ell=ell, g=spec.genus, gbar=3, tau=tau_v, theta=theta_v,
         delta={0: ell - delta1, 1: delta1}, phi=phi_v, lam=lam_v, epsilon=eps_v,
-        z=Fraction(*_z(tau_v.as_integer_ratio(), theta_v.as_integer_ratio())),
+        z=Fraction(*_linear("Z", tau_v, theta_v, ell)),
     )
-
-
-def _z(tau: tuple[int, int], theta: tuple[int, int]) -> tuple[int, int]:
-    # Z = (40 tau + theta) / 72 as an int pair, from tau's and theta's
-    (tn, td), (hn, hd) = tau, theta
-    return 40 * tn * hd + hn * td, 72 * td * hd
 
 
 def build(fid: str, lengths: Mapping[str, RationalLike]) -> PmGraph:
@@ -432,9 +428,9 @@ def build(fid: str, lengths: Mapping[str, RationalLike]) -> PmGraph:
 def closed_form(fid: str, lengths: Mapping[str, RationalLike]) -> InvariantSet:
     """Evaluate the family's tabulated invariants; no graph is built.
 
-    ``Z`` is not tabulated anywhere, so it is filled in through its
-    total-genus-3 expression ``5 tau / 9 + theta / 72`` applied to the
-    closed-form tau and theta.
+    ``Z`` is not tabulated anywhere, so it is filled in through the engine's
+    total-genus-3 form ``(40 tau + theta) / 72``, the Z row of
+    ``invariants._LINEAR``, applied to the closed-form tau and theta.
     """
     spec = family(fid)
     return _closed_form(spec, _coerce_lengths(spec, lengths))
@@ -541,8 +537,8 @@ def _agrees(s: resistance._Scaled, row: ClosedRow, p: _Sample) -> bool:
     # cross_check's comparison of every value of total genus 3 but g and gbar,
     # as crossed int products that stop at the first mismatch: the engine's
     # numerators over s.den (delta1's over s.q) against the closed row at p.
-    # delta0 is ell - delta1 and Z is (40 tau + theta) / 72 on both sides, so
-    # they agree once ell, delta1, tau and theta do
+    # delta0 is ell - delta1 and Z is _LINEAR's Z row on both sides, so they
+    # agree once ell, delta1, tau and theta do
     den, tau, theta, ell = s.den, s.tau, s.theta, s.ell
     if ell * p.d != sum(p.n.values()) * den:
         return False
@@ -550,7 +546,8 @@ def _agrees(s: resistance._Scaled, row: ClosedRow, p: _Sample) -> bool:
     if tau * td != tn * den or theta * hd != hn * den or _delta_sums(3, s)[1] * ad != an * s.q:
         return False
     # phi, lambda and epsilon: the closed row has no Z, so zip stops before it
-    for (a, b, k), (n, d) in zip(_QUARTET.values(), quartet):
-        if (a * tau + theta + b * ell) * d != n * k * den:
+    for name, (n, d) in zip(_QUARTET, quartet):
+        a, c, b, k = _LINEAR[name]
+        if (a * tau + c * theta + b * ell) * d != n * k * den:
             return False
     return True

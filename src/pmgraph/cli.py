@@ -25,7 +25,7 @@ from . import catalog as catalog_mod
 from . import identities as identities_mod
 from .graph import PmGraphError, as_rational
 from .invariants import FIELDS, invariant_set
-from .io import graph_to_text, parse_graph
+from .io import _shown, graph_to_text, parse_graph
 from .resistance import resistance_matrix
 
 
@@ -104,7 +104,7 @@ def _parse_lengths(text: str) -> dict[str, str]:
         name, sep, literal = chunk.partition("=")
         if not sep or not name or not literal:
             raise InputError(
-                f"cannot parse length assignment {chunk!r}; expected name=value"
+                f"cannot parse length assignment {_shown(chunk)}; expected name=value"
             )
         if name in assignments:
             raise InputError(f"duplicate length assignment for {name!r}")

@@ -4,7 +4,8 @@
 valid pm-graph.  The four derived invariants ``phi``, ``lambda``,
 ``epsilon`` and ``Z`` are produced by closed formulas in ``tau``, ``theta``
 and the total length that hold on total genus 3, so :func:`zhang_invariants`
-refuses any other total genus rather than return something wrong.
+refuses any other total genus rather than return something wrong.  Those
+forms are ``_LINEAR``, which the catalog's ``Z`` and every ratio read too.
 
 Every invariant here is unchanged when a weight-0 vertex of valence 2 is
 smoothed away, so every public function evaluates on the reduced model
@@ -16,9 +17,11 @@ genera are kept), and solve what is left once, as one integer ``T``,
 ``N = T Z`` on the diagonal and the edges, and theta's ``X = N K``.  That
 solve is scaled once to one integer denominator ``q`` and every value is
 one ``Fraction`` of int numerators; :func:`invariant_set` gets every
-invariant from it.  On a subdivided genus-3 graph the linear front end
-(parse, validate, walk) costs more than the solve.  Theta's weights and the
-genus come off the topology that solve was made on.
+invariant from it, and :func:`theta`, :func:`delta` and
+:func:`zhang_invariants` are views of its record.  :func:`tau` solves on its
+own, grounded at its ``base``.  On a subdivided genus-3 graph the linear
+front end (parse, validate, walk) costs more than the solve.  Theta's
+weights and the genus come off the topology that solve was made on.
 """
 
 from __future__ import annotations
@@ -63,8 +66,7 @@ def theta(g: PmGraph) -> Fraction:
     does not change under subdivision or smoothing of weight-0 valence-2
     vertices.
     """
-    _, s = _scaled(g)
-    return Fraction(s.theta, s.den)
+    return invariant_set(g).theta
 
 
 def delta(g: PmGraph) -> dict[int, Fraction]:
@@ -74,12 +76,7 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
     Keys run over ``0 .. gbar // 2`` and always include every possible type,
     with value 0 when no edge of the type is present.
     """
-    topology, s = _scaled(g)
-    return _delta(topology.genus.gbar, s)
-
-
-def _delta(gbar: int, s: _Scaled) -> dict[int, Fraction]:
-    return {i: Fraction(total, s.q) for i, total in _delta_sums(gbar, s).items()}
+    return invariant_set(g).delta
 
 
 def _delta_sums(gbar: int, s: _Scaled) -> dict[int, int]:
@@ -150,6 +147,22 @@ def _json(value):
     return str(value)
 
 
+# tau and the quartet as linear forms in tau, theta and the total length ell,
+# the quartet's on total genus 3: name -> (a, c, b, d) in (a tau + c theta + b ell) / d
+_LINEAR = {
+    "tau": (1, 0, 0, 1), "phi": (52, 1, -3, 12), "lambda": (24, 1, 4, 56),
+    "epsilon": (16, 1, 0, 6), "Z": (40, 1, 0, 72),
+}
+_QUARTET = ("phi", "lambda", "epsilon", "Z")
+
+
+def _linear(name: str, tau, theta, ell) -> tuple:
+    # the form's numerator a tau + c theta + b ell and its d: on int
+    # numerators over one denominator, or on Fractions
+    a, c, b, d = _LINEAR[name]
+    return a * tau + c * theta + b * ell, d
+
+
 def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
     """``phi``, ``lambda``, ``epsilon`` and ``Z`` of a total genus 3 graph.
 
@@ -163,38 +176,28 @@ def zhang_invariants(g: PmGraph) -> dict[str, Fraction]:
 
     Any other total genus raises :class:`UnsupportedGenusError`.
     """
-    topology, s = _scaled(g)
-    gbar = topology.genus.gbar
-    if gbar != 3:
+    values = invariant_set(g)
+    if values.gbar != 3:
         raise UnsupportedGenusError(
-            f"phi/lambda/epsilon/Z require total genus 3, got {gbar}"
+            f"phi/lambda/epsilon/Z require total genus 3, got {values.gbar}"
         )
-    return _zhang(s)
-
-
-# the closed forms of zhang_invariants: name -> (a, b, d) in (a tau + theta + b ell) / d
-_QUARTET = {"phi": (52, -3, 12), "lambda": (24, 4, 56), "epsilon": (16, 0, 6), "Z": (40, 0, 72)}
-
-
-def _zhang(s: _Scaled) -> dict[str, Fraction]:
-    # the quartet from the numerators of s over s.den
-    return {
-        name: Fraction(a * s.tau + s.theta + b * s.ell, d * s.den)
-        for name, (a, b, d) in _QUARTET.items()
-    }
+    return {name: values.by_name(name) for name in _QUARTET}
 
 
 def invariant_set(g: PmGraph) -> InvariantSet:
     """All invariants of a valid graph in one pass (one Laplacian solve)."""
     topology, s = _scaled(g)
     data = topology.genus
-    quartet = _zhang(s) if data.gbar == 3 else {}
+    quartet = {}
+    for name in _QUARTET if data.gbar == 3 else ():
+        num, d = _linear(name, s.tau, s.theta, s.ell)
+        quartet[FIELDS[name]] = Fraction(num, d * s.den)
     return InvariantSet(
         ell=Fraction(s.ell, s.den),
         g=data.g,
         gbar=data.gbar,
         tau=Fraction(s.tau, s.den),
         theta=Fraction(s.theta, s.den),
-        delta=_delta(data.gbar, s),
-        **{FIELDS[name]: value for name, value in quartet.items()},
+        delta={i: Fraction(total, s.q) for i, total in _delta_sums(data.gbar, s).items()},
+        **quartet,
     )

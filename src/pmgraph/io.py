@@ -48,11 +48,11 @@ def _weight(token: str) -> int:
     return int(token)
 
 
-def _shown(token: str, quote: bool = True) -> str:
-    # a length or weight token as an error message shows it; an over-long one
-    # keeps its first characters and says how long it was
+def _shown(token: object, quote: bool = True) -> str:
+    # a user's token as an error message shows it: an over-long str keeps its
+    # first characters and says how long it was, and any other value is whole
     show = repr if quote else str
-    if len(token) <= _TOKEN_LIMIT:
+    if not isinstance(token, str) or len(token) <= _TOKEN_LIMIT:
         return show(token)
     return f"{show(token[:_TOKEN_LIMIT])}... ({len(token)} characters)"
 

@@ -10,9 +10,11 @@ from pmgraph import (
     UnknownFamilyError,
     bound_table,
     build,
+    check_family,
     engine_ratio,
     engine_ratios,
     family,
+    invariant_set,
     list_families,
     matching_families,
     named,
@@ -20,9 +22,11 @@ from pmgraph import (
     sample_check,
     verify_bounds,
     witness_check,
+    zhang_invariants,
 )
-from pmgraph.bounds import _RATIOS, closed_ratios
+from pmgraph.bounds import closed_ratios
 from pmgraph.catalog import FAMILIES, ParameterError, _closed_form
+from pmgraph.invariants import _LINEAR
 from pmgraph.polynomials import Polynomial
 from pmgraph.resistance import _adjugate
 
@@ -322,7 +326,7 @@ class TestClosedRatios:
         assert any(witness.is_boundary for witness in witnesses)
         for witness in witnesses:
             closed = _closed_form(family(witness.family), dict(witness.lengths))
-            expected = {name: closed.by_name(name) / closed.ell for name in _RATIOS}
+            expected = {name: closed.by_name(name) / closed.ell for name in _LINEAR}
             assert closed_ratios(witness.family, witness.lengths) == expected
 
     @pytest.mark.parametrize("fid", ["g1.IX", "g2.VIII", "g3.XIV"])
@@ -345,6 +349,32 @@ class TestClosedRatios:
         ell = sum(lengths.values())
         assert closed_ratios(fid, lengths) == {**closed, "phi": closed["phi"] + shift / ell}
         assert engine_ratios(fid, lengths) == engine
+
+    def test_a_forged_linear_row_moves_every_engine_reader_and_not_the_closed_ratio(
+        self, monkeypatch
+    ):
+        # one table feeds the engine's phi everywhere: a + 1 adds tau/d to it
+        fid = "g3.XIV"
+        lengths = {name: Fraction(k + 1, 3) for k, name in enumerate(self.ONES)}
+        g = build(fid, lengths)
+
+        def sampled_phi_min():
+            reports = verify_bounds(family=fid, samples=20)
+            return next(r.min_ratio for r, _ in reports if r.spec.invariant == "phi")
+
+        before, ratios = invariant_set(g), engine_ratios(fid, lengths)
+        closed, sampled = closed_ratios(fid, lengths), sampled_phi_min()
+        a, c, b, d = _LINEAR["phi"]
+        monkeypatch.setitem(_LINEAR, "phi", (a + 1, c, b, d))
+        after = invariant_set(g)
+        assert after == dataclasses.replace(before, phi=before.phi + before.tau / d)
+        assert zhang_invariants(g)["phi"] == after.phi
+        assert engine_ratios(fid, lengths) == {**ratios, "phi": after.phi / after.ell}
+        assert sampled_phi_min() > sampled
+        passed, report = check_family(fid, 3, 0)
+        assert passed == 0
+        assert [m.partition(":")[0] for m in report.mismatches] == ["phi"]
+        assert closed_ratios(fid, lengths) == closed
 
     def test_verify_bounds_names_an_unknown_family(self):
         for fid in ("g9.X", "g3.Z"):

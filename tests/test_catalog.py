@@ -24,10 +24,9 @@ from pmgraph import (
     random_lengths,
     validate,
 )
-from pmgraph.bounds import _RATIOS, _ratio
 from pmgraph.catalog import _COLUMNS, _TABLE, FAMILIES, CatalogError, _parts, _spec
 from pmgraph.graph import InvalidGraphError
-from pmgraph.invariants import _delta_sums, _scaled, _zhang
+from pmgraph.invariants import _LINEAR, _QUARTET, _delta_sums, _linear, _scaled
 from pmgraph.polynomials import Polynomial
 from pmgraph.resistance import _Topology
 
@@ -476,12 +475,18 @@ class TestSamplingRoute:
                 "tau": Fraction(s.tau, s.den),
                 "theta": Fraction(s.theta, s.den),
                 "delta": {i: Fraction(n, s.q) for i, n in _delta_sums(3, s).items()},
-                **_zhang(s),
+                **{
+                    name: Fraction(*_linear(name, s.tau, s.theta, s.ell)) / s.den
+                    for name in _QUARTET
+                },
             }
             named = engine.named_values()
             assert values == {name: named[name] for name in named if name not in ("g", "gbar")}
             if not family(fid).degenerate:
-                ratios = {name: Fraction(*_ratio(s, name)) for name in _RATIOS}
+                ratios = {
+                    name: Fraction(*_linear(name, s.tau, s.theta, s.ell)) / s.ell
+                    for name in _LINEAR
+                }
                 assert ratios == engine_ratios(fid, lengths)
 
     @pytest.mark.parametrize("fid", list_families())

@@ -256,6 +256,29 @@ def test_a_length_outside_the_grammar_exits_2(runner, tmp_path, token):
     assert f"line 2, column 12: cannot parse length {token!r} as a rational" in result.output
 
 
+# a --lengths token past 40 characters is cut in its error as a file's token
+# is; a short one is shown whole (see the pinned errors in cli_stdout.txt)
+_LONG, _KEPT = "x" * 300, "x" * 40
+
+
+@pytest.mark.parametrize(
+    "lengths, message",
+    [
+        (f"a={_LONG},b=1,c=1",
+         f"g3.I: cannot parse parameter a='{_KEPT}'... (300 characters)"),
+        (f"a=1,b=1,c=1,{_LONG}=1",
+         f"g3.I: unknown parameter(s) {_KEPT}... (300 characters)"),
+        (f"a=1,b=1,c=1,{_LONG}",
+         f"cannot parse length assignment '{_KEPT}'... (300 characters); expected name=value"),
+    ],
+    ids=["value", "name", "assignment"],
+)
+def test_a_long_lengths_token_is_cut_in_its_error(runner, lengths, message):
+    result = runner.invoke(main, ["catalog", "eval", "g3.I", "--lengths", lengths])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {message}\n"
+
+
 @pytest.mark.parametrize("token", ["1e3", "5/2"])
 def test_small_exponents_and_fractions_are_accepted(runner, token):
     result = runner.invoke(main, ["catalog", "eval", "g0.II", "--lengths", f"a={token}"])

@@ -372,7 +372,7 @@ def family(fid: str) -> FamilySpec:
     try:
         return FAMILIES[fid]
     except KeyError:
-        raise UnknownFamilyError(f"unknown family {fid!r}") from None
+        raise UnknownFamilyError(f"unknown family {_shown(fid)}") from None
 
 
 def _read_lengths(spec: FamilySpec, lengths: Mapping[str, RationalLike]) -> Iterator:

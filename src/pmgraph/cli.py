@@ -107,7 +107,7 @@ def _parse_lengths(text: str) -> dict[str, str]:
                 f"cannot parse length assignment {_shown(chunk)}; expected name=value"
             )
         if name in assignments:
-            raise InputError(f"duplicate length assignment for {name!r}")
+            raise InputError(f"duplicate length assignment for {_shown(name)}")
         assignments[name] = literal
     if not assignments:
         raise InputError("no length assignments given")
@@ -314,7 +314,7 @@ def verify_identities(name: Optional[str]) -> None:
         try:
             certificates = [identities_mod.verify_identity(name)]
         except KeyError as exc:
-            raise InputError(exc.args[0]) from exc
+            raise InputError(f"unknown identity {_shown(name)}") from exc
     else:
         certificates = identities_mod.verify_all()
     violation = False

@@ -82,7 +82,7 @@ def delta(g: PmGraph) -> dict[int, Fraction]:
 def _delta_sums(gbar: int, s: _Scaled) -> dict[int, int]:
     # delta's values as numerators over s.q, for a solve of total genus gbar
     sums = dict.fromkeys(range(gbar // 2 + 1), 0)
-    for sides, length in zip(_sides(gbar, s), s.lengths):
+    for sides, length in zip(_sides(gbar, s.rm), s.lengths):
         sums[min(sides) if sides else 0] += length
     return sums
 

@@ -83,7 +83,7 @@ def parse_graph(text: str) -> PmGraph:
                 raise _error("expected 'vertex <id> [q=<int>]'", lineno, line, 0)
             vid = tokens[1]
             if vid in vertices:
-                raise _error(f"duplicate vertex id {vid!r}", lineno, line, 1)
+                raise _error(f"duplicate vertex id {_shown(vid)}", lineno, line, 1)
             q = 0
             if len(tokens) == 3:
                 if not tokens[2].startswith("q="):
@@ -106,11 +106,12 @@ def parse_graph(text: str) -> PmGraph:
                 raise _error("expected 'edge <id> <vertex> <vertex> <length>'", lineno, line, 0)
             _, eid, u, v, token = tokens
             if eid in edges:
-                raise _error(f"duplicate edge id {eid!r}", lineno, line, 1)
+                raise _error(f"duplicate edge id {_shown(eid)}", lineno, line, 1)
             if u not in vertices or v not in vertices:
                 index, end = (2, u) if u not in vertices else (3, v)
                 raise _error(
-                    f"edge {eid!r} references undeclared vertex {end!r}", lineno, line, index
+                    f"edge {_shown(eid)} references undeclared vertex {_shown(end)}",
+                    lineno, line, index,
                 )
             try:
                 length = as_rational(token)
@@ -124,7 +125,7 @@ def parse_graph(text: str) -> PmGraph:
             edges[eid] = Edge(eid, u, v, length)
         else:
             raise _error(
-                f"unknown record {kind!r} (expected 'vertex' or 'edge')", lineno, line, 0
+                f"unknown record {_shown(kind)} (expected 'vertex' or 'edge')", lineno, line, 0
             )
     return PmGraph(tuple(vertices.values()), tuple(edges.values()))
 

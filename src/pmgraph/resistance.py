@@ -37,8 +37,10 @@ graph, ``Edge`` or edge name is made, and a graph with nothing to smooth
 takes the walk too.  The solve reads each length's
 ``as_integer_ratio()`` once and keeps the pairs, and ``_scale`` puts its
 lengths, ``N`` and ``X`` on one integer denominator ``q``, a multiple of
-``T``, from those same pairs, so tau, theta, the bridge test and each
-bridge's side genera (see :func:`classify_edges`) run on ints after it.
+``T``, from those same pairs, so tau and theta run on ints after it.  The
+bridge test and each bridge's side genera (``_sides``, see
+:func:`classify_edges`) need no ``q``: they run on ``T``, ``N``, ``X`` and
+the pairs themselves.
 """
 
 from __future__ import annotations
@@ -404,14 +406,12 @@ def _reduced(g: PmGraph, keep: tuple[str, ...] = ()) -> tuple[ResistanceMatrix, 
     return topology.solve([length for _, _, length, _ in chains]), where
 
 
-# a solve on one integer denominator q: q L_e and the bridge test per edge,
-# tau, theta and ell as numerators over den = 12 q^3, each edge's end indices,
-# and theta's X = N K by vertex index (no ground entry) with r = q / T, so
-# that q Z K = r X
-_Scaled = namedtuple("_Scaled", "q lengths bridges tau theta ell den ends x r")
+# a solve on one integer denominator q: the solve itself, q L_e per edge, and
+# tau, theta and ell as numerators over den = 12 q^3
+_Scaled = namedtuple("_Scaled", "rm q lengths tau theta ell den")
 
 
-def _scale(rm: ResistanceMatrix, values: bool = True) -> _Scaled:
+def _scale(rm: ResistanceMatrix) -> _Scaled:
     """Put the solve ``rm`` on one integer denominator ``q``, once.
 
     The edges' ends and lengths are the ones ``rm`` solved, and theta's
@@ -421,32 +421,24 @@ def _scale(rm: ResistanceMatrix, values: bool = True) -> _Scaled:
     ints.  The lengths are the ``as_integer_ratio()`` pairs the solve read,
     so none is read again here.  ``N`` is read on the diagonal and on each
     edge; only the entries read are multiplied by ``r``.  Tau is read at the
-    vertex ``rm`` is grounded at.  With ``values`` false (for
-    :func:`classify_edges`), tau and theta are not summed, and ``tau``,
-    ``theta``, ``ell`` and ``den`` are ``None``.
+    vertex ``rm`` is grounded at.
     """
     topology, ratios, t = rm._topology, rm._ratios, rm._t
-    ends, weights, x = topology.ends, topology.divisor, rm._x
     q = lcm(t, *(num * den for num, den in ratios))
-    r = q // t
     green = {**rm._green, topology.ground: {}}
     scaled = [num * (q // den) for num, den in ratios]
-    if not values:
-        # _core's bridge test alone: rho == l on each edge
-        bridges = [
-            r * (green[i].get(i, 0) + green[j].get(j, 0) - 2 * green[i].get(j, 0)) == l
-            for (i, j), l in zip(ends, scaled)
-        ]
-        return _Scaled(q, scaled, bridges, None, None, None, None, ends, x, r)
-    edges = [(i, j, l, q // num * den) for (i, j), (num, den), l in zip(ends, ratios, scaled)]
-    tau, theta, bridges = _core(edges, green, r, topology.weights, x, sum(weights.values()))
+    edges = [
+        (i, j, l, q // num * den) for (i, j), (num, den), l in zip(topology.ends, ratios, scaled)
+    ]
+    total = sum(topology.divisor.values())
+    tau, theta = _core(edges, green, q // t, topology.weights, rm._x, total)
     s = 12 * q * q
-    return _Scaled(q, scaled, bridges, tau, s * theta, s * sum(scaled), s * q, ends, x, r)
+    return _Scaled(rm, q, scaled, tau, s * theta, s * sum(scaled), s * q)
 
 
 def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
-    """``12 q^3 tau``, ``q theta`` and each edge's bridge test from a solve
-    scaled by ``q``, with ``+``, ``-`` and ``*`` alone.
+    """``(12 q^3 tau, q theta)`` from a solve scaled by ``q``, with ``+``,
+    ``-`` and ``*`` alone.
 
     ``edges`` holds ``(i, j, l = q L, c = q / L)`` with end indices ``i, j``,
     ``green`` holds ``N`` with a row per vertex (the ground's empty: the
@@ -454,19 +446,15 @@ def _core(edges: list, green: dict, r, w: dict, x: dict, total) -> tuple:
     ``x = N w`` for the weights ``w`` off the ground, which with the
     ground's sum to ``total``.  With ``rho = z_uu + z_vv - 2 z_uv`` (0 on a
     loop), ``12 q^3 tau = sum_e ((l - rho)^2 + 3 (z_vv - z_uu)^2) c`` (Cinkir,
-    2011), a bridge is an edge with ``rho == l``, and
-    ``q theta = 2 r sum_p w_p (total N_pp - x_p)``.
+    2011) and ``q theta = 2 r sum_p w_p (total N_pp - x_p)``.
     """
     tau = 0
-    bridges = []
     for i, j, l, c in edges:
         ni = green[i]
         nii, njj = ni.get(i, 0), green[j].get(j, 0)
-        rho = r * (nii + njj - 2 * ni.get(j, 0))
-        slope, gap = r * (njj - nii), l - rho
+        slope, gap = r * (njj - nii), l - r * (nii + njj - 2 * ni.get(j, 0))
         tau += (gap * gap + 3 * slope * slope) * c
-        bridges.append(rho == l)
-    return tau, 2 * r * sum(c * (total * green[i][i] - x[i]) for i, c in w.items()), bridges
+    return tau, 2 * r * sum(c * (total * green[i][i] - x[i]) for i, c in w.items())
 
 
 def effective_resistance(g: PmGraph, p: str, s: str) -> Fraction:
@@ -507,13 +495,14 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     on the side away from the ground and 0 on the ground's side (Baker and
     Faber, 2006), so theta's ``x = Z K`` changes by ``L`` times the sum of
     ``K`` over the far side, which is ``2 h - 1`` for a side of total genus
-    ``h``, the bridge's end included.
+    ``h``, the bridge's end included.  Both tests run on the solve's own
+    ints, with no ``q`` (see ``_sides``).
     On a graph of total genus ``gbar``, bridge types range over
     ``1 .. gbar // 2`` because a bridge side of total genus 0 would force a
     negative canonical divisor coefficient at its far end.
     """
     rm, where = _reduced(g)
-    sides = _sides(rm._topology.genus.gbar, _scale(rm, False))  # no tau or theta
+    sides = _sides(rm._topology.genus.gbar, rm)
     sides = [sides[k] if same or not sides[k] else sides[k][::-1] for k, same in where]
     return {
         e.id: EdgeClass(e.id, True, min(side), side) if side else EdgeClass(e.id, False, 0)
@@ -521,17 +510,21 @@ def classify_edges(g: PmGraph) -> dict[str, EdgeClass]:
     }
 
 
-def _sides(gbar: int, s: _Scaled) -> list:
-    # each edge's side genera (h_u, h_v), None off the bridges, from a scaled
-    # solve of total genus gbar: r (x_v - x_u) = k l, with k = 2 h - 1 for
-    # the far side's genus h, positive when v's side is the far one
-    x, r = s.x, s.r
+def _sides(gbar: int, rm: ResistanceMatrix) -> list:
+    # each edge's side genera (h_u, h_v), None off the bridges, from a solve
+    # of total genus gbar, on its ints.  An edge of length num/den is a
+    # bridge exactly when T r(u, v) = N_uu + N_vv - 2 N_uv is T num / den,
+    # and then (X_v - X_u) den = k T num, with k = 2 h - 1 for the far
+    # side's genus h, positive when v's side is the far one
+    topology, t, x = rm._topology, rm._t, rm._x
+    green = {**rm._green, topology.ground: {}}
     sides = []
-    for position, ((i, j), bridge, l) in enumerate(zip(s.ends, s.bridges, s.lengths)):
-        if not bridge:
+    for position, ((i, j), (num, den)) in enumerate(zip(topology.ends, rm._ratios)):
+        ni, tl = green[i], t * num
+        if i == j or (ni.get(i, 0) + green[j].get(j, 0) - 2 * ni.get(j, 0)) * den != tl:
             sides.append(None)
             continue
-        k, rest = divmod(r * (x.get(j, 0) - x.get(i, 0)), l)
+        k, rest = divmod((x.get(j, 0) - x.get(i, 0)) * den, tl)
         h = (abs(k) + 1) // 2
         if rest or not k % 2 or not h < gbar:
             raise ArithmeticError(

@@ -393,15 +393,7 @@ def test_the_engine_solves_the_walk_without_building_a_graph(entry, monkeypatch)
 # -- the integer tail ---------------------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        invariant_set, zhang_invariants, tau, theta, delta, classify_edges,
-        lambda g: engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"}),
-    ],
-    ids=["invariant_set", "zhang_invariants", "tau", "theta", "delta", "classify_edges", "engine_ratios"],
-)
-def test_engine_entry_scales_once(entry, monkeypatch, k4_unit):
+def _counted_scale(monkeypatch) -> list:
     # _scale is imported by name, so count it in every module that holds it
     solver = importlib.import_module("pmgraph.resistance")
     original = solver._scale
@@ -414,5 +406,28 @@ def test_engine_entry_scales_once(entry, monkeypatch, k4_unit):
     for name, module in list(sys.modules.items()):
         if name.startswith("pmgraph") and getattr(module, "_scale", None) is original:
             monkeypatch.setattr(module, "_scale", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        invariant_set, zhang_invariants, tau, theta, delta,
+        lambda g: engine_ratios("g3.XIV", {name: Fraction(1) for name in "abcdef"}),
+    ],
+    ids=["invariant_set", "zhang_invariants", "tau", "theta", "delta", "engine_ratios"],
+)
+def test_engine_entry_scales_once(entry, monkeypatch, k4_unit):
+    calls = _counted_scale(monkeypatch)
     entry(k4_unit)
     assert len(calls) == 1
+
+
+def test_classify_edges_never_scales(monkeypatch, k4_unit):
+    # the bridge test and the side genera run on the solve's own ints, so
+    # classify_edges sums no tau or theta, with bridges or without
+    calls = _counted_scale(monkeypatch)
+    classify_edges(k4_unit)
+    classes = classify_edges(build("g3.XI", dict.fromkeys("abcdef", 1)))
+    assert sum(c.is_bridge for c in classes.values()) == 2
+    assert calls == []

@@ -28,7 +28,7 @@ from pmgraph.catalog import _COLUMNS, _TABLE, FAMILIES, CatalogError, _parts, _s
 from pmgraph.graph import InvalidGraphError
 from pmgraph.invariants import _LINEAR, _QUARTET, _delta_sums, _linear, _scaled
 from pmgraph.polynomials import Polynomial
-from pmgraph.resistance import _Topology
+from pmgraph.resistance import _sides, _Topology
 
 
 def _ones(fid):
@@ -467,8 +467,10 @@ class TestSamplingRoute:
             s = family(fid)._scaled(lengths)
             g = build(fid, lengths)
             _, expected = _scaled(g)
-            assert list(s.ends) == list(expected.ends)
-            assert s._replace(ends=None) == expected._replace(ends=None)
+            assert list(s.rm._topology.ends) == list(expected.rm._topology.ends)
+            assert (s.rm._t, s.rm._x) == (expected.rm._t, expected.rm._x)
+            assert _sides(3, s.rm) == _sides(3, expected.rm)
+            assert s._replace(rm=None) == expected._replace(rm=None)
             engine = invariant_set(g)
             values = {
                 "ell": Fraction(s.ell, s.den),

@@ -257,7 +257,8 @@ def test_a_length_outside_the_grammar_exits_2(runner, tmp_path, token):
 
 
 # a --lengths token past 40 characters is cut in its error as a file's token
-# is; a short one is shown whole (see the pinned errors in cli_stdout.txt)
+# is, and so is a long family or identity name; a short one is shown whole
+# (see the pinned errors in cli_stdout.txt)
 _LONG, _KEPT = "x" * 300, "x" * 40
 
 
@@ -270,11 +271,28 @@ _LONG, _KEPT = "x" * 300, "x" * 40
          f"g3.I: unknown parameter(s) {_KEPT}... (300 characters)"),
         (f"a=1,b=1,c=1,{_LONG}",
          f"cannot parse length assignment '{_KEPT}'... (300 characters); expected name=value"),
+        (f"a=1,b=1,c=1,{_LONG}=1,{_LONG}=2",
+         f"duplicate length assignment for '{_KEPT}'... (300 characters)"),
     ],
-    ids=["value", "name", "assignment"],
+    ids=["value", "name", "assignment", "duplicate"],
 )
 def test_a_long_lengths_token_is_cut_in_its_error(runner, lengths, message):
     result = runner.invoke(main, ["catalog", "eval", "g3.I", "--lengths", lengths])
+    assert result.exit_code == 2
+    assert result.output == f"Error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["catalog", "check", "--family", _LONG], f"unknown family '{_KEPT}'... (300 characters)"),
+        (["verify", "identities", "--name", _LONG],
+         f"unknown identity '{_KEPT}'... (300 characters)"),
+    ],
+    ids=["family", "identity"],
+)
+def test_a_long_name_is_cut_in_its_error(runner, args, message):
+    result = runner.invoke(main, args)
     assert result.exit_code == 2
     assert result.output == f"Error: {message}\n"
 

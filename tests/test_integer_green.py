@@ -130,7 +130,8 @@ def _scaled_fractions(g: PmGraph, rm) -> tuple:
     s = solver._scale(rm)
     return (
         Fraction(s.tau, s.den), Fraction(s.theta, s.den), Fraction(s.ell, s.den),
-        s.bridges, [Fraction(l, s.q) for l in s.lengths], rm.values,
+        solver._sides(rm._topology.genus.gbar, rm), [Fraction(l, s.q) for l in s.lengths],
+        rm.values,
     )
 
 

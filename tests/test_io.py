@@ -156,8 +156,21 @@ class TestParse:
              f"line 2, column 12: cannot parse length '{40 * '7'}'... (5000 characters) as a rational"),
             (f"vertex a\nedge l a a -{4000 * '7'}\n",
              f"line 2, column 12: edge length must be positive, got -{39 * '7'}... (4001 characters)"),
+            (f"vertex {300 * 'v'}\nvertex {300 * 'v'}\n",
+             f"line 2, column 8: duplicate vertex id '{40 * 'v'}'... (300 characters)"),
+            (f"vertex a\nedge {300 * 'e'} a a 1\nedge {300 * 'e'} a a 1\n",
+             f"line 3, column 6: duplicate edge id '{40 * 'e'}'... (300 characters)"),
+            (f"vertex a\nedge {300 * 'e'} a {300 * 'v'} 1\n",
+             f"line 2, column 309: edge '{40 * 'e'}'... (300 characters) references undeclared"
+             f" vertex '{40 * 'v'}'... (300 characters)"),
+            (f"{300 * 'r'} a\n",
+             f"line 1, column 1: unknown record '{40 * 'r'}'... (300 characters)"
+             " (expected 'vertex' or 'edge')"),
         ],
-        ids=["not-a-weight", "weight", "negative-weight", "length", "negative-length"],
+        ids=[
+            "not-a-weight", "weight", "negative-weight", "length", "negative-length",
+            "duplicate-vertex", "duplicate-edge", "undeclared-vertex", "record",
+        ],
     )
     def test_an_over_long_token_is_cut_in_its_message(self, text, message):
         # the 4000-digit values parse, and are then refused for their sign

@@ -7,11 +7,12 @@ cannot drift apart in how a graph's lengths become a solve.  The sparse
 producer ``_sparse_green`` is the only caller of the factor ``_factor``, so
 no second path reads the factor.  Every solve carries theta's ``X = N K``
 for its own topology's canonical divisor, so ``_scale`` takes the solve
-alone.  It is called in four places: the catalog sampler's
+alone.  It is called in three places: the catalog sampler's
 ``FamilySpec._scaled`` on a family's validated topology, the file engine's
-``invariants._scaled`` and ``classify_edges`` on a solve of the engine
-prologue ``_reduced``, and ``bounds.engine_ratios`` on ``resistance_matrix``,
-which solves a catalog family's graph as given.  That is the one call of
+``invariants._scaled`` on a solve of the engine prologue ``_reduced``, and
+``bounds.engine_ratios`` on ``resistance_matrix``, which solves a catalog
+family's graph as given; ``classify_edges`` reads its solve of
+``_reduced`` unscaled.  That is the one call of
 ``resistance_matrix`` in ``src/pmgraph``: ``_reduced`` never takes it, and
 the CLI passes it as a value.
 """
@@ -56,7 +57,6 @@ def test_only_the_topology_solves():
         ("_scale", "bounds.py:engine_ratios"),
         ("_scale", "catalog.py:FamilySpec._scaled"),
         ("_scale", "invariants.py:_scaled"),
-        ("_scale", "resistance.py:classify_edges"),
         ("resistance_matrix", "bounds.py:engine_ratios"),
     ]
 

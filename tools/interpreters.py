@@ -1,4 +1,4 @@
-"""Compare the command line's stdout across Python interpreters.
+"""Compare the command line's output across Python interpreters.
 
 Usage::
 
@@ -10,8 +10,8 @@ distributions below that it has installed (all pure Python) are linked into
 a temporary directory that goes on every run's ``PYTHONPATH``, after
 ``src``.  So the other interpreters need no packages of their own.
 
-Every listed interpreter runs the same commands, and each one's stdout and
-exit code are compared with the reference's.  Then the test suite runs on
+Every listed interpreter runs the same commands, and each one's stdout,
+stderr and exit code are compared with the reference's.  Then the test suite runs on
 every interpreter where pytest and hypothesis import.  The script exits 1
 if any command differs or any suite fails.  Child processes write no
 bytecode, so the linked packages stay as installed.
@@ -79,6 +79,9 @@ def _commands(work: Path) -> list[list[str]]:
     # a weight with a digit separator, which int() alone reads from 3.6 on
     weight = work / "weight_separator.graph"
     weight.write_text("vertex X q=1_0\nedge a X X 1\n")
+    # a duplicated over-long vertex id, whose exit-2 message cuts the token
+    duplicate = work / "long_duplicate_id.graph"
+    duplicate.write_text(2 * f"vertex {300 * 'v'}\n")
     return [
         ["verify", "bounds", "--samples", "60", "--seed", "5", "--json"],
         ["catalog", "check", "--samples", "15", "--seed", "3"],
@@ -88,6 +91,7 @@ def _commands(work: Path) -> list[list[str]]:
         ["invariants", str(shapes), "--json"],
         ["invariants", str(separator)],
         ["invariants", str(weight)],
+        ["invariants", str(duplicate)],
         # values far outside float's range, printed with their approximations
         ["invariants", str(DATA / "k4_lengths_1e400.graph")],
         ["invariants", str(DATA / "k4_lengths_1e-400.graph")],
@@ -127,7 +131,9 @@ def main() -> int:
             print(f"== {python} (Python {version.stdout.decode().strip()})")
             for args, expected in zip(commands, reference):
                 got = _run(python, ["-m", "pmgraph.cli", *args], env)
-                same = (got.returncode, got.stdout) == (expected.returncode, expected.stdout)
+                same = (got.returncode, got.stdout, got.stderr) == (
+                    expected.returncode, expected.stdout, expected.stderr
+                )
                 failed |= not same
                 status = "same" if same else "DIFFERS"
                 shown = " ".join(Path(a).name for a in args)
